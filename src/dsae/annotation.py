@@ -198,38 +198,31 @@ def to_bio(doc: NormalizedDoc, entities) -> list[str]:
     return labels
 
 
+def bio_spans(labels) -> list[tuple[int, int, str]]:
+    """Decode a BIO label sequence into (start, end, suffix) token spans,
+    end exclusive. B-X or a change of suffix opens a span, O closes one, and
+    a bare I-X opens one as if it were B-X."""
+    spans: list[tuple[int, int, str]] = []
+    start, cur = None, None
+    for i, label in enumerate(labels):
+        marker, suffix = ("O", None) if label == "O" else label.split("-", 1)
+        if marker == "B" or suffix != cur:
+            if start is not None:
+                spans.append((start, i, cur))
+            start, cur = (None, None) if suffix is None else (i, suffix)
+    if start is not None:
+        spans.append((start, len(labels), cur))
+    return spans
+
+
 def from_bio(doc: NormalizedDoc, labels) -> list[EntitySpan]:
-    """Decode BIO labels into spans; a bare I-X is repaired to B-X."""
+    """Entity spans of one document's BIO labels; a bare I-X is repaired to B-X."""
     if len(labels) != len(doc.tokens):
         raise ValueError("label/token length mismatch")
-    spans: list[EntitySpan] = []
-    start = None
-    cur_type = None
-
-    def close(end_token: int):
-        nonlocal start, cur_type
-        if start is not None:
-            spans.append(EntitySpan(
-                id=f"T{len(spans) + 1}",
-                etype=cur_type,
-                char_start=doc.tokens[start].start,
-                char_end=doc.tokens[end_token - 1].end,
-                token_start=start,
-                token_end=end_token,
-            ))
-        start, cur_type = None, None
-
-    for i, label in enumerate(labels):
-        if label == "O":
-            close(i)
-            continue
-        marker, suffix = label.split("-", 1)
-        etype = _BIO_TO_TYPE[suffix]
-        if marker == "B" or etype != cur_type:
-            close(i)
-            start, cur_type = i, etype
-    close(len(labels))
-    return spans
+    return [EntitySpan(id=f"T{k}", etype=_BIO_TO_TYPE[suffix],
+                       char_start=doc.tokens[start].start, char_end=doc.tokens[end - 1].end,
+                       token_start=start, token_end=end)
+            for k, (start, end, suffix) in enumerate(bio_spans(labels), 1)]
 
 
 def generate_relation_instances(annotated: AnnotatedDoc) -> list[RelationInstance]:
@@ -261,11 +254,3 @@ def split_dataset(docs, seed: int):
             shuffled[n_train:n_train + n_dev],
             shuffled[n_train + n_dev:])
 
-
-def export_manifest(path, train, dev, test) -> None:
-    """TSV doc_id<TAB>split, for reproducibility audits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, docs in (("train", train), ("dev", dev), ("test", test)):
-            for d in docs:
-                doc_id = d.doc.doc_id if isinstance(d, AnnotatedDoc) else d.doc_id
-                fh.write(f"{doc_id}\t{name}\n")

@@ -37,6 +37,10 @@ from .synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 COMMANDS = ("ingest", "train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
             "replicate", "aggregate", "compare-kb", "report", "gradcheck")
 
+# the commands that read annotated documents through _resolve_docs
+_CORPUS_COMMANDS = ("train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
+                    "replicate", "aggregate")
+
 _PATH_KEYS = ("corpus", "ds_lexicon", "event_lexicon", "embeddings",
               "annotations", "kb", "unigrams")
 
@@ -119,6 +123,12 @@ def _validate(config: dict, command: str) -> None:
                 errors.append(f"{key}: required for ingest")
     if command == "compare-kb" and config.get("kb") is None:
         errors.append("kb: required for compare-kb")
+    if command in _CORPUS_COMMANDS:
+        # _resolve_docs reads a real corpus only with its annotations
+        if config.get("corpus") and not config.get("annotations"):
+            errors.append(f"annotations: required with corpus for {command}")
+        if config.get("annotations") and not config.get("corpus"):
+            errors.append(f"corpus: required with annotations for {command}")
     if errors:
         raise ConfigError(errors)
 

@@ -1,10 +1,7 @@
-"""Token vector sources: static word-vector tables (text format) and a
-precomputed contextual-embedding store keyed by (doc_id, token_index).
-"""
+"""Static word-vector tables in the common text format."""
 
 from __future__ import annotations
 
-import json
 import logging
 
 import numpy as np
@@ -63,42 +60,3 @@ def load_static(path) -> EmbeddingTable:
     table.duplicates = duplicates
     return table
 
-
-def lookup(table: EmbeddingTable, word: str) -> tuple[np.ndarray, bool]:
-    return table.lookup(word)
-
-
-class ContextualProvider:
-    """Precomputed per-occurrence vectors (stand-in for transformer output)."""
-
-    def __init__(self, dim: int, store: dict[tuple[str, int], np.ndarray]):
-        self.dim = dim
-        self.store = store
-
-    def get(self, doc_id: str, token_index: int) -> np.ndarray:
-        key = (doc_id, token_index)
-        if key not in self.store:
-            raise KeyError(f"no contextual vector for doc {doc_id!r} token {token_index}")
-        return self.store[key]
-
-
-def load_contextual(path) -> ContextualProvider:
-    """JSON Lines records {doc_id, token_index, vector:[...]}."""
-    store: dict[tuple[str, int], np.ndarray] = {}
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: vector length {vec.shape[0]} != {dim}")
-            store[(str(obj["doc_id"]), int(obj["token_index"]))] = vec
-    if dim is None:
-        raise ValueError(f"{path}: empty contextual store")
-    return ContextualProvider(dim, store)

@@ -1,21 +1,26 @@
 """Linear-chain CRF over BIO labels, trained with L-BFGS + elastic net.
 
-Unary scores are linear in the token features; the transition matrix is
-shared across positions. The partition function and marginals come from
-log-domain forward-backward; decoding is Viterbi with ties broken toward
-the lowest label index.
+Unary scores are linear in the token features: the rows of one sparse
+token matrix times the weights. The transition matrix is shared across
+positions. Training evaluates the whole training set as one padded batch
+of the shared CRF layer (``kernels.crf_layer``); decoding is Viterbi with
+ties broken toward the lowest label index.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..annotation import BIO_LABELS
 from ..numeric import kernels
 from ..numeric.optim import LbfgsConfig, lbfgs_minimize
-from .features import FeatureRegistry, SparseDoc, TokenFeatures, index_features
+from .features import FeatureRegistry, TokenFeatures, index_features
+
+logger = logging.getLogger(__name__)
 
 
 def viterbi(unary: np.ndarray, transitions: np.ndarray) -> tuple[list[int], float]:
@@ -45,43 +50,21 @@ class CrfModel:
     converged: bool = True
     hyperparameters: dict = field(default_factory=dict)
 
-    def unary(self, doc: SparseDoc) -> np.ndarray:
-        return kernels.unary_scores(self.W, doc.indptr, doc.indices, doc.values)
-
     def decode(self, features: list[TokenFeatures]) -> list[str]:
         if not features:
             return []
-        sparse = index_features(features, self.registry)
-        path, _ = viterbi(self.unary(sparse), self.T)
+        path, _ = viterbi(index_features(features, self.registry) @ self.W.T, self.T)
         return [self.labels[i] for i in path]
 
 
-def _doc_nll_grad(W, T, doc: SparseDoc, labels: np.ndarray,
-                  gradW: np.ndarray | None = None, gradT: np.ndarray | None = None):
-    """NLL = logZ - score(gold); gradient = expected - empirical counts."""
-    K = W.shape[0]
-    unary = kernels.unary_scores(W, doc.indptr, doc.indices, doc.values)
-    L = unary.shape[0]
-    alpha, logz = kernels.crf_forward(unary, T)
-    gold = float(unary[np.arange(L), labels].sum())
-    if L > 1:
-        gold += float(T[labels[:-1], labels[1:]].sum())
-    value = logz - gold
-    if gradW is None:
-        return value
-
-    beta = kernels.crf_backward(unary, T)
-    marg = np.exp(alpha + beta - logz)  # L x K, rows sum to 1
-    coeff = marg.copy()
-    coeff[np.arange(L), labels] -= 1.0
-    kernels.unary_grad(gradW, doc.indptr, doc.indices, doc.values, coeff)
-    if L > 1:
-        # pairwise marginals: alpha[t-1,i] + T[i,j] + unary[t,j] + beta[t,j]
-        pair = (alpha[:-1, :, None] + T[None, :, :]
-                + (unary[1:] + beta[1:])[:, None, :])
-        gradT += np.exp(pair - logz).sum(axis=0)
-        np.subtract.at(gradT, (labels[:-1], labels[1:]), 1.0)
-    return value
+def _nll_grad(W: np.ndarray, T: np.ndarray, X: sp.csr_array, y: np.ndarray,
+              mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """NLL of the gold paths y and its flat gradient over (W, T). The rows of
+    the token matrix X are the True positions of mask, in row-major order."""
+    scores = np.zeros(mask.shape + (W.shape[0],))
+    scores[mask] = X @ W.T
+    value, dscores, dT = kernels.crf_layer(scores, T, y, mask)
+    return value, np.concatenate([(dscores[mask].T @ X).ravel(), dT.ravel()])
 
 
 def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
@@ -89,49 +72,43 @@ def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
     """Value and flat gradient (over W then T) for one instance."""
     if len(features) != len(gold_labels) or not features:
         raise ValueError("need equally many features and labels, at least one")
-    doc = index_features(features, model.registry)
-    y = np.asarray([model.labels.index(lab) for lab in gold_labels], dtype=np.int64)
-    gradW = np.zeros_like(model.W)
-    gradT = np.zeros_like(model.T)
-    value = _doc_nll_grad(model.W, model.T, doc, y, gradW, gradT)
-    return value, np.concatenate([gradW.ravel(), gradT.ravel()])
+    X = index_features(features, model.registry)
+    y = np.asarray([[model.labels.index(lab) for lab in gold_labels]], dtype=np.int64)
+    return _nll_grad(model.W, model.T, X, y, np.ones(y.shape, dtype=bool))
 
 
 def crf_train(train_docs, config: CrfConfig | None = None,
               labels: tuple[str, ...] = BIO_LABELS) -> CrfModel:
     """train_docs: list of (features, gold label strings) pairs."""
     cfg = config or CrfConfig()
-    if not train_docs:
+    docs = [(features, gold) for features, gold in train_docs if features]
+    if not docs:
         raise ValueError("empty training set")
-    dense_dim = train_docs[0][0][0].dense.shape[0] if train_docs[0][0] else 0
-    registry = FeatureRegistry(dense_dim)
-    packed = []
-    for features, gold in train_docs:
-        if not features:
-            continue
-        sparse = index_features(features, registry)
-        y = np.asarray([labels.index(lab) for lab in gold], dtype=np.int64)
-        packed.append((sparse, y))
+    if any(len(features) != len(gold) for features, gold in docs):
+        raise ValueError("every document needs one gold label per token")
+    registry = FeatureRegistry(docs[0][0][0].dense.shape[0])
+    # one feature matrix for the whole training set, a row per token
+    X = index_features([tok for features, _ in docs for tok in features], registry)
     registry.freeze()
+    lengths = np.array([len(features) for features, _ in docs], dtype=np.int64)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    y = np.zeros(mask.shape, dtype=np.int64)
+    y[mask] = [labels.index(lab) for _, gold in docs for lab in gold]
 
     K = len(labels)
     F = registry.total_dim
     nW = K * F
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        W = x[:nW].reshape(K, F)
-        T = x[nW:].reshape(K, K)
-        gradW = np.zeros_like(W)
-        gradT = np.zeros_like(T)
-        total = 0.0
-        for sparse, y in packed:
-            total += _doc_nll_grad(W, T, sparse, y, gradW, gradT)
-        return total, np.concatenate([gradW.ravel(), gradT.ravel()])
+        return _nll_grad(x[:nW].reshape(K, F), x[nW:].reshape(K, K), X, y, mask)
 
     result = lbfgs_minimize(
         objective, np.zeros(nW + K * K),
         LbfgsConfig(memory=cfg.memory, max_iter=cfg.max_iter, tol=cfg.tol,
                     c1=cfg.c1, c2=cfg.c2))
+    if not result.converged:
+        logger.warning("crf_train: L-BFGS stopped after %d iterations without converging "
+                       "(max_iter=%d, tol=%g)", result.iterations, cfg.max_iter, cfg.tol)
     W = result.x[:nW].reshape(K, F)
     T = result.x[nW:].reshape(K, K)
     return CrfModel(

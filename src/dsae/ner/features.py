@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..corpus import Lexicon, match_terms
 from ..embeddings import EmbeddingTable
@@ -93,34 +94,25 @@ def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
     return out
 
 
-@dataclass
-class SparseDoc:
-    """CSR-style per-document feature rows over the unified index space
-    (dense dims carry real values, indicators carry 1.0)."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    n_tokens: int
-
-
-def index_features(features: list[TokenFeatures], registry: FeatureRegistry) -> SparseDoc:
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    for feat in features:
-        nz = np.nonzero(feat.dense)[0]
-        indices.extend(int(k) for k in nz)
-        values.extend(float(feat.dense[k]) for k in nz)
-        for name in feat.names:
-            col = registry.resolve(name)
-            if col is not None:
-                indices.append(col)
-                values.append(1.0)
-        indptr.append(len(indices))
-    return SparseDoc(
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
-        n_tokens=len(features),
-    )
+def index_features(features: list[TokenFeatures], registry: FeatureRegistry) -> sp.csr_array:
+    """Token-by-column CSR matrix over the unified index space. A row holds
+    the token's non-zero dense values, then 1.0 for each indicator the
+    registry resolves, in name order."""
+    n, dim = len(features), registry.dense_dim
+    n_names = np.array([len(f.names) for f in features], dtype=np.int64)
+    # one padded row per token, dense columns first, then the indicators;
+    # column -1 marks a zero dense value, an unresolved indicator or
+    # padding, and is dropped
+    values = np.ones((n, dim + n_names.max(initial=0)))
+    for row, f in zip(values, features):
+        row[:dim] = f.dense
+    cols = np.full(values.shape, -1, dtype=np.int32)
+    cols[:, :dim] = np.arange(dim)
+    cols[:, :dim][values[:, :dim] == 0] = -1
+    resolved = (registry.resolve(name) for f in features for name in f.names)
+    cols[:, dim:][np.arange(cols.shape[1] - dim) < n_names[:, None]] = np.fromiter(
+        (-1 if c is None else c for c in resolved), dtype=np.int32, count=n_names.sum())
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_array((values[keep], cols[keep], indptr), shape=(n, registry.total_dim))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..annotation import BIO_LABELS
+from ..annotation import BIO_LABELS, bio_spans
 from ..numeric import kernels
 from ..numeric.optim import AdamState, adam_step
 from ..numeric.params import ParamVector
@@ -157,25 +157,13 @@ def nll_and_grad(params: ParamVector, X: np.ndarray, y: np.ndarray,
     """CRF negative log-likelihood of the gold path plus, when ``grad`` is
     given, accumulation of the full-model gradient."""
     scores, cache = _forward_scores(params, X, hidden)
-    T = params["T"]
-    L, K = scores.shape
-    alpha, logz = kernels.crf_forward(scores, T)
-    gold = float(scores[np.arange(L), y].sum())
-    if L > 1:
-        gold += float(T[y[:-1], y[1:]].sum())
-    value = logz - gold
+    value, dscores, dT = kernels.crf_layer(scores[None], params["T"], y[None],
+                                           np.ones((1, len(y)), dtype=bool))
     if grad is None:
         return value
 
-    beta = kernels.crf_backward(scores, T)
-    dscores = np.exp(alpha + beta - logz)
-    dscores[np.arange(L), y] -= 1.0
-    if L > 1:
-        pair = (alpha[:-1, :, None] + T[None, :, :]
-                + (scores[1:] + beta[1:])[:, None, :])
-        grad["T"] += np.exp(pair - logz).sum(axis=0)
-        np.subtract.at(grad["T"], (y[:-1], y[1:]), 1.0)
-
+    dscores = dscores[0]
+    grad["T"] += dT
     h_fwd, gates_f, cs_f, Xr, h_bwd_r, gates_b, cs_b, Hcat = cache
     grad["Wp"] += Hcat.T @ dscores
     grad["bp"] += dscores.sum(axis=0)
@@ -206,32 +194,12 @@ def lstm_crf_objective(model: LstmCrfModel, X: np.ndarray, y: np.ndarray):
     return objective
 
 
-def _bio_spans(labels) -> set[tuple[int, int, str]]:
-    spans = set()
-    start = None
-    cur = None
-    for i, lab in enumerate(labels):
-        if lab == "O":
-            if start is not None:
-                spans.add((start, i, cur))
-            start, cur = None, None
-            continue
-        marker, suffix = lab.split("-", 1)
-        if marker == "B" or suffix != cur:
-            if start is not None:
-                spans.add((start, i, cur))
-            start, cur = i, suffix
-    if start is not None:
-        spans.add((start, len(labels), cur))
-    return spans
-
-
 def span_f1(gold_label_seqs, pred_label_seqs) -> float:
     """Micro exact-span F1 computed from BIO sequences alone."""
     tp = fp = fn = 0
     for gold, pred in zip(gold_label_seqs, pred_label_seqs):
-        g = _bio_spans(gold)
-        p = _bio_spans(pred)
+        g = set(bio_spans(gold))
+        p = set(bio_spans(pred))
         tp += len(g & p)
         fp += len(p - g)
         fn += len(g - p)

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..annotation import EntitySpan, from_bio
 from ..corpus import Lexicon
-from ..embeddings import ContextualProvider, EmbeddingTable
+from ..embeddings import EmbeddingTable
 from ..normalize import NormalizedDoc
 from .crf import CrfModel
 from .features import featurize
@@ -22,13 +22,6 @@ def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> np.ndarray:
         rows.append(np.concatenate([vec, [1.0 if oov else 0.0]]))
     if not rows:
         return np.zeros((0, embeddings.dim + 1))
-    return np.stack(rows)
-
-
-def doc_matrix_contextual(doc: NormalizedDoc, provider: ContextualProvider) -> np.ndarray:
-    rows = [provider.get(doc.doc_id, i) for i in range(len(doc.tokens))]
-    if not rows:
-        return np.zeros((0, provider.dim))
     return np.stack(rows)
 
 

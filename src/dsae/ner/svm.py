@@ -29,10 +29,10 @@ class SvmModel:
         return svm_predict(self, features)
 
 
-def _token_rows(sparse):
-    for t in range(sparse.n_tokens):
-        lo, hi = sparse.indptr[t], sparse.indptr[t + 1]
-        yield sparse.indices[lo:hi], sparse.values[lo:hi]
+def _token_rows(X):
+    """(column indices, values) of each row of a CSR token matrix."""
+    for lo, hi in zip(X.indptr[:-1], X.indptr[1:]):
+        yield X.indices[lo:hi], X.data[lo:hi]
 
 
 def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
@@ -44,8 +44,8 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
     registry = FeatureRegistry(dense_dim)
     instances: list[tuple[np.ndarray, np.ndarray, int]] = []
     for features, gold in train_docs:
-        sparse = index_features(features, registry)
-        for (idx, val), lab in zip(_token_rows(sparse), gold):
+        X = index_features(features, registry)
+        for (idx, val), lab in zip(_token_rows(X), gold):
             instances.append((idx, val, labels.index(lab)))
     registry.freeze()
 
@@ -73,9 +73,8 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
 def svm_predict(model: SvmModel, features: list[TokenFeatures]) -> list[str]:
     if not features:
         return []
-    sparse = index_features(features, model.registry)
     out = []
-    for idx, val in _token_rows(sparse):
+    for idx, val in _token_rows(index_features(features, model.registry)):
         m = model.margins(idx, val)
         out.append(model.labels[int(np.argmax(m))])  # first max = lowest index
     return out

@@ -1,159 +1,81 @@
-"""Hot inner loops for sequence models.
+"""The linear-chain CRF output layer shared by the feature CRF and the
+BiLSTM-CRF, and single-sequence Viterbi decoding.
 
-Two interchangeable backends:
-
-* loop kernels compiled with numba ``@njit`` (default when numba imports),
-* vectorized pure-numpy fallbacks.
-
-Set ``DSAE_NUMBA=0`` in the environment to force the numpy path. Both
-backends implement the same math; ``benchmarks/bench_kernels.py`` compares
-them for speed and agreement.
+``crf_layer`` runs the log-domain forward-backward recursions of Sutton &
+McCallum, *An Introduction to Conditional Random Fields*
+(arXiv:1011.4088), section 4.1, over a padded batch of sequences at once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("DSAE_NUMBA", "1") not in ("0", "false", "no")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is an optional extra
-        USE_NUMBA = False
 
-NEG_INF = -1e30
+def crf_layer(scores: np.ndarray, T: np.ndarray, y: np.ndarray,
+              mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative log-likelihood of the gold label paths and its gradients.
 
+    scores: (N, L, K) unary scores. T: (K, K), T[i, j] scores label i
+    followed by label j. y: (N, L) gold label indices. mask: (N, L) bool,
+    True on the positions of each sequence; they come first in its row, and
+    every sequence has at least one. Padded entries of scores and y are
+    ignored. Returns the NLL summed over the batch (log Z minus the gold path
+    score), d NLL / d scores (zero at padding) and d NLL / d T.
+    """
+    N, L, K = scores.shape
+    # longest sequences first: the ones that have a position t are then the
+    # first live[t] rows
+    lengths = mask.sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    lengths, mask, scores = lengths[order], mask[order], scores[order]
+    live = (lengths[:, None] > np.arange(L)).sum(axis=0)
+    y = np.where(mask, y[order], 0)
+    gold_onehot = (np.arange(K) == y[..., None]) & mask[..., None]
 
-# ---------------------------------------------------------------- loop bodies
-
-def _crf_forward_loops(scores, trans):
-    L, K = scores.shape
-    alpha = np.empty((L, K))
-    alpha[0] = scores[0]
+    # alpha[n, t, j]: log-sum of the scores of all prefixes ending in label j at t
+    alpha = np.zeros((N, L, K))
+    alpha[:, 0] = scores[:, 0]
     for t in range(1, L):
-        for j in range(K):
-            m = alpha[t - 1, 0] + trans[0, j]
-            for i in range(1, K):
-                v = alpha[t - 1, i] + trans[i, j]
-                if v > m:
-                    m = v
-            s = 0.0
-            for i in range(K):
-                s += np.exp(alpha[t - 1, i] + trans[i, j] - m)
-            alpha[t, j] = m + np.log(s) + scores[t, j]
-    m = alpha[L - 1, 0]
-    for i in range(1, K):
-        if alpha[L - 1, i] > m:
-            m = alpha[L - 1, i]
-    s = 0.0
-    for i in range(K):
-        s += np.exp(alpha[L - 1, i] - m)
-    logz = m + np.log(s)
-    return alpha, logz
+        n = live[t]
+        alpha[:n, t] = np.logaddexp.reduce(alpha[:n, t - 1, :, None] + T, axis=1) + scores[:n, t]
+    logz = np.logaddexp.reduce(alpha[np.arange(N), lengths - 1], axis=1)[:, None, None]
 
+    pairs = mask[:, 1:]
+    gold = np.sum(scores, where=gold_onehot) + T[y[:, :-1], y[:, 1:]][pairs].sum()
 
-def _crf_backward_loops(scores, trans):
-    L, K = scores.shape
-    beta = np.zeros((L, K))
-    for t in range(L - 2, -1, -1):
-        for i in range(K):
-            m = trans[i, 0] + scores[t + 1, 0] + beta[t + 1, 0]
-            for j in range(1, K):
-                v = trans[i, j] + scores[t + 1, j] + beta[t + 1, j]
-                if v > m:
-                    m = v
-            s = 0.0
-            for j in range(K):
-                s += np.exp(trans[i, j] + scores[t + 1, j] + beta[t + 1, j] - m)
-            beta[t, i] = m + np.log(s)
-    return beta
-
-
-def _viterbi_loops(scores, trans):
-    L, K = scores.shape
-    delta = np.empty((L, K))
-    bp = np.zeros((L, K), dtype=np.int64)
-    delta[0] = scores[0]
-    for t in range(1, L):
-        for j in range(K):
-            best_i = 0
-            best = delta[t - 1, 0] + trans[0, j]
-            for i in range(1, K):
-                v = delta[t - 1, i] + trans[i, j]
-                if v > best:  # strict: ties keep the lowest label index
-                    best = v
-                    best_i = i
-            delta[t, j] = best + scores[t, j]
-            bp[t, j] = best_i
-    best_j = 0
-    best = delta[L - 1, 0]
-    for j in range(1, K):
-        if delta[L - 1, j] > best:
-            best = delta[L - 1, j]
-            best_j = j
-    path = np.empty(L, dtype=np.int64)
-    path[L - 1] = best_j
+    # beta[n, t, i]: log-sum of the scores of all suffixes after label i at t,
+    # zero at a sequence's last position. The pairwise marginals of positions
+    # (t - 1, t) are summed into dT one step at a time.
+    beta = np.zeros((N, L, K))
+    dT = np.zeros((K, K))
     for t in range(L - 1, 0, -1):
-        path[t - 1] = bp[t, path[t]]
-    return path, best
-
-def _unary_scores_loops(W, indptr, indices, values):
-    K = W.shape[0]
-    L = indptr.shape[0] - 1
-    out = np.zeros((L, K))
-    for t in range(L):
-        for p in range(indptr[t], indptr[t + 1]):
-            f = indices[p]
-            v = values[p]
-            for k in range(K):
-                out[t, k] += W[k, f] * v
-    return out
-
-
-def _unary_grad_loops(gradW, indptr, indices, values, coeff):
-    K = gradW.shape[0]
-    L = indptr.shape[0] - 1
-    for t in range(L):
-        for p in range(indptr[t], indptr[t + 1]):
-            f = indices[p]
-            v = values[p]
-            for k in range(K):
-                gradW[k, f] += coeff[t, k] * v
+        n = live[t]
+        nxt = (scores[:n, t] + beta[:n, t])[:, None, :] + T  # (n, K from, K to)
+        dT += np.exp(alpha[:n, t - 1, :, None] + nxt - logz[:n]).sum(axis=0)
+        beta[:n, t - 1] = np.logaddexp.reduce(nxt, axis=2)
+    # the position marginals, computed in place of beta; alpha and beta are
+    # both zero in the padding
+    real = mask[..., None]
+    beta += alpha
+    np.subtract(beta, logz, out=beta, where=real)
+    marginals = np.exp(beta, out=beta, where=real)
+    marginals -= gold_onehot
+    dscores = np.empty_like(marginals)
+    dscores[order] = marginals
+    dT -= np.bincount(K * y[:, :-1][pairs] + y[:, 1:][pairs],
+                      minlength=K * K).reshape(K, K)
+    return float(logz.sum() - gold), dscores, dT
 
 
-# ------------------------------------------------------------ numpy fallbacks
-
-def _logsumexp_rows(x):
-    m = np.max(x, axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True)))[..., 0]
-
-
-def _crf_forward_np(scores, trans):
-    L, K = scores.shape
-    alpha = np.empty((L, K))
-    alpha[0] = scores[0]
-    for t in range(1, L):
-        alpha[t] = _logsumexp_rows((alpha[t - 1][:, None] + trans).T) + scores[t]
-    return alpha, float(_logsumexp_rows(alpha[-1]))
-
-
-def _crf_backward_np(scores, trans):
-    L, K = scores.shape
-    beta = np.zeros((L, K))
-    for t in range(L - 2, -1, -1):
-        beta[t] = _logsumexp_rows(trans + (scores[t + 1] + beta[t + 1])[None, :])
-    return beta
-
-
-def _viterbi_np(scores, trans):
+def viterbi_kernel(scores: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best label path of one (L >= 1, K) sequence and its score; ties go to
+    the lowest label index."""
     L, K = scores.shape
     delta = np.empty((L, K))
     bp = np.zeros((L, K), dtype=np.int64)
     delta[0] = scores[0]
     for t in range(1, L):
-        m = delta[t - 1][:, None] + trans
+        m = delta[t - 1][:, None] + T
         bp[t] = np.argmax(m, axis=0)  # first max -> lowest label index
         delta[t] = m[bp[t], np.arange(K)] + scores[t]
     best_j = int(np.argmax(delta[-1]))
@@ -162,53 +84,3 @@ def _viterbi_np(scores, trans):
     for t in range(L - 1, 0, -1):
         path[t - 1] = bp[t, path[t]]
     return path, float(delta[-1, best_j])
-
-
-def _unary_scores_np(W, indptr, indices, values):
-    L = indptr.shape[0] - 1
-    out = np.zeros((L, W.shape[0]))
-    for t in range(L):
-        lo, hi = indptr[t], indptr[t + 1]
-        if hi > lo:
-            out[t] = W[:, indices[lo:hi]] @ values[lo:hi]
-    return out
-
-
-def _unary_grad_np(gradW, indptr, indices, values, coeff):
-    L = indptr.shape[0] - 1
-    for t in range(L):
-        lo, hi = indptr[t], indptr[t + 1]
-        if hi > lo:
-            np.add.at(gradW, (slice(None), indices[lo:hi]),
-                      coeff[t][:, None] * values[lo:hi][None, :])
-
-
-# ------------------------------------------------------------------ selection
-
-if USE_NUMBA:
-    crf_forward = njit(cache=True)(_crf_forward_loops)
-    crf_backward = njit(cache=True)(_crf_backward_loops)
-    viterbi_kernel = njit(cache=True)(_viterbi_loops)
-    unary_scores = njit(cache=True)(_unary_scores_loops)
-    unary_grad = njit(cache=True)(_unary_grad_loops)
-else:
-    crf_forward = _crf_forward_np
-    crf_backward = _crf_backward_np
-    viterbi_kernel = _viterbi_np
-    unary_scores = _unary_scores_np
-    unary_grad = _unary_grad_np
-
-NUMPY_BACKEND = {
-    "crf_forward": _crf_forward_np,
-    "crf_backward": _crf_backward_np,
-    "viterbi_kernel": _viterbi_np,
-    "unary_scores": _unary_scores_np,
-    "unary_grad": _unary_grad_np,
-}
-LOOP_BACKEND = {
-    "crf_forward": _crf_forward_loops,
-    "crf_backward": _crf_backward_loops,
-    "viterbi_kernel": _viterbi_loops,
-    "unary_scores": _unary_scores_loops,
-    "unary_grad": _unary_grad_loops,
-}

@@ -51,8 +51,3 @@ class ParamVector:
     def slice_names(self) -> list[tuple[str, int, int]]:
         return [(name, lo, hi) for name, (lo, hi) in self.offsets.items()]
 
-    def locate(self, index: int) -> str:
-        for name, (lo, hi) in self.offsets.items():
-            if lo <= index < hi:
-                return name
-        raise IndexError(index)

@@ -2,9 +2,10 @@
 
 Every trained model saves to a single JSON document with the keys
 {model_type, version, label_alphabet, feature_registry, hyperparameters,
-weights}. Floats are written with Python's shortest-repr decimal encoding,
-so float64 values round-trip exactly and identical models serialize to
-byte-identical files.
+weights}; a CRF bundle also has ``converged``, whether L-BFGS converged.
+Floats are written with Python's shortest-repr decimal encoding, so float64
+values round-trip exactly and identical models serialize to byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def model_to_bundle(model) -> dict:
         hyper["dropout"] = model.dropout
         hyper["use_positions"] = model.use_positions
         hyper["use_markers"] = model.use_markers
-    return {
+    bundle = {
         "model_type": model_type,
         "version": BUNDLE_VERSION,
         "label_alphabet": list(model.labels),
@@ -83,6 +84,9 @@ def model_to_bundle(model) -> dict:
         "hyperparameters": hyper,
         "weights": weights,
     }
+    if isinstance(model, CrfModel):
+        bundle["converged"] = bool(model.converged)
+    return bundle
 
 
 def model_from_bundle(bundle: dict):
@@ -95,11 +99,15 @@ def model_from_bundle(bundle: dict):
     hyper = dict(bundle["hyperparameters"])
     weights = bundle["weights"]
     if model_type == "crf":
+        converged = bundle.get("converged")
+        if not isinstance(converged, bool):
+            raise ValueError("crf bundle: converged must be true or false")
         return CrfModel(
             labels=labels,
             registry=_decode_registry(bundle["feature_registry"]),
             W=_array(weights["W"]),
             T=_array(weights["T"]),
+            converged=converged,
             hyperparameters=hyper,
         )
     if model_type == "svm":

@@ -183,8 +183,11 @@ def test_criterion_03_log_partition():
         L, K = rng.randint(6) + 1, rng.randint(3) + 2
         unary = np.ascontiguousarray(rng.normal((L, K), scale=2.0))
         trans = np.ascontiguousarray(rng.normal((K, K), scale=2.0))
-        _, logz = kernels.crf_forward(unary, trans)
-        scores = [s for _, s in brute_force_paths(unary, trans)]
+        paths = brute_force_paths(unary, trans)
+        zeros = np.zeros((1, L), dtype=np.int64)
+        nll, _, _ = kernels.crf_layer(unary[None], trans, zeros, zeros == 0)
+        logz = nll + paths[0][1]  # paths[0] is the all-zero path the NLL is of
+        scores = [s for _, s in paths]
         m = max(scores)
         expected = m + math.log(sum(math.exp(s - m) for s in scores))
         worst = max(worst, abs(logz - expected))

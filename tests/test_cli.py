@@ -56,6 +56,16 @@ def test_ingest_requires_inputs(tmp_path, capsys):
     assert "corpus: required" in err and "ds_lexicon: required" in err
 
 
+def test_corpus_without_annotations_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "tweets.jsonl"
+    corpus.write_text(json.dumps({"id": "1", "text": "vitamin c", "lang": "en"}) + "\n")
+    out = tmp_path / "out"
+    for command in ("aggregate", "train-ner"):
+        assert run(command, "--corpus", str(corpus), "--out", str(out)) == 2
+        assert "annotations: required" in capsys.readouterr().err
+    assert not (out / "signals.tsv").exists()
+
+
 # ------------------------------------------------------------------ ingest
 
 def test_ingest_fixture(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
@@ -61,42 +62,77 @@ def test_viterbi_invariant_constant_shift():
 
 # ----------------------------------------------------------- forward-backward
 
+def layer_one(unary, trans, y):
+    """crf_layer on a batch holding one unpadded sequence."""
+    y = np.asarray(y, dtype=np.int64)[None]
+    return kernels.crf_layer(unary[None], trans, y, np.ones(y.shape, dtype=bool))
+
+
 def test_logz_matches_brute_force():
     rng = Rng(2, stream=12)
     for _ in range(100):
         unary, trans = random_instance(rng)
-        _, logz = kernels.crf_forward(np.ascontiguousarray(unary),
-                                      np.ascontiguousarray(trans))
-        scores = [s for _, s in brute_force_paths(unary, trans)]
+        paths = brute_force_paths(unary, trans)
+        path, path_score = paths[rng.randint(len(paths))]
+        nll, _, _ = layer_one(unary, trans, path)
+        scores = [s for _, s in paths]
         m = max(scores)
         expected = m + math.log(sum(math.exp(s - m) for s in scores))
-        assert logz == pytest.approx(expected, abs=1e-8)
+        assert nll + path_score == pytest.approx(expected, abs=1e-8)
 
 
 def test_marginals_sum_to_one():
+    """dscores + onehot(y) are the position marginals: they sum to one and
+    match brute-force enumeration."""
     rng = Rng(3, stream=12)
     for _ in range(20):
-        unary, trans = random_instance(rng, max_len=8)
-        unary = np.ascontiguousarray(unary)
-        trans = np.ascontiguousarray(trans)
-        alpha, logz = kernels.crf_forward(unary, trans)
-        beta = kernels.crf_backward(unary, trans)
-        marg = np.exp(alpha + beta - logz)
+        unary, trans = random_instance(rng, max_len=6)
+        L, K = unary.shape
+        y = [rng.randint(K) for _ in range(L)]
+        _, dscores, _ = layer_one(unary, trans, y)
+        marg = dscores[0] + np.eye(K)[y]
         assert np.allclose(marg.sum(axis=1), 1.0, atol=1e-10)
+        paths = brute_force_paths(unary, trans)
+        weights = np.exp(np.array([s for _, s in paths]) - max(s for _, s in paths))
+        expected = np.zeros((L, K))
+        for (path, _), w in zip(paths, weights):
+            expected[np.arange(L), path] += w
+        assert np.allclose(marg, expected / weights.sum(), atol=1e-10)
 
 
-def test_numba_and_numpy_backends_agree():
-    rng = Rng(4, stream=12)
-    for _ in range(30):
-        unary, trans = random_instance(rng, max_len=10)
-        unary = np.ascontiguousarray(unary)
-        trans = np.ascontiguousarray(trans)
-        for name in ("crf_forward", "crf_backward", "viterbi_kernel"):
-            got = getattr(kernels, name)(unary, trans)
-            ref = kernels.NUMPY_BACKEND[name](unary, trans)
-            for a, b in zip(got, ref):
-                assert np.allclose(np.asarray(a, dtype=np.float64),
-                                   np.asarray(b, dtype=np.float64), atol=1e-9)
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 5), lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+       extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_layer_equals_sum_of_sequences(K, lengths, extra, seed, data):
+    """Any order of the sequences in the batch and any padding width, filled
+    with garbage, give the per-sequence results; padding gets no gradient."""
+    rng = Rng(seed, stream=14)
+    trans = rng.normal((K, K), scale=2.0)
+    seqs = [(rng.normal((L, K), scale=2.0), [rng.randint(K) for _ in range(L)])
+            for L in lengths]
+    order = data.draw(st.permutations(range(len(seqs))))
+    N, width = len(seqs), max(lengths) + extra
+    scores = rng.normal((N, width, K), scale=50.0)  # garbage in the padding
+    y = np.full((N, width), 99, dtype=np.int64)
+    mask = np.zeros((N, width), dtype=bool)
+    for row, i in enumerate(order):
+        unary, labels = seqs[i]
+        scores[row, :len(labels)] = unary
+        y[row, :len(labels)] = labels
+        mask[row, :len(labels)] = True
+
+    nll, dscores, dT = kernels.crf_layer(scores, trans, y, mask)
+
+    want_nll, want_dT = 0.0, np.zeros((K, K))
+    for row, i in enumerate(order):
+        unary, labels = seqs[i]
+        one_nll, one_dscores, one_dT = layer_one(unary, trans, labels)
+        want_nll += one_nll
+        want_dT += one_dT
+        assert np.allclose(dscores[row, :len(labels)], one_dscores[0], atol=1e-10)
+    assert nll == pytest.approx(want_nll, rel=1e-12, abs=1e-10)
+    assert np.allclose(dT, want_dT, atol=1e-10)
+    assert np.all(dscores[~mask] == 0.0)
 
 
 # ------------------------------------------------------------------- training

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from dsae.embeddings import EmbeddingTable, load_contextual, load_static
+from dsae.embeddings import EmbeddingTable, load_static
 
 
 def test_load_static_basic(tmp_path):
@@ -53,25 +51,3 @@ def test_load_static_empty_file(tmp_path):
 def test_embedding_table_shape_check():
     with pytest.raises(ValueError):
         EmbeddingTable(3, {"a": 0}, np.zeros((2, 3)))
-
-
-def test_load_contextual(tmp_path):
-    path = tmp_path / "ctx.jsonl"
-    rows = [
-        {"doc_id": "d1", "token_index": 0, "vector": [1.0, 0.0]},
-        {"doc_id": "d1", "token_index": 1, "vector": [0.0, 1.0]},
-    ]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    provider = load_contextual(path)
-    assert provider.dim == 2
-    assert np.array_equal(provider.get("d1", 1), [0.0, 1.0])
-    with pytest.raises(KeyError, match="d1.*2"):
-        provider.get("d1", 2)
-
-
-def test_load_contextual_dim_mismatch(tmp_path):
-    path = tmp_path / "ctx.jsonl"
-    path.write_text(json.dumps({"doc_id": "d", "token_index": 0, "vector": [1.0]}) + "\n"
-                    + json.dumps({"doc_id": "d", "token_index": 1, "vector": [1.0, 2.0]}) + "\n")
-    with pytest.raises(ValueError, match=":2:"):
-        load_contextual(path)

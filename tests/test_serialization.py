@@ -54,6 +54,22 @@ def test_crf_roundtrip(ner_data):
     assert restored.decode(features) == model.decode(features)
 
 
+def test_crf_converged_roundtrip(ner_data, caplog):
+    docs = [(f, y) for _, f, y in ner_data]
+    with caplog.at_level("WARNING", logger="dsae.ner.crf"):
+        stopped = crf_train(docs, CrfConfig(max_iter=1))
+    assert not stopped.converged
+    assert "without converging" in caplog.text
+    converged = crf_train(docs, CrfConfig(max_iter=500, tol=1e-2))
+    assert converged.converged
+    for model in (stopped, converged):
+        assert roundtrip(model).converged == model.converged
+    bundle = model_to_bundle(stopped)
+    del bundle["converged"]
+    with pytest.raises(ValueError, match="converged"):
+        model_from_bundle(bundle)
+
+
 def test_svm_roundtrip(ner_data):
     model = svm_train([(f, y) for _, f, y in ner_data], epochs=2)
     restored = roundtrip(model)
