@@ -1,5 +1,6 @@
 """Scoring: partial-match entity evaluation (COR/INC/PAR/MIS/SPU),
-relation P/R/F1, Cohen's kappa, paired t-tests, and multi-run statistics.
+exact-span and per-label P/R/F1, Cohen's kappa, paired t-tests, and
+multi-run statistics.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .annotation import ENTITY_TYPES, RELATION_LABELS
+from .annotation import ENTITY_TYPES, RELATION_LABELS, bio_spans
 
 
 @dataclass
@@ -130,6 +131,39 @@ def metrics(counts: EvalCounts) -> Metrics:
     return Metrics(p, r, f1)
 
 
+def _counts_metrics(tp, fp, fn) -> Metrics:
+    """P/R/F1 from true-positive, false-positive and false-negative counts."""
+    p = _ratio(tp, tp + fp)
+    r = _ratio(tp, tp + fn)
+    return Metrics(p, r, _ratio(2 * p * r, p + r))
+
+
+def exact_bio_f1(gold_label_seqs, pred_label_seqs) -> float:
+    """Micro exact-span F1 computed from BIO sequences alone."""
+    tp = fp = fn = 0
+    for gold, pred in zip(gold_label_seqs, pred_label_seqs):
+        g = set(bio_spans(gold))
+        p = set(bio_spans(pred))
+        tp += len(g & p)
+        fp += len(p - g)
+        fn += len(g - p)
+    return _counts_metrics(tp, fp, fn).f1
+
+
+def macro_f1(gold, scores) -> float:
+    """Mean per-label F1 of argmax predictions: row i of ``scores``
+    predicts its first highest-scoring label for gold label index
+    ``gold[i]``. A label never predicted or never gold scores 0."""
+    scores = np.asarray(scores)
+    gold = np.asarray(gold)
+    pred = np.argmax(scores, axis=1)
+    f1s = [_counts_metrics(np.sum((pred == k) & (gold == k)),
+                           np.sum((pred == k) & (gold != k)),
+                           np.sum((pred != k) & (gold == k))).f1
+           for k in range(scores.shape[1])]
+    return float(np.mean(f1s))
+
+
 def _relation_key(rel) -> tuple:
     return (rel.doc_id,
             rel.head.etype, rel.head.token_start, rel.head.token_end,
@@ -158,9 +192,7 @@ def relation_metrics(gold_relations, predicted_relations) -> dict[str, Metrics]:
             else:
                 fp += 1
         fn = sum(1 for k, lab in gold_by_key.items() if lab == label and k not in matched)
-        p = _ratio(tp, tp + fp)
-        r_ = _ratio(tp, tp + fn)
-        out[label] = Metrics(p, r_, _ratio(2 * p * r_, p + r_))
+        out[label] = _counts_metrics(tp, fp, fn)
     return out
 
 

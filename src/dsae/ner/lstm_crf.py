@@ -1,9 +1,11 @@
-"""Bidirectional LSTM encoder with a CRF output layer, hand-written
-forward/backward passes, trained with Adam.
+"""Bidirectional LSTM encoder with a CRF output layer and hand-written
+forward/backward passes.
 
 Per-direction hidden size is 64 (128 concatenated), gate order is
 (input, forget, cell, output). No dropout anywhere, matching the model
-this reimplements.
+this reimplements. Training runs the shared minibatch Adam loop
+(``numeric.optim.adam_train``) with gradient-norm clipping; a dev split
+selects the epoch by exact-span F1.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..annotation import BIO_LABELS, bio_spans
+from ..annotation import BIO_LABELS
+from ..evaluate import exact_bio_f1
 from ..numeric import kernels
-from ..numeric.optim import AdamState, adam_step
+from ..numeric.optim import adam_train
 from ..numeric.params import ParamVector
 from ..numeric.rng import Rng
 from .crf import viterbi
@@ -194,22 +197,6 @@ def lstm_crf_objective(model: LstmCrfModel, X: np.ndarray, y: np.ndarray):
     return objective
 
 
-def span_f1(gold_label_seqs, pred_label_seqs) -> float:
-    """Micro exact-span F1 computed from BIO sequences alone."""
-    tp = fp = fn = 0
-    for gold, pred in zip(gold_label_seqs, pred_label_seqs):
-        g = set(bio_spans(gold))
-        p = set(bio_spans(pred))
-        tp += len(g & p)
-        fp += len(p - g)
-        fn += len(g - p)
-    if tp == 0:
-        return 0.0
-    prec = tp / (tp + fp)
-    rec = tp / (tp + fn)
-    return 2 * prec * rec / (prec + rec)
-
-
 def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
                    labels: tuple[str, ...] = BIO_LABELS) -> LstmCrfModel:
     """train/dev: lists of (X: L x d float array, gold label strings).
@@ -225,36 +212,18 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
                np.asarray([labels.index(lab) for lab in y], dtype=np.int64))
               for X, y in train if len(y) > 0]
 
-    state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = Rng(cfg.seed, stream=29)
-    best_f1 = -1.0
-    best_params = model.params.copy()
-    names = model.params.slice_names()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(packed))
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            grad = model.params.zeros_like()
-            loss = 0.0
-            for bi in batch:
-                X, y = packed[bi]
-                loss += nll_and_grad(model.params, X, y, cfg.hidden, grad)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // cfg.batch_size}")
-            grad.data /= len(batch)
-            norm = float(np.linalg.norm(grad.data))
-            if norm > cfg.clip_norm:
-                grad.data *= cfg.clip_norm / norm
-            model.params.set_data(adam_step(model.params.data, grad.data, state, names))
-        if dev:
-            preds = [lstm_crf_decode(model, np.asarray(X, dtype=np.float64)) for X, _ in dev]
-            f1 = span_f1([y for _, y in dev], preds)
-            if f1 > best_f1:
-                best_f1 = f1
-                best_params = model.params.copy()
-    if dev and best_f1 >= 0:
-        model.params = best_params
+    def loss_and_grad(i, grad):
+        X, y = packed[i]
+        return nll_and_grad(model.params, X, y, cfg.hidden, grad)
+
+    def dev_score():
+        preds = [lstm_crf_decode(model, np.asarray(X, dtype=np.float64)) for X, _ in dev]
+        return exact_bio_f1([y for _, y in dev], preds)
+
+    adam_train(model.params, len(packed), loss_and_grad, epochs=cfg.epochs,
+               batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
+               rng=Rng(cfg.seed, stream=29), clip_norm=cfg.clip_norm,
+               dev_score=dev_score if dev else None)
     model.hyperparameters = {
         "hidden": cfg.hidden, "epochs": cfg.epochs, "batch_size": cfg.batch_size,
         "lr": cfg.lr, "weight_decay": cfg.weight_decay, "clip_norm": cfg.clip_norm,

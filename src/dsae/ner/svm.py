@@ -50,7 +50,10 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
     registry.freeze()
 
     K = len(labels)
-    W = np.zeros((K, registry.total_dim))
+    # The weights are scale * V: the L2 shrink of every step scales one
+    # number instead of the whole matrix.
+    V = np.zeros((K, registry.total_dim))
+    scale = 1.0
     b = np.zeros(K)
     rng = Rng(seed, stream=11)
     n = len(instances)
@@ -58,14 +61,17 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
         order = rng.permutation(n)
         for pos in order:
             idx, val, y = instances[pos]
-            m = W[:, idx] @ val + b
-            shrink = 1.0 - lr * l2
-            W *= shrink
+            m = scale * (V[:, idx] @ val) + b
+            scale *= 1.0 - lr * l2
+            if scale < 1e-9:  # fold a vanishing scale back into V
+                V *= scale
+                scale = 1.0
             for k in range(K):
                 sign = 1.0 if k == y else -1.0
                 if sign * m[k] < 1.0:
-                    W[k, idx] += lr * sign * val
+                    V[k, idx] += (lr * sign / scale) * val
                     b[k] += lr * sign
+    W = scale * V
     return SvmModel(labels=tuple(labels), registry=registry, W=W, b=b,
                     hyperparameters={"epochs": epochs, "lr": lr, "l2": l2, "seed": seed})
 

@@ -3,10 +3,9 @@ from .optim import (
     LbfgsConfig,
     LbfgsResult,
     adam_step,
-    elastic_net,
+    adam_train,
     grad_check,
     lbfgs_minimize,
-    logsumexp,
 )
 from .rng import Rng
 
@@ -15,9 +14,8 @@ __all__ = [
     "LbfgsConfig",
     "LbfgsResult",
     "adam_step",
-    "elastic_net",
+    "adam_train",
     "grad_check",
     "lbfgs_minimize",
-    "logsumexp",
     "Rng",
 ]

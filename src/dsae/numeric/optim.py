@@ -1,5 +1,5 @@
-"""Optimization kernels: log-domain utilities, Adam, L-BFGS with elastic
-net (orthant-wise L1), and finite-difference gradient checking.
+"""Optimization kernels: Adam and the minibatch Adam trainer, L-BFGS with
+elastic net (orthant-wise L1), and finite-difference gradient checking.
 
 Everything is float64 and deterministic; objectives are callables
 returning ``(value, gradient)``.
@@ -7,31 +7,16 @@ returning ``(value, gradient)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .params import ParamVector
+from .rng import Rng
+
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(v))) with max-shift for overflow safety."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("logsumexp of an empty array")
-    m = float(np.max(v))
-    if not np.isfinite(m):
-        return m
-    return m + float(np.log(np.sum(np.exp(v - m))))
-
-
-def elastic_net(params: np.ndarray, c1: float, c2: float) -> tuple[float, np.ndarray]:
-    """Penalty c1*||w||_1 + (c2/2)*||w||^2 and its subgradient (sign(0)=0)."""
-    w = np.asarray(params, dtype=np.float64)
-    penalty = c1 * float(np.sum(np.abs(w))) + 0.5 * c2 * float(np.dot(w, w))
-    sub = c1 * np.sign(w) + c2 * w
-    return penalty, sub
 
 
 @dataclass
@@ -77,6 +62,49 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if state.weight_decay:
         out = out - state.lr * state.weight_decay * out
     return out
+
+
+def adam_train(params: ParamVector, n: int,
+               loss_and_grad: Callable[[int, ParamVector], float], *,
+               epochs: int, batch_size: int, lr: float, weight_decay: float,
+               rng: Rng, clip_norm: float = math.inf,
+               dev_score: Callable[[], float] | None = None) -> None:
+    """Minibatch Adam over instances ``0..n-1``, training ``params`` in place.
+
+    Each epoch visits one ``rng.permutation(n)`` in batches.
+    ``loss_and_grad(i, grad)`` returns instance i's loss and adds its
+    gradient into ``grad``; the batch gradient is their mean, rescaled to
+    norm ``clip_norm`` when longer. With ``dev_score``, the parameters after
+    the epoch with the highest score (the first, on ties) are restored at
+    the end.
+    """
+    state = AdamState(lr=lr, weight_decay=weight_decay)
+    names = params.slice_names()
+    best_score = -math.inf
+    best = None
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for lo in range(0, len(order), batch_size):
+            batch = order[lo:lo + batch_size]
+            grad = params.zeros_like()
+            loss = 0.0
+            for i in batch:
+                loss += loss_and_grad(i, grad)
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch}, batch {lo // batch_size}")
+            grad.data /= len(batch)
+            norm = float(np.linalg.norm(grad.data))
+            if norm > clip_norm:
+                grad.data *= clip_norm / norm
+            params.set_data(adam_step(params.data, grad.data, state, names))
+        if dev_score is not None:
+            score = dev_score()
+            if score > best_score:
+                best_score = score
+                best = params.copy()
+    if best is not None:
+        params.set_data(best.data)
 
 
 @dataclass

@@ -31,8 +31,13 @@ class ParamVector:
 
     def __setitem__(self, name: str, value) -> None:
         view = self.view(name)
-        if value is not view:
-            view[...] = value
+        if value is view:
+            return
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ValueError(f"parameter '{name}' has shape {value.shape}, "
+                             f"expected {view.shape}")
+        view[...] = value
 
     def set_data(self, flat: np.ndarray) -> None:
         if flat.shape != self.data.shape:

@@ -31,10 +31,6 @@ class Rng:
         self._key = _U64(key)
         self._counter = 0
 
-    def spawn(self, stream: int) -> "Rng":
-        """Independent child stream; deterministic in (parent key, stream)."""
-        return Rng(int(self._key), stream + 1)
-
     def _block(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n

@@ -4,7 +4,10 @@ Instances are encoded as token vectors with sentinel entity markers and
 two relative-position sequences; the classifier is a single convolutional
 layer (256 filters, width 3, ReLU) with max-over-time pooling, dropout,
 and a softmax over {NoRelation, Indication, AdverseEvent}. Label ties
-break toward NoRelation (first index).
+break toward NoRelation (first index). Entity markers, position
+embeddings and inverse-frequency class weighting are always on. Training
+runs the shared minibatch Adam loop (``numeric.optim.adam_train``); a dev
+split selects the epoch by macro per-label F1.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import numpy as np
 
 from .annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
 from .embeddings import EmbeddingTable
+from .evaluate import macro_f1
 from .normalize import NormalizedDoc
-from .numeric.optim import AdamState, adam_step
+from .numeric.optim import adam_train
 from .numeric.params import ParamVector
 from .numeric.rng import Rng
 
@@ -129,9 +133,6 @@ class CnnReConfig:
     lr: float = 1e-4
     weight_decay: float = 1e-5
     seed: int = 0
-    class_weighting: bool = True
-    use_positions: bool = True
-    use_markers: bool = True
 
 
 @dataclass
@@ -140,8 +141,6 @@ class CnnReModel:
     max_len: int
     params: ParamVector
     dropout: float = 0.2
-    use_positions: bool = True
-    use_markers: bool = True
     labels: tuple[str, ...] = RELATION_LABELS
     hyperparameters: dict = field(default_factory=dict)
 
@@ -158,8 +157,7 @@ class CnnReModel:
         r = np.sqrt(6.0 / (N_FILTERS + len(RELATION_LABELS)))
         params["out_W"][:] = (rng.uniform(params["out_W"].shape) * 2 - 1) * r
         return cls(input_dim=input_dim, max_len=cfg.max_len, params=params,
-                   dropout=cfg.dropout, use_positions=cfg.use_positions,
-                   use_markers=cfg.use_markers)
+                   dropout=cfg.dropout)
 
 
 def _build_input(model: CnnReModel, enc: EncodedInstance):
@@ -169,16 +167,9 @@ def _build_input(model: CnnReModel, enc: EncodedInstance):
     x = np.empty((L, model.input_dim + 2 * POS_DIM))
     x[:, :model.input_dim] = enc.tokens
     mask = enc.marker_ids >= 0
-    if mask.any():
-        if model.use_markers:
-            x[mask, :model.input_dim] = p["markers"][enc.marker_ids[mask]]
-        else:
-            x[mask, :model.input_dim] = 0.0
-    if model.use_positions:
-        x[:, model.input_dim:model.input_dim + POS_DIM] = p["pos_head"][enc.pos_head]
-        x[:, model.input_dim + POS_DIM:] = p["pos_tail"][enc.pos_tail]
-    else:
-        x[:, model.input_dim:] = 0.0
+    x[mask, :model.input_dim] = p["markers"][enc.marker_ids[mask]]
+    x[:, model.input_dim:model.input_dim + POS_DIM] = p["pos_head"][enc.pos_head]
+    x[:, model.input_dim + POS_DIM:] = p["pos_tail"][enc.pos_tail]
     return x
 
 
@@ -233,12 +224,9 @@ def cnn_backward(model: CnnReModel, enc: EncodedInstance, cache, dlogits: np.nda
     dx += dwindows[:, width:2 * width]
     dx[1:] += dwindows[:L - 1, 2 * width:]
     mask = enc.marker_ids >= 0
-    if model.use_markers and mask.any():
-        np.add.at(grad["markers"], enc.marker_ids[mask], dx[mask, :model.input_dim])
-    if model.use_positions:
-        np.add.at(grad["pos_head"], enc.pos_head,
-                  dx[:, model.input_dim:model.input_dim + POS_DIM])
-        np.add.at(grad["pos_tail"], enc.pos_tail, dx[:, model.input_dim + POS_DIM:])
+    np.add.at(grad["markers"], enc.marker_ids[mask], dx[mask, :model.input_dim])
+    np.add.at(grad["pos_head"], enc.pos_head, dx[:, model.input_dim:model.input_dim + POS_DIM])
+    np.add.at(grad["pos_tail"], enc.pos_tail, dx[:, model.input_dim + POS_DIM:])
 
 
 def cnn_loss_and_grad(model: CnnReModel, enc: EncodedInstance, weight: float,
@@ -266,27 +254,6 @@ def class_weights(labels: list[int]) -> np.ndarray:
     return weights
 
 
-def _macro_f1(model: CnnReModel, encoded: list[EncodedInstance]) -> float:
-    n_labels = len(RELATION_LABELS)
-    tp = np.zeros(n_labels)
-    fp = np.zeros(n_labels)
-    fn = np.zeros(n_labels)
-    for enc in encoded:
-        probs, _ = cnn_forward(model, enc)
-        pred = int(np.argmax(probs))
-        if pred == enc.label:
-            tp[pred] += 1
-        else:
-            fp[pred] += 1
-            fn[enc.label] += 1
-    f1s = []
-    for k in range(n_labels):
-        p = tp[k] / (tp[k] + fp[k]) if tp[k] + fp[k] > 0 else 0.0
-        r = tp[k] / (tp[k] + fn[k]) if tp[k] + fn[k] > 0 else 0.0
-        f1s.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
-    return float(np.mean(f1s))
-
-
 def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = None,
               dev: list[EncodedInstance] | None = None) -> CnnReModel:
     cfg = config or CnnReConfig()
@@ -294,42 +261,25 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
         raise ValueError("empty instance set")
     d = instances[0].tokens.shape[1]
     model = CnnReModel.init(d, cfg)
-    y = [enc.label for enc in instances]
-    weights = class_weights(y) if cfg.class_weighting else np.ones(len(RELATION_LABELS))
-
-    state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = Rng(cfg.seed, stream=37)
+    weights = class_weights([enc.label for enc in instances])
     drop_rng = Rng(cfg.seed, stream=41)
-    names = model.params.slice_names()
-    best_f1 = -1.0
-    best_params = model.params.copy()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(instances))
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            grad = model.params.zeros_like()
-            loss = 0.0
-            for bi in batch:
-                enc = instances[bi]
-                loss += cnn_loss_and_grad(model, enc, float(weights[enc.label]),
-                                          grad, train_mode=True, rng=drop_rng)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // cfg.batch_size}")
-            grad.data /= len(batch)
-            model.params.set_data(adam_step(model.params.data, grad.data, state, names))
-        if dev:
-            f1 = _macro_f1(model, dev)
-            if f1 > best_f1:
-                best_f1 = f1
-                best_params = model.params.copy()
-    if dev and best_f1 >= 0:
-        model.params = best_params
+
+    def loss_and_grad(i, grad):
+        enc = instances[i]
+        return cnn_loss_and_grad(model, enc, float(weights[enc.label]),
+                                 grad, train_mode=True, rng=drop_rng)
+
+    def dev_score():
+        return macro_f1([enc.label for enc in dev],
+                        [cnn_forward(model, enc)[0] for enc in dev])
+
+    adam_train(model.params, len(instances), loss_and_grad, epochs=cfg.epochs,
+               batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
+               rng=Rng(cfg.seed, stream=37), dev_score=dev_score if dev else None)
     model.hyperparameters = {
         "max_len": cfg.max_len, "dropout": cfg.dropout, "epochs": cfg.epochs,
         "batch_size": cfg.batch_size, "lr": cfg.lr, "weight_decay": cfg.weight_decay,
-        "seed": cfg.seed, "class_weighting": cfg.class_weighting,
-        "use_positions": cfg.use_positions, "use_markers": cfg.use_markers,
+        "seed": cfg.seed,
     }
     return model
 
@@ -362,8 +312,7 @@ def cnn_objective(model: CnnReModel, enc: EncodedInstance, weight: float = 1.0):
         p = ParamVector(template.shapes)
         p.set_data(flat)
         m = CnnReModel(input_dim=model.input_dim, max_len=model.max_len, params=p,
-                       dropout=0.0, use_positions=model.use_positions,
-                       use_markers=model.use_markers)
+                       dropout=0.0)
         g = p.zeros_like()
         value = cnn_loss_and_grad(m, enc, weight, g)
         return value, g.data.copy()

@@ -45,6 +45,14 @@ def _array(blob) -> np.ndarray:
     return np.asarray(blob, dtype=np.float64)
 
 
+def _checked(model_type: str, weights: dict, name: str, shape: tuple) -> np.ndarray:
+    value = _array(weights[name])
+    if value.shape != shape:
+        raise ValueError(f"{model_type} bundle: weights {name} has shape "
+                         f"{value.shape}, expected {shape}")
+    return value
+
+
 def model_to_bundle(model) -> dict:
     """Build the JSON-serializable bundle dict for any supported model."""
     if isinstance(model, CrfModel):
@@ -74,8 +82,6 @@ def model_to_bundle(model) -> dict:
         hyper["input_dim"] = model.input_dim
         hyper["max_len"] = model.max_len
         hyper["dropout"] = model.dropout
-        hyper["use_positions"] = model.use_positions
-        hyper["use_markers"] = model.use_markers
     bundle = {
         "model_type": model_type,
         "version": BUNDLE_VERSION,
@@ -98,24 +104,30 @@ def model_from_bundle(bundle: dict):
     labels = tuple(bundle["label_alphabet"])
     hyper = dict(bundle["hyperparameters"])
     weights = bundle["weights"]
+    K = len(labels)
+    if model_type in ("crf", "svm"):
+        registry = _decode_registry(bundle["feature_registry"])
+        if registry is None:
+            raise ValueError(f"{model_type} bundle: feature_registry is missing")
+        D = registry.total_dim
     if model_type == "crf":
         converged = bundle.get("converged")
         if not isinstance(converged, bool):
             raise ValueError("crf bundle: converged must be true or false")
         return CrfModel(
             labels=labels,
-            registry=_decode_registry(bundle["feature_registry"]),
-            W=_array(weights["W"]),
-            T=_array(weights["T"]),
+            registry=registry,
+            W=_checked("crf", weights, "W", (K, D)),
+            T=_checked("crf", weights, "T", (K, K)),
             converged=converged,
             hyperparameters=hyper,
         )
     if model_type == "svm":
         return SvmModel(
             labels=labels,
-            registry=_decode_registry(bundle["feature_registry"]),
-            W=_array(weights["W"]),
-            b=_array(weights["b"]),
+            registry=registry,
+            W=_checked("svm", weights, "W", (K, D)),
+            b=_checked("svm", weights, "b", (K,)),
             hyperparameters=hyper,
         )
     if model_type == "lstm_crf":
@@ -130,15 +142,16 @@ def model_from_bundle(bundle: dict):
         input_dim = int(hyper.pop("input_dim"))
         max_len = int(hyper.pop("max_len"))
         dropout = float(hyper.pop("dropout"))
-        use_positions = bool(hyper.pop("use_positions"))
-        use_markers = bool(hyper.pop("use_markers"))
+        for key in ("use_positions", "use_markers"):
+            # older bundles record these always-on switches
+            if hyper.pop(key, True) is not True:
+                raise ValueError(f"cnn_re bundle: hyperparameter {key} must be true; "
+                                 "models without it are not supported")
         params = ParamVector(_cnn_shapes(input_dim, max_len))
         for name in params.shapes:
             params[name] = _array(weights[name])
         return CnnReModel(input_dim=input_dim, max_len=max_len, params=params,
-                          dropout=dropout, use_positions=use_positions,
-                          use_markers=use_markers, labels=labels,
-                          hyperparameters=hyper)
+                          dropout=dropout, labels=labels, hyperparameters=hyper)
     raise ValueError(f"unknown model_type {model_type!r}")
 
 

@@ -142,6 +142,17 @@ def test_signal_commands_roundtrip(trained, tmp_path):
     assert (out / "report.md").read_text().startswith("| supplement |")
 
 
+def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):
+    _, config, out = trained
+    bundle = json.loads((out / "ner_crf.json").read_text())
+    bundle["weights"]["T"] = 0.0
+    bad = tmp_path / "out"
+    bad.mkdir()
+    (bad / "ner_crf.json").write_text(json.dumps(bundle))
+    assert run("eval-ner", "--config", config, "--out", str(bad)) == 1
+    assert "weights T" in capsys.readouterr().err
+
+
 def test_training_is_deterministic(trained):
     tmp_path, config, out = trained
     again = tmp_path / "again"

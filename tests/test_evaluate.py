@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dsae.annotation import RelationInstance
-from dsae.evaluate import (EvalCounts, align_spans, cohen_kappa, metrics,
-                           paired_t_test, relation_metrics, replicate, run_stats)
+from dsae.evaluate import (EvalCounts, align_spans, cohen_kappa, exact_bio_f1,
+                           macro_f1, metrics, paired_t_test, relation_metrics,
+                           replicate, run_stats)
 from dsae.numeric.rng import Rng
 
 from util import make_doc, span
@@ -174,6 +175,34 @@ def test_relation_metrics_span_mismatch_is_fp():
                              span(doc, "T2", "Symptom", 2, 3), "Indication")]
     out = relation_metrics(gold, pred)
     assert out["Indication"].precision == 0.0 and out["Indication"].recall == 0.0
+
+
+# ------------------------------------------------------------ dev-set scorers
+
+def test_span_f1_values():
+    gold = [["B-SUPP", "I-SUPP", "O"], ["B-SYMP", "O", "O"]]
+    assert exact_bio_f1(gold, gold) == 1.0
+    pred = [["B-SUPP", "I-SUPP", "O"], ["O", "O", "O"]]
+    # 1 matched of 1 predicted, 1 of 2 gold -> F1 = 2*1*0.5/1.5
+    assert exact_bio_f1(gold, pred) == pytest.approx(2 * 1.0 * 0.5 / 1.5)
+    assert exact_bio_f1([["O"]], [["O"]]) == 0.0
+
+
+def test_macro_f1_values():
+    gold = [0, 0, 1, 2]
+    scores = [[0.9, 0.1, 0.0], [0.2, 0.7, 0.1], [0.1, 0.8, 0.1], [0.3, 0.6, 0.1]]
+    # label 0: P 1, R 1/2; label 1: P 1/3, R 1; label 2 never predicted: 0
+    f1_0 = 2 * 1.0 * 0.5 / 1.5
+    f1_1 = 2 * (1 / 3) * 1.0 / (4 / 3)
+    assert macro_f1(gold, scores) == pytest.approx((f1_0 + f1_1 + 0.0) / 3)
+    assert macro_f1(gold, [np.eye(3)[k] for k in gold]) == 1.0
+
+
+def test_macro_f1_ties_go_to_first_label():
+    tied = [[0.5, 0.5], [0.3, 0.7]]
+    assert macro_f1([0, 1], tied) == 1.0
+    # the tie predicts label 0: label 0 scores 0, label 1 has P 1, R 1/2
+    assert macro_f1([1, 1], tied) == pytest.approx((0.0 + 2 * 0.5 / 1.5) / 2)
 
 
 # ----------------------------------------------------------------- statistics

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dsae.annotation import BIO_LABELS
+from dsae.evaluate import exact_bio_f1
 from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_decode,
-                               lstm_crf_objective, lstm_crf_train, span_f1)
+                               lstm_crf_objective, lstm_crf_train)
 from dsae.numeric.optim import grad_check
 from dsae.numeric.rng import Rng
 
@@ -71,7 +72,7 @@ def test_train_memorizes_small_set(memorizable):
                         weight_decay=0.0, seed=0)
     model = lstm_crf_train(memorizable, cfg, dev=memorizable[:4])
     preds = [lstm_crf_decode(model, X) for X, _ in memorizable]
-    assert span_f1([y for _, y in memorizable], preds) == 1.0
+    assert exact_bio_f1([y for _, y in memorizable], preds) == 1.0
 
 
 def test_train_loss_decreases(memorizable):
@@ -97,11 +98,3 @@ def test_train_rejects_empty():
     with pytest.raises(ValueError):
         lstm_crf_train([], LstmCrfConfig())
 
-
-def test_span_f1_values():
-    gold = [["B-SUPP", "I-SUPP", "O"], ["B-SYMP", "O", "O"]]
-    assert span_f1(gold, gold) == 1.0
-    pred = [["B-SUPP", "I-SUPP", "O"], ["O", "O", "O"]]
-    # 1 matched of 1 predicted, 1 of 2 gold -> F1 = 2*1*0.5/1.5
-    assert span_f1(gold, pred) == pytest.approx(2 * 1.0 * 0.5 / 1.5)
-    assert span_f1([["O"]], [["O"]]) == 0.0

@@ -3,52 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dsae.numeric.optim import (AdamState, LbfgsConfig, adam_step, elastic_net,
-                                grad_check, lbfgs_minimize, logsumexp)
+from dsae.numeric import optim
+from dsae.numeric.optim import (AdamState, LbfgsConfig, adam_step, adam_train,
+                                grad_check, lbfgs_minimize)
+from dsae.numeric.params import ParamVector
 from dsae.numeric.rng import Rng
-
-
-# ------------------------------------------------------------------ logsumexp
-
-def test_logsumexp_matches_naive():
-    rng = Rng(0, stream=1)
-    for _ in range(50):
-        v = rng.normal((20,), scale=3.0)
-        assert logsumexp(v) == pytest.approx(math.log(np.sum(np.exp(v))), abs=1e-12)
-
-
-def test_logsumexp_overflow_safe():
-    v = np.array([1000.0, 1000.0])
-    assert logsumexp(v) == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
-    assert logsumexp([-1e9, -1e9 + 1.0]) == pytest.approx(-1e9 + math.log(1 + math.e), rel=1e-12)
-
-
-def test_logsumexp_single_and_empty():
-    assert logsumexp([3.5]) == pytest.approx(3.5, abs=0)
-    with pytest.raises(ValueError):
-        logsumexp([])
-
-
-def test_logsumexp_mpmath_oracle():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
-    v = [1.25, -700.0, 3.125, 710.0]
-    expected = float(mpmath.log(sum(mpmath.exp(x) for x in v)))
-    assert logsumexp(v) == pytest.approx(expected, rel=1e-14)
-
-
-# ---------------------------------------------------------------- elastic net
-
-def test_elastic_net_value_and_subgradient():
-    w = np.array([1.0, -2.0, 0.0])
-    penalty, sub = elastic_net(w, c1=0.5, c2=2.0)
-    assert penalty == pytest.approx(0.5 * 3.0 + 1.0 * 5.0)
-    assert np.array_equal(sub, np.array([0.5 + 2.0, -0.5 - 4.0, 0.0]))
-
-
-def test_elastic_net_sign_zero_is_zero():
-    _, sub = elastic_net(np.zeros(4), c1=1.0, c2=1.0)
-    assert np.array_equal(sub, np.zeros(4))
 
 
 # ----------------------------------------------------------------------- Adam
@@ -85,6 +44,58 @@ def test_adam_nonfinite_gradient_names_slice():
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step(np.zeros(3), np.zeros(4), AdamState())
+
+
+# ---------------------------------------------------------- minibatch trainer
+
+TARGETS = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [2.0, 2.0]])
+
+
+def quadratic_loss(params):
+    """Instance i's loss is 0.5 * ||x - TARGETS[i]||^2."""
+    def loss_and_grad(i, grad):
+        diff = params["x"] - TARGETS[i]
+        grad["x"] += diff
+        return 0.5 * float(diff @ diff)
+
+    return loss_and_grad
+
+
+def test_adam_train_restores_best_epoch():
+    params = ParamVector({"x": (2,)})
+    scores = iter([0.2, 0.9, 0.5, 0.9, 0.1])
+    seen = []
+
+    def dev_score():
+        seen.append(params.data.copy())
+        return next(scores)
+
+    adam_train(params, len(TARGETS), quadratic_loss(params), epochs=5, batch_size=3,
+               lr=0.1, weight_decay=0.0, rng=Rng(0, stream=3), dev_score=dev_score)
+    assert len(seen) == 5
+    assert not np.array_equal(seen[1], seen[-1])
+    # epoch 1 scored best; epoch 3 only tied it
+    assert np.array_equal(params.data, seen[1])
+
+
+def test_adam_train_clip_norm_bounds_step_gradient(monkeypatch):
+    norms = []
+
+    def recording_step(params, grads, state, slice_names=None):
+        norms.append(float(np.linalg.norm(grads)))
+        return adam_step(params, grads, state, slice_names)
+
+    monkeypatch.setattr(optim, "adam_step", recording_step)
+    for clip in (math.inf, 0.5):
+        params = ParamVector({"x": (2,)})
+        params["x"] = np.array([50.0, -50.0])
+        adam_train(params, len(TARGETS), quadratic_loss(params), epochs=3,
+                   batch_size=2, lr=0.1, weight_decay=0.0, rng=Rng(0, stream=3),
+                   clip_norm=clip)
+    unclipped, clipped = norms[:6], norms[6:]
+    assert min(unclipped) > 0.5
+    assert len(clipped) == 6
+    assert max(clipped) == pytest.approx(0.5)
 
 
 # --------------------------------------------------------------------- L-BFGS

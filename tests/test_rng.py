@@ -68,11 +68,3 @@ def test_shuffle_returns_copy():
 def test_shuffle_deterministic():
     assert Rng(9).shuffle(list(range(50))) == Rng(9).shuffle(list(range(50)))
 
-
-def test_spawn_independent_and_deterministic():
-    parent = Rng(13)
-    child_a = parent.spawn(1)
-    child_b = Rng(13).spawn(1)
-    assert np.array_equal(child_a.uniform((50,)), child_b.uniform((50,)))
-    assert not np.array_equal(Rng(13).spawn(1).uniform((50,)),
-                              Rng(13).spawn(2).uniform((50,)))

@@ -97,6 +97,50 @@ def test_cnn_roundtrip(emb):
     assert restored.input_dim == model.input_dim
 
 
+@pytest.fixture(scope="module")
+def bundles(ner_data, emb):
+    """One bundle per model type, from tiny models."""
+    docs = [(f, y) for _, f, y in ner_data]
+    dense = [(np.stack([feat.dense for feat in f]), y) for _, f, y in ner_data]
+    doc = make_doc("d", ["vitamin", "c", "took", "nausea"])
+    inst = RelationInstance("d", span(doc, "T1", "Supplement", 0, 2),
+                            span(doc, "T2", "Symptom", 3, 4), "Indication")
+    models = [crf_train(docs, CrfConfig(max_iter=2)), svm_train(docs, epochs=1),
+              lstm_crf_train(dense, LstmCrfConfig(hidden=2, epochs=1)),
+              cnn_train([encode_instance(inst, doc, emb, max_len=12)],
+                        CnnReConfig(max_len=12, epochs=1))]
+    return {b["model_type"]: b for b in map(model_to_bundle, models)}
+
+
+@pytest.mark.parametrize("model_type, name, corrupt, message", [
+    ("crf", "W", lambda w: [row[:-1] for row in w], "weights W"),
+    ("crf", "T", lambda w: w[:-1], "weights T"),
+    ("svm", "W", lambda w: w[:-1], "weights W"),
+    ("svm", "b", lambda w: 0.5, "weights b"),
+    ("lstm_crf", "Wp", lambda w: 0.5, "'Wp'"),
+    ("cnn_re", "conv_b", lambda w: w[:-1], "'conv_b'"),
+])
+def test_misshaped_weight_is_refused_naming_it(bundles, model_type, name, corrupt,
+                                               message):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    bundle["weights"][name] = corrupt(bundle["weights"][name])
+    with pytest.raises(ValueError, match=message):
+        model_from_bundle(bundle)
+
+
+def test_cnn_bundle_with_a_switch_off_is_refused(bundles):
+    bundle = bundles["cnn_re"]
+    assert "use_positions" not in bundle["hyperparameters"]
+    model_from_bundle(bundle)
+    for key in ("use_positions", "use_markers"):
+        old = json.loads(dumps_bundle(bundle))
+        old["hyperparameters"][key] = True
+        model_from_bundle(old)
+        old["hyperparameters"][key] = False
+        with pytest.raises(ValueError, match=key):
+            model_from_bundle(old)
+
+
 def test_bundle_is_canonical_json(ner_data):
     model = svm_train([(f, y) for _, f, y in ner_data], epochs=1)
     text = dumps_bundle(model_to_bundle(model))
