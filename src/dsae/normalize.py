@@ -1,9 +1,14 @@
 """Text normalization for short social-media posts.
 
-Rule order: URL removal, handle removal, emoji removal, contraction
-expansion, hashtag segmentation, lowercasing, tokenization. Stop words
-are kept. Surviving characters keep a map back to the original text;
-tokens produced by expansion or segmentation carry sentinel offsets.
+One pass per text. URLs, handles and emoji are deleted; the surviving
+characters keep a map back to their offsets in the original text and are
+split on whitespace into chunks. A chunk that is ``#`` plus letters and
+digits (trailing punctuation aside) becomes its unigram-likelihood
+segmentation. Any other chunk first sheds its edge punctuation except
+apostrophes; a contraction that remains is expanded, otherwise the
+remaining edge punctuation is shed too. Each shed mark is its own token.
+Surfaces are lowercased, stop words are kept, and tokens made by
+expansion or segmentation carry sentinel offsets.
 """
 
 from __future__ import annotations
@@ -11,33 +16,24 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import compress
 
 SYNTHETIC = -1
 
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)", re.IGNORECASE)
 _HANDLE_RE = re.compile(r"@\w+")
-
-# Emoji_Presentation ranges outside the main emoji blocks, the
+# Emoji_Presentation code points outside the main emoji blocks, the
 # U+1F300..U+1FAFF blocks themselves, and variation selectors.
-_EMOJI_RANGES = (
-    (0x231A, 0x231B), (0x23E9, 0x23EC), (0x23F0, 0x23F0), (0x23F3, 0x23F3),
-    (0x25FD, 0x25FE), (0x2614, 0x2615), (0x2648, 0x2653), (0x267F, 0x267F),
-    (0x2693, 0x2693), (0x26A1, 0x26A1), (0x26AA, 0x26AB), (0x26BD, 0x26BE),
-    (0x26C4, 0x26C5), (0x26CE, 0x26CE), (0x26D4, 0x26D4), (0x26EA, 0x26EA),
-    (0x26F2, 0x26F3), (0x26F5, 0x26F5), (0x26FA, 0x26FA), (0x26FD, 0x26FD),
-    (0x2705, 0x2705), (0x270A, 0x270B), (0x2728, 0x2728), (0x274C, 0x274C),
-    (0x274E, 0x274E), (0x2753, 0x2755), (0x2757, 0x2757), (0x2795, 0x2797),
-    (0x27B0, 0x27B0), (0x27BF, 0x27BF), (0x2B1B, 0x2B1C), (0x2B50, 0x2B50),
-    (0x2B55, 0x2B55), (0xFE00, 0xFE0F), (0x1F004, 0x1F004), (0x1F0CF, 0x1F0CF),
-    (0x1F18E, 0x1F18E), (0x1F191, 0x1F19A), (0x1F1E6, 0x1F1FF),
-    (0x1F201, 0x1F202), (0x1F21A, 0x1F21A), (0x1F22F, 0x1F22F),
-    (0x1F232, 0x1F23A), (0x1F250, 0x1F251), (0x1F300, 0x1FAFF),
-)
-
-
-def is_emoji(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+_EMOJI_RE = re.compile(
+    "[\u231a\u231b\u23e9-\u23ec\u23f0\u23f3\u25fd\u25fe\u2614\u2615"
+    "\u2648-\u2653\u267f\u2693\u26a1\u26aa\u26ab\u26bd\u26be\u26c4\u26c5"
+    "\u26ce\u26d4\u26ea\u26f2\u26f3\u26f5\u26fa\u26fd\u2705\u270a\u270b"
+    "\u2728\u274c\u274e\u2753-\u2755\u2757\u2795-\u2797\u27b0\u27bf"
+    "\u2b1b\u2b1c\u2b50\u2b55\ufe00-\ufe0f\U0001f004\U0001f0cf\U0001f18e"
+    "\U0001f191-\U0001f19a\U0001f1e6-\U0001f1ff\U0001f201\U0001f202"
+    "\U0001f21a\U0001f22f\U0001f232-\U0001f23a\U0001f250\U0001f251"
+    "\U0001f300-\U0001faff]+")
+_CHUNK_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,18 @@ class UnigramTable:
 
     @classmethod
     def load(cls, path) -> "UnigramTable":
+        """Read word<TAB>count lines; a bad record raises ValueError naming
+        the file and line."""
         counts: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                word, count = line.split("\t")
+                word, tab, count = line.partition("\t")
+                if not (tab and count.strip().isdecimal() and int(count) > 0):
+                    raise ValueError(f"{path}:{lineno}: expected word<TAB>positive "
+                                     f"integer count, got {line!r}")
                 counts[word.strip().lower()] = int(count)
         return cls(counts)
 
@@ -116,56 +117,18 @@ _CONTRACTIONS = {
 }
 
 
-def load_contractions(path=None) -> dict[str, str]:
-    """Shipped table by default; optionally a TSV contraction<TAB>expansion."""
-    if path is None:
-        return dict(_CONTRACTIONS)
-    table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            contraction, expansion = line.split("\t")
-            table[contraction.strip().lower()] = expansion.strip().lower()
-    return table
-
-
-_PUNCT_KEEP_INTERIOR = ("-", "'")
-
-
 def _is_punct(ch: str) -> bool:
     return not ch.isalnum() and not ch.isspace()
 
 
-def tokenize(text: str) -> list[Token]:
-    """Whitespace tokenizer that peels leading/trailing punctuation into
-    separate tokens; interior hyphens and apostrophes stay attached."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        lo, hi = i, j
-        # leading punctuation
-        while lo < hi and _is_punct(text[lo]):
-            tokens.append(Token(text[lo], lo, lo + 1, lo, lo + 1))
-            lo += 1
-        # trailing punctuation (collect, emit after the core)
-        trail = []
-        while hi > lo and _is_punct(text[hi - 1]):
-            hi -= 1
-            trail.append(Token(text[hi], hi, hi + 1, hi, hi + 1))
-        if lo < hi:
-            tokens.append(Token(text[lo:hi], lo, hi, lo, hi))
-        tokens.extend(reversed(trail))
-        i = j
-    return tokens
+def _peel(s: str, lo: int, hi: int, keep: str = "") -> tuple[int, int]:
+    """Narrow ``s[lo:hi]`` past the punctuation at both edges, stopping at
+    any character in ``keep``."""
+    while lo < hi and _is_punct(s[lo]) and s[lo] not in keep:
+        lo += 1
+    while hi > lo and _is_punct(s[hi - 1]) and s[hi - 1] not in keep:
+        hi -= 1
+    return lo, hi
 
 
 def segment_hashtag(body: str, unigrams: UnigramTable) -> list[str]:
@@ -213,98 +176,47 @@ def _segment_piece(piece: str, unigrams: UnigramTable) -> list[str]:
     return list(reversed(out))
 
 
-def normalize(doc_id: str, text: str, unigrams: UnigramTable,
-              contraction_table: dict[str, str] | None = None) -> NormalizedDoc:
-    contraction_table = contraction_table if contraction_table is not None else _CONTRACTIONS
+def _marks(chunk: str, lo: int, hi: int) -> list[tuple[str, int, int]]:
+    return [(chunk[k].lower(), k, k + 1) for k in range(lo, hi)]
 
-    # spans deleted wholesale (URLs, handles)
-    deleted = [False] * len(text)
-    for m in _URL_RE.finditer(text):
-        for k in range(m.start(), m.end()):
-            deleted[k] = True
-    for m in _HANDLE_RE.finditer(text):
-        for k in range(m.start(), m.end()):
-            deleted[k] = True
-    for k, ch in enumerate(text):
-        if is_emoji(ch):
-            deleted[k] = True
 
-    # whitespace-chunk the survivors, keeping original offsets per chunk
-    chunks: list[tuple[str, list[int]]] = []
-    cur_chars: list[str] = []
-    cur_idx: list[int] = []
-    for k, ch in enumerate(text):
-        if deleted[k]:
-            continue
-        if ch.isspace():
-            if cur_chars:
-                chunks.append(("".join(cur_chars), cur_idx))
-                cur_chars, cur_idx = [], []
-        else:
-            cur_chars.append(ch)
-            cur_idx.append(k)
-    if cur_chars:
-        chunks.append(("".join(cur_chars), cur_idx))
+def _split_chunk(chunk: str, unigrams: UnigramTable) -> list[tuple[str, int, int]]:
+    """Tokens of one whitespace-free chunk as (surface, start, end), with
+    offsets into the chunk, SYNTHETIC for expanded or segmented words."""
+    n = len(chunk)
+    if chunk[0] == "#":
+        lo, hi = _peel(chunk, 1, n)
+        if lo == 1 and chunk[1:hi].isalnum():
+            words = segment_hashtag(chunk[1:hi], unigrams)
+            return [(w, SYNTHETIC, SYNTHETIC) for w in words] + _marks(chunk, hi, n)
+    lo, hi = _peel(chunk, 0, n, "'")
+    expansion = _CONTRACTIONS.get(chunk[lo:hi].lower())
+    if expansion is not None:
+        core = [(w, SYNTHETIC, SYNTHETIC) for w in expansion.split()]
+    else:
+        lo, hi = _peel(chunk, lo, hi)
+        core = [(chunk[lo:hi].lower(), lo, hi)] if lo < hi else []
+    return _marks(chunk, 0, lo) + core + _marks(chunk, hi, n)
 
-    out: list[tuple[str, int, int]] = []  # (surface, orig_start, orig_end)
-    for chunk, idx in chunks:
-        if chunk.startswith("#") and len(chunk) > 1:
-            body = chunk[1:]
-            trail = ""
-            while body and _is_punct(body[-1]):
-                trail = body[-1] + trail
-                body = body[:-1]
-            if body and all(ch.isalnum() for ch in body):
-                for word in segment_hashtag(body, unigrams):
-                    out.append((word, SYNTHETIC, SYNTHETIC))
-                for k, ch in enumerate(trail):
-                    pos = idx[1 + len(body) + k]
-                    out.append((ch, pos, pos + 1))
-                continue
-        # peel punctuation so contractions match despite trailing marks
-        lo, hi = 0, len(chunk)
-        while lo < hi and _is_punct(chunk[lo]) and chunk[lo] not in "'":
-            out.append((chunk[lo], idx[lo], idx[lo] + 1))
-            lo += 1
-        trail_toks: list[tuple[str, int, int]] = []
-        while hi > lo and _is_punct(chunk[hi - 1]) and chunk[hi - 1] not in "'":
-            hi -= 1
-            trail_toks.append((chunk[hi], idx[hi], idx[hi] + 1))
-        core = chunk[lo:hi]
-        if core:
-            expansion = contraction_table.get(core.lower())
-            if expansion is not None:
-                for word in expansion.split():
-                    out.append((word, SYNTHETIC, SYNTHETIC))
-            else:
-                out.append((core.lower(), idx[lo], idx[hi - 1] + 1))
-        out.extend(reversed(trail_toks))
 
-    # final tokenization pass on each piece (splits residual punctuation)
+def normalize(doc_id: str, text: str, unigrams: UnigramTable) -> NormalizedDoc:
+    alive = bytearray(b"\x01" * len(text))
+    for rx in (_URL_RE, _HANDLE_RE, _EMOJI_RE):
+        for m in rx.finditer(text):
+            alive[m.start():m.end()] = bytes(m.end() - m.start())
+    index = list(compress(range(len(text)), alive))  # survivor -> original offset
+    survivors = "".join(compress(text, alive))
+
     tokens: list[Token] = []
-    norm_parts: list[str] = []
     cursor = 0
-    for surface, ostart, oend in out:
-        for sub in tokenize(surface):
-            if tokens:
-                cursor += 1  # joining space
-            start = cursor
-            end = start + len(sub.surface)
-            if ostart == SYNTHETIC:
-                so, eo = SYNTHETIC, SYNTHETIC
-            elif len(sub.surface) == len(surface):
-                so, eo = ostart, oend
-            else:
-                so, eo = ostart + sub.start, ostart + sub.end
-            tokens.append(Token(sub.surface, start, end, so, eo))
-            norm_parts.append(sub.surface)
-            cursor = end
-    return NormalizedDoc(
-        doc_id=doc_id,
-        original_text=text,
-        normalized_text=" ".join(norm_parts),
-        tokens=tuple(tokens),
-    )
+    for m in _CHUNK_RE.finditer(survivors):
+        base = m.start()
+        for surface, lo, hi in _split_chunk(m.group(), unigrams):
+            span = ((SYNTHETIC, SYNTHETIC) if lo == SYNTHETIC
+                    else (index[base + lo], index[base + hi - 1] + 1))
+            tokens.append(Token(surface, cursor, cursor + len(surface), *span))
+            cursor += len(surface) + 1
+    return NormalizedDoc(doc_id, text, " ".join(t.surface for t in tokens), tuple(tokens))
 
 
 # ------------------------------------------------------------------ POS tags

@@ -107,14 +107,18 @@ def adam_train(params: ParamVector, n: int,
         params.set_data(best.data)
 
 
+# backtracking line search: sufficient-decrease constant, step shrink
+# factor, and trials before giving up
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_MAX_LS = 30
+
+
 @dataclass
 class LbfgsConfig:
     memory: int = 10
     max_iter: int = 200
     tol: float = 1e-5
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    max_ls: int = 30
     c1: float = 0.0  # L1 coefficient, handled orthant-wise
     c2: float = 0.0  # L2 coefficient, folded into the smooth objective
 
@@ -203,15 +207,15 @@ def lbfgs_minimize(objective: Objective, x0: np.ndarray,
         orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
         step = 1.0
         ok = False
-        for _ in range(cfg.max_ls):
+        for _ in range(_MAX_LS):
             x_new = x + step * d
             if c1:
                 x_new[x_new * orthant < 0] = 0.0
             f_new, g_new = full(x_new)
-            if f_new <= f + cfg.armijo_c * step * deriv:
+            if f_new <= f + _ARMIJO_C * step * deriv:
                 ok = True
                 break
-            step *= cfg.shrink
+            step *= _SHRINK
         if not ok:
             break
         s = x_new - x
@@ -243,18 +247,18 @@ def grad_check(objective: Objective, x: np.ndarray, eps: float = 1e-5,
     the analytic gradient; it makes the sweep much cheaper for objectives
     whose gradient costs more than the value.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)  # private copy, perturbed in place
     _, g = objective(x)
     if value_fn is None:
         value_fn = lambda z: objective(z)[0]
     worst = 0.0
     for i in range(x.size):
-        xp = x.copy()
-        xp[i] += eps
-        xm = x.copy()
-        xm[i] -= eps
-        fp = value_fn(xp)
-        fm = value_fn(xm)
+        xi = x[i]
+        x[i] = xi + eps
+        fp = value_fn(x)
+        x[i] = xi - eps
+        fm = value_fn(x)
+        x[i] = xi
         fd = (fp - fm) / (2.0 * eps)
         err = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
         worst = max(worst, err)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -13,7 +15,7 @@ class ParamVector:
         self.offsets: dict[str, tuple[int, int]] = {}
         off = 0
         for name, shape in self.shapes.items():
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)
             self.offsets[name] = (off, off + size)
             off += size
         self.data = np.zeros(off)

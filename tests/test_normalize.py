@@ -1,35 +1,23 @@
 import itertools
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dsae.normalize import (ExternalPos, SYNTHETIC, UnigramTable,
-                            load_contractions, normalize, pos_tag,
-                            segment_hashtag, tokenize)
+from dsae.normalize import (ExternalPos, SYNTHETIC, UnigramTable, normalize,
+                            pos_tag, segment_hashtag)
+
+
+UNIGRAMS = UnigramTable({
+    "vitamin": 50, "c": 30, "gave": 20, "me": 40, "a": 100,
+    "headache": 25, "fish": 15, "oil": 15, "take": 10, "daily": 10,
+})
 
 
 @pytest.fixture
 def unigrams():
-    return UnigramTable({
-        "vitamin": 50, "c": 30, "gave": 20, "me": 40, "a": 100,
-        "headache": 25, "fish": 15, "oil": 15, "take": 10, "daily": 10,
-    })
-
-
-# ------------------------------------------------------------------- tokenize
-
-def test_tokenize_offsets_roundtrip():
-    text = "hello, (world)! it's a-ok"
-    toks = tokenize(text)
-    for t in toks:
-        assert text[t.start:t.end] == t.surface
-    assert [t.surface for t in toks] == ["hello", ",", "(", "world", ")", "!",
-                                         "it's", "a-ok"]
-
-
-def test_tokenize_keeps_interior_hyphen_apostrophe():
-    assert [t.surface for t in tokenize("state-of-the-art isn't")] == [
-        "state-of-the-art", "isn't"]
+    return UNIGRAMS
 
 
 # ----------------------------------------------------------- unigrams/hashtag
@@ -39,6 +27,21 @@ def test_unigram_floor_probability(unigrams):
     assert unigrams.log_prob("vitamin") == pytest.approx(math.log(50 / total))
     assert unigrams.log_prob("zzz") == pytest.approx(
         -math.log(total) - 3 * math.log(10.0))
+
+
+@pytest.mark.parametrize("record", ["vitamin 5", "vitamin\tfive", "vitamin\t5\t6",
+                                    "vitamin\t0", "vitamin\t-2"])
+def test_unigram_load_names_file_and_line_of_bad_record(tmp_path, record):
+    path = tmp_path / "unigrams.tsv"
+    path.write_text(f"fish\t3\n\n{record}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+        UnigramTable.load(path)
+
+
+def test_unigram_load_reads_counts(tmp_path):
+    path = tmp_path / "unigrams.tsv"
+    path.write_text("Fish\t3\n\noil\t2\n", encoding="utf-8")
+    assert UnigramTable.load(path).counts == {"fish": 3, "oil": 2}
 
 
 def exhaustive_best_split(piece, unigrams):
@@ -112,12 +115,49 @@ def test_normalize_lowercases_and_aligns_normalized_offsets(unigrams):
         assert doc.normalized_text[t.start:t.end] == t.surface
 
 
-def test_load_contractions_shipped_and_file(tmp_path):
-    table = load_contractions()
-    assert table["won't"] == "will not"
-    path = tmp_path / "contractions.tsv"
-    path.write_text("idk\ti do not know\n")
-    assert load_contractions(path) == {"idk": "i do not know"}
+def test_normalize_splits_punctuation_with_offsets(unigrams):
+    text = "hello, (world)! it's a-ok"
+    doc = normalize("d1", text, unigrams)
+    assert doc.surfaces() == ["hello", ",", "(", "world", ")", "!", "it's", "a-ok"]
+    for t in doc.tokens:
+        assert text[t.orig_start:t.orig_end] == t.surface
+
+
+def test_normalize_keeps_interior_hyphen_apostrophe(unigrams):
+    doc = normalize("d1", "state-of-the-art o'neill's", unigrams)
+    assert doc.surfaces() == ["state-of-the-art", "o'neill's"]
+
+
+def test_normalize_offsets_skip_deleted_characters(unigrams):
+    text = "vit\U0001F600amin' rocks"
+    doc = normalize("d1", text, unigrams)
+    assert doc.surfaces() == ["vitamin", "'", "rocks"]
+    spans = [text[t.orig_start:t.orig_end] for t in doc.tokens]
+    assert spans == ["vit\U0001F600amin", "'", "rocks"]
+
+
+# Apostrophes are weighted up: a word that sheds one after a deleted emoji
+# is where original offsets are easiest to get wrong.
+_FRAGMENTS = st.sampled_from([
+    "Vitamin", "Vit\U0001F600amin", "c", "OIL", "headache", "a-ok", "12",
+    "https://x.co/a?b=1", "www.ex.com", "@user", "@", "\U0001F600", "\u2705",
+    "\U0001F1FA\U0001F1F8", "#VitaminC", "#fishoil", "#", "'", "'", "'", "\u2019", '"',
+    "(", ")", "!", "?", ",", "...", "-", "doesn't", "I'M", "it's", "Y'all", "gonna",
+])
+_SEPARATORS = st.sampled_from(["", "", "", " ", "  ", "\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FRAGMENTS, _SEPARATORS), max_size=12))
+def test_normalize_offsets_property(parts):
+    text = "".join(fragment + sep for fragment, sep in parts)
+    doc = normalize("d1", text, UNIGRAMS)
+    assert doc.normalized_text == " ".join(doc.surfaces())
+    for t in doc.tokens:
+        assert doc.normalized_text[t.start:t.end] == t.surface
+        if t.orig_start != SYNTHETIC:
+            assert text[t.orig_start].lower() == t.surface[0]
+            assert text[t.orig_end - 1].lower() == t.surface[-1]
 
 
 # ------------------------------------------------------------------------ POS
