@@ -3,9 +3,19 @@ forward/backward passes.
 
 Per-direction hidden size is 64 (128 concatenated), gate order is
 (input, forget, cell, output). No dropout anywhere, matching the model
-this reimplements. Training runs the shared minibatch Adam loop
-(``numeric.optim.adam_train``) with gradient-norm clipping; a dev split
-selects the epoch by exact-span F1.
+this reimplements.
+
+Both passes run over a zero-padded (B, L, d) batch of sequences, after
+the minibatched BiLSTM-CRF of Lample et al. 2016 (arXiv:1603.01360). Each
+direction steps all B sequences at once; the backward one reads each
+sequence reversed within its own length, so in both directions the padding
+comes after a sequence and never reaches it. The B score matrices go
+through one masked ``kernels.crf_layer`` call, and BPTT stores every
+step's gate gradients so that each weight gradient is one matrix product.
+Training runs the shared minibatch Adam loop (``numeric.optim.adam_train``)
+with gradient-norm clipping, whose batch callback is ``nll_and_grad``; a
+dev split selects the epoch by exact-span F1. Dev scoring and
+``lstm_crf_decode`` use the same padded forward pass.
 """
 
 from __future__ import annotations
@@ -21,6 +31,10 @@ from ..numeric.optim import adam_train
 from ..numeric.params import ParamVector
 from ..numeric.rng import Rng
 from .crf import viterbi
+
+
+# sequences per forward pass when decoding many at once
+_DECODE_BATCH = 32
 
 
 def _sigmoid(x):
@@ -81,104 +95,129 @@ def _orthogonal(n: int, rng: Rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _pad(seqs: list[np.ndarray], L: int) -> np.ndarray:
+    """Zero-padded (B, L, d) batch of (L_b, d) arrays."""
+    out = np.zeros((len(seqs), L, seqs[0].shape[1]))
+    for row, X in zip(out, seqs):
+        row[:len(X)] = X
+    return out
+
+
+def _reverse_within(A: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Each row of the (B, L, ...) batch A reversed within its sequence's
+    length, zero in the padding."""
+    out = np.zeros_like(A)
+    for b, n in enumerate(lengths):
+        out[b, :n] = A[b, n - 1::-1]
+    return out
+
+
 def _lstm_direction(X: np.ndarray, Wx, Wh, b, hidden: int):
-    """Run one direction over X (already time-ordered); returns h plus the
-    caches needed for BPTT."""
-    L = X.shape[0]
+    """Run one direction over the time-ordered (B, L, d) batch X; returns the
+    (B, L, H) hidden states plus the caches needed for BPTT."""
+    B, L, _ = X.shape
     H = hidden
-    gates = np.empty((L, 4 * H))
-    cs = np.empty((L, H))
-    hs = np.empty((L, H))
-    h = np.zeros(H)
-    c = np.zeros(H)
+    gates = np.empty((B, L, 4 * H))
+    cs = np.empty((B, L, H))
+    tanh_cs = np.empty((B, L, H))
+    hs = np.empty((B, L, H))
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
     pre = X @ Wx + b
     for t in range(L):
-        a = pre[t] + h @ Wh
-        i = _sigmoid(a[:H])
-        f = _sigmoid(a[H:2 * H])
-        g = np.tanh(a[2 * H:3 * H])
-        o = _sigmoid(a[3 * H:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates[t, :H] = i
-        gates[t, H:2 * H] = f
-        gates[t, 2 * H:3 * H] = g
-        gates[t, 3 * H:] = o
-        cs[t] = c
-        hs[t] = h
-    return hs, gates, cs
-
-
-def _lstm_direction_backward(X, hs, gates, cs, Wx, Wh, dH, hidden,
-                             gWx, gWh, gb):
-    L = X.shape[0]
-    H = hidden
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    for t in range(L - 1, -1, -1):
-        i = gates[t, :H]
-        f = gates[t, H:2 * H]
-        g = gates[t, 2 * H:3 * H]
-        o = gates[t, 3 * H:]
-        c = cs[t]
-        c_prev = cs[t - 1] if t > 0 else np.zeros(H)
-        h_prev = hs[t - 1] if t > 0 else np.zeros(H)
+        a = pre[:, t] + h @ Wh
+        gate = gates[:, t]
+        gate[:] = _sigmoid(a)  # input, forget, output gates
+        gate[:, 2 * H:3 * H] = np.tanh(a[:, 2 * H:3 * H])  # cell candidate
+        c = gate[:, H:2 * H] * c + gate[:, :H] * gate[:, 2 * H:3 * H]
         tc = np.tanh(c)
-        dh = dH[t] + dh_next
+        h = gate[:, 3 * H:] * tc
+        cs[:, t] = c
+        tanh_cs[:, t] = tc
+        hs[:, t] = h
+    return hs, (gates, cs, tanh_cs)
+
+
+def _lstm_direction_backward(X, hs, cache, Wh, dH, hidden, gWx, gWh, gb):
+    """BPTT over the (B, L) batch. Padding follows each sequence and has
+    zero ``dH``, so no gradient reaches it or flows out of it."""
+    gates, cs, tanh_cs = cache
+    B, L, d = X.shape
+    H = hidden
+    dA = np.empty((B, L, 4 * H))
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(L - 1, -1, -1):
+        gate = gates[:, t]
+        i = gate[:, :H]
+        f = gate[:, H:2 * H]
+        g = gate[:, 2 * H:3 * H]
+        o = gate[:, 3 * H:]
+        tc = tanh_cs[:, t]
+        dh = dH[:, t] + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        da = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        gWx += np.outer(X[t], da)
-        gWh += np.outer(h_prev, da)
-        gb += da
-        dh_next = Wh @ da
+        da = dA[:, t]
+        da[:, :H] = dc * g * i * (1.0 - i)
+        c_prev = cs[:, t - 1] if t > 0 else 0.0
+        da[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
+        da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+        da[:, 3 * H:] = do * o * (1.0 - o)
+        dh_next = da @ Wh.T
         dc_next = dc * f
+    dA = dA.reshape(B * L, 4 * H)
+    gWx += X.reshape(B * L, d).T @ dA
+    # the state each step started from: zero, then the previous output
+    h_prev = np.zeros((B, L, H))
+    h_prev[:, 1:] = hs[:, :-1]
+    gWh += h_prev.reshape(B * L, H).T @ dA
+    gb += dA.sum(axis=0)
 
 
-def _forward_scores(params: ParamVector, X: np.ndarray, hidden: int):
-    h_fwd, gates_f, cs_f = _lstm_direction(
+def _forward_scores(params: ParamVector, Xs: list[np.ndarray], hidden: int):
+    """Padded (B, L, K) label scores of the sequences ``Xs`` plus the cache
+    for backprop. Each sequence's scores fill the first rows of its slice."""
+    lengths = [len(X) for X in Xs]
+    L = max(lengths)
+    X = _pad(Xs, L)
+    Xr = _reverse_within(X, lengths)
+    h_fwd, cache_f = _lstm_direction(
         X, params["Wx_fwd"], params["Wh_fwd"], params["b_fwd"], hidden)
-    Xr = X[::-1]
-    h_bwd_r, gates_b, cs_b = _lstm_direction(
+    h_bwd_r, cache_b = _lstm_direction(
         Xr, params["Wx_bwd"], params["Wh_bwd"], params["b_bwd"], hidden)
-    Hcat = np.concatenate([h_fwd, h_bwd_r[::-1]], axis=1)  # L x 2H
+    Hcat = np.empty((len(Xs), L, 2 * hidden))
+    Hcat[..., :hidden] = h_fwd
+    Hcat[..., hidden:] = _reverse_within(h_bwd_r, lengths)
     scores = Hcat @ params["Wp"] + params["bp"]
-    cache = (h_fwd, gates_f, cs_f, Xr, h_bwd_r, gates_b, cs_b, Hcat)
+    cache = (lengths, X, h_fwd, cache_f, Xr, h_bwd_r, cache_b, Hcat)
     return scores, cache
 
 
-def nll_and_grad(params: ParamVector, X: np.ndarray, y: np.ndarray,
+def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray],
                  hidden: int, grad: ParamVector | None = None) -> float:
-    """CRF negative log-likelihood of the gold path plus, when ``grad`` is
-    given, accumulation of the full-model gradient."""
-    scores, cache = _forward_scores(params, X, hidden)
-    value, dscores, dT = kernels.crf_layer(scores[None], params["T"], y[None],
-                                           np.ones((1, len(y)), dtype=bool))
+    """Summed CRF negative log-likelihood of the gold paths of a batch of
+    non-empty sequences plus, when ``grad`` is given, accumulation of the
+    full-model gradient."""
+    scores, cache = _forward_scores(params, Xs, hidden)
+    lengths, X, h_fwd, cache_f, Xr, h_bwd_r, cache_b, Hcat = cache
+    B, L, _ = scores.shape
+    mask = np.arange(L) < np.asarray(lengths)[:, None]
+    y = np.zeros((B, L), dtype=np.int64)
+    y[mask] = np.concatenate(ys)
+    value, dscores, dT = kernels.crf_layer(scores, params["T"], y, mask)
     if grad is None:
         return value
 
-    dscores = dscores[0]
     grad["T"] += dT
-    h_fwd, gates_f, cs_f, Xr, h_bwd_r, gates_b, cs_b, Hcat = cache
-    grad["Wp"] += Hcat.T @ dscores
-    grad["bp"] += dscores.sum(axis=0)
+    flat = dscores.reshape(B * L, -1)
+    grad["Wp"] += Hcat.reshape(B * L, -1).T @ flat
+    grad["bp"] += flat.sum(axis=0)
     dHcat = dscores @ params["Wp"].T
     H = hidden
-    _lstm_direction_backward(X, h_fwd, gates_f, cs_f,
-                             params["Wx_fwd"], params["Wh_fwd"],
-                             dHcat[:, :H], H,
+    _lstm_direction_backward(X, h_fwd, cache_f, params["Wh_fwd"], dHcat[..., :H], H,
                              grad["Wx_fwd"], grad["Wh_fwd"], grad["b_fwd"])
-    _lstm_direction_backward(Xr, h_bwd_r, gates_b, cs_b,
-                             params["Wx_bwd"], params["Wh_bwd"],
-                             dHcat[::-1, H:], H,
+    _lstm_direction_backward(Xr, h_bwd_r, cache_b, params["Wh_bwd"],
+                             _reverse_within(dHcat[..., H:], lengths), H,
                              grad["Wx_bwd"], grad["Wh_bwd"], grad["b_bwd"])
     return value
 
@@ -191,7 +230,7 @@ def lstm_crf_objective(model: LstmCrfModel, X: np.ndarray, y: np.ndarray):
         p = ParamVector(template.shapes)
         p.set_data(flat)
         g = p.zeros_like()
-        value = nll_and_grad(p, X, y, model.hidden, g)
+        value = nll_and_grad(p, [X], [y], model.hidden, g)
         return value, g.data.copy()
 
     return objective
@@ -212,12 +251,12 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
                np.asarray([labels.index(lab) for lab in y], dtype=np.int64))
               for X, y in train if len(y) > 0]
 
-    def loss_and_grad(i, grad):
-        X, y = packed[i]
-        return nll_and_grad(model.params, X, y, cfg.hidden, grad)
+    def loss_and_grad(batch, grad):
+        return nll_and_grad(model.params, [packed[i][0] for i in batch],
+                            [packed[i][1] for i in batch], cfg.hidden, grad)
 
     def dev_score():
-        preds = [lstm_crf_decode(model, np.asarray(X, dtype=np.float64)) for X, _ in dev]
+        preds = _decode_all(model, [np.asarray(X, dtype=np.float64) for X, _ in dev])
         return exact_bio_f1([y for _, y in dev], preds)
 
     adam_train(model.params, len(packed), loss_and_grad, epochs=cfg.epochs,
@@ -233,8 +272,17 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
 
 
 def lstm_crf_decode(model: LstmCrfModel, X: np.ndarray) -> list[str]:
-    if X.shape[0] == 0:
-        return []
-    scores, _ = _forward_scores(model.params, X, model.hidden)
-    path, _ = viterbi(scores, model.params["T"])
-    return [model.labels[i] for i in path]
+    return _decode_all(model, [X])[0]
+
+
+def _decode_all(model: LstmCrfModel, Xs: list[np.ndarray]) -> list[list[str]]:
+    """Best label sequence of each input, scored _DECODE_BATCH at a time."""
+    out: list[list[str]] = [[] for _ in Xs]
+    live = [k for k, X in enumerate(Xs) if len(X)]
+    for lo in range(0, len(live), _DECODE_BATCH):
+        chunk = live[lo:lo + _DECODE_BATCH]
+        scores, _ = _forward_scores(model.params, [Xs[k] for k in chunk], model.hidden)
+        for k, row in zip(chunk, scores):
+            path, _ = viterbi(row[:len(Xs[k])], model.params["T"])
+            out[k] = [model.labels[i] for i in path]
+    return out

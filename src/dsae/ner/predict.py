@@ -16,13 +16,10 @@ from .svm import SvmModel, svm_predict
 
 def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> np.ndarray:
     """Dense per-token input: word vector plus OOV flag."""
-    rows = []
-    for tok in doc.tokens:
-        vec, oov = embeddings.lookup(tok.surface)
-        rows.append(np.concatenate([vec, [1.0 if oov else 0.0]]))
-    if not rows:
-        return np.zeros((0, embeddings.dim + 1))
-    return np.stack(rows)
+    rows = np.empty((len(doc.tokens), embeddings.dim + 1))
+    for row, tok in zip(rows, doc.tokens):
+        row[:-1], row[-1] = embeddings.lookup(tok.surface)
+    return rows
 
 
 def decode_labels(model, doc: NormalizedDoc, embeddings: EmbeddingTable,

@@ -1,6 +1,7 @@
 """Text normalization for short social-media posts.
 
-One pass per text. URLs, handles and emoji are deleted; the surviving
+One pass per text. URLs, handles, emoji and the joiners, keycaps and
+variation selectors of emoji sequences are deleted; the surviving
 characters keep a map back to their offsets in the original text and are
 split on whitespace into chunks. A chunk that is ``#`` plus letters and
 digits (trailing punctuation aside) becomes its unigram-likelihood
@@ -33,6 +34,11 @@ _EMOJI_RE = re.compile(
     "\U0001f191-\U0001f19a\U0001f1e6-\U0001f1ff\U0001f201\U0001f202"
     "\U0001f21a\U0001f22f\U0001f232-\U0001f23a\U0001f250\U0001f251"
     "\U0001f300-\U0001faff]+")
+# the parts emoji sequences are built from: keycaps (digit, # or *, an
+# optional U+FE0F, U+20E3), a text-default symbol that U+FE0F turns into an
+# emoji (whitespace before a stray U+FE0F stays, so words stay apart), and
+# the zero-width joiner between the members of a sequence
+_EMOJI_SEQUENCE_RE = re.compile("[0-9#*]\ufe0f?\u20e3|[^\\s]\ufe0f|\u200d")
 _CHUNK_RE = re.compile(r"\S+")
 
 
@@ -201,7 +207,7 @@ def _split_chunk(chunk: str, unigrams: UnigramTable) -> list[tuple[str, int, int
 
 def normalize(doc_id: str, text: str, unigrams: UnigramTable) -> NormalizedDoc:
     alive = bytearray(b"\x01" * len(text))
-    for rx in (_URL_RE, _HANDLE_RE, _EMOJI_RE):
+    for rx in (_URL_RE, _HANDLE_RE, _EMOJI_RE, _EMOJI_SEQUENCE_RE):
         for m in rx.finditer(text):
             alive[m.start():m.end()] = bytes(m.end() - m.start())
     index = list(compress(range(len(text)), alive))  # survivor -> original offset

@@ -2,7 +2,9 @@
 elastic net (orthant-wise L1), and finite-difference gradient checking.
 
 Everything is float64 and deterministic; objectives are callables
-returning ``(value, gradient)``.
+returning ``(value, gradient)``. ``adam_train`` hands its loss callback one
+minibatch of instance indices at a time, and ``adam_step`` updates the
+parameters and moment buffers in place.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               slice_names=None) -> np.ndarray:
     """One bias-corrected Adam update with decoupled weight decay.
 
-    Mutates ``state`` and returns the new parameter vector.
+    Updates ``params`` and the moments in ``state`` in place and returns
+    ``params``.
     """
     if params.shape != grads.shape:
         raise ValueError("params and grads length mismatch")
@@ -54,29 +57,43 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
-    out = params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    m, v = state.m, state.v
+    # the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    # p -= lr mhat / (sqrt(vhat) + eps), p -= lr wd p, in their usual order
+    step = np.multiply(grads, 1.0 - state.beta1)
+    m *= state.beta1
+    m += step
+    np.multiply(grads, 1.0 - state.beta2, out=step)
+    step *= grads
+    v *= state.beta2
+    v += step
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+    step *= state.lr
+    denom = np.divide(v, 1.0 - state.beta2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    params -= step
     if state.weight_decay:
-        out = out - state.lr * state.weight_decay * out
-    return out
+        np.multiply(params, state.lr * state.weight_decay, out=step)
+        params -= step
+    return params
 
 
 def adam_train(params: ParamVector, n: int,
-               loss_and_grad: Callable[[int, ParamVector], float], *,
+               loss_and_grad: Callable[[np.ndarray, ParamVector], float], *,
                epochs: int, batch_size: int, lr: float, weight_decay: float,
                rng: Rng, clip_norm: float = math.inf,
                dev_score: Callable[[], float] | None = None) -> None:
     """Minibatch Adam over instances ``0..n-1``, training ``params`` in place.
 
     Each epoch visits one ``rng.permutation(n)`` in batches.
-    ``loss_and_grad(i, grad)`` returns instance i's loss and adds its
-    gradient into ``grad``; the batch gradient is their mean, rescaled to
-    norm ``clip_norm`` when longer. With ``dev_score``, the parameters after
-    the epoch with the highest score (the first, on ties) are restored at
-    the end.
+    ``loss_and_grad(batch, grad)`` gets the batch's instance indices in
+    permutation order, returns their summed loss and adds their summed
+    gradient into ``grad``; the step uses its mean, rescaled to norm
+    ``clip_norm`` when longer. With ``dev_score``, the parameters after the
+    epoch with the highest score (the first, on ties) are restored at the
+    end.
     """
     state = AdamState(lr=lr, weight_decay=weight_decay)
     names = params.slice_names()
@@ -87,9 +104,7 @@ def adam_train(params: ParamVector, n: int,
         for lo in range(0, len(order), batch_size):
             batch = order[lo:lo + batch_size]
             grad = params.zeros_like()
-            loss = 0.0
-            for i in batch:
-                loss += loss_and_grad(i, grad)
+            loss = loss_and_grad(batch, grad)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {lo // batch_size}")
@@ -97,7 +112,7 @@ def adam_train(params: ParamVector, n: int,
             norm = float(np.linalg.norm(grad.data))
             if norm > clip_norm:
                 grad.data *= clip_norm / norm
-            params.set_data(adam_step(params.data, grad.data, state, names))
+            adam_step(params.data, grad.data, state, names)
         if dev_score is not None:
             score = dev_score()
             if score > best_score:

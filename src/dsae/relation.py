@@ -5,14 +5,24 @@ two relative-position sequences; the classifier is a single convolutional
 layer (256 filters, width 3, ReLU) with max-over-time pooling, dropout,
 and a softmax over {NoRelation, Indication, AdverseEvent}. Label ties
 break toward NoRelation (first index). Entity markers, position
-embeddings and inverse-frequency class weighting are always on. Training
-runs the shared minibatch Adam loop (``numeric.optim.adam_train``); a dev
-split selects the epoch by macro per-label F1.
+embeddings and inverse-frequency class weighting are always on.
+
+The forward and backward passes take a batch of instances padded to its
+longest, after the position-feature CNN of Zeng et al. 2014 (COLING): one
+window matrix product, max-over-time pooling that never picks a padding
+row, one (B, 256) block of dropout draws per batch (the draws the B
+instances would make one after another), and the pooled gradient routed
+back through a (B, L, 256) matrix that holds it at each filter's argmax.
+Training runs the shared minibatch Adam loop (``numeric.optim.adam_train``),
+whose batch callback is ``cnn_loss_and_grad``; a dev split selects the
+epoch by macro per-label F1. ``classify_pairs`` scores all of a document's
+pairs in one batch.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +30,7 @@ import numpy as np
 from .annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
 from .embeddings import EmbeddingTable
 from .evaluate import macro_f1
+from .ner.predict import doc_matrix
 from .normalize import NormalizedDoc
 from .numeric.optim import adam_train
 from .numeric.params import ParamVector
@@ -31,6 +42,8 @@ MARKERS = ("<h>", "</h>", "<t>", "</t>")
 POS_DIM = 5
 N_FILTERS = 256
 KERNEL = 3
+# instances per forward pass when scoring many at once
+_SCORE_BATCH = 32
 
 
 @dataclass
@@ -45,19 +58,24 @@ class EncodedInstance:
     tail_span: tuple[int, int] = (0, 0)
 
 
-def _relative(idx: int, start: int, end: int, max_len: int) -> int:
-    if start <= idx < end:
-        rel = 0
-    elif idx < start:
-        rel = idx - start
-    else:
-        rel = idx - (end - 1)
-    return max(-max_len, min(max_len, rel)) + max_len
+def _relative(index: np.ndarray, spans, max_len: int) -> np.ndarray:
+    """Offsets of token indices from each span [start, end), one row per
+    span: 0 inside it, clamped to +-max_len and shifted by max_len."""
+    starts = np.array([[start] for start, _ in spans])
+    lasts = np.array([[end - 1] for _, end in spans])
+    rel = np.minimum(index - starts, 0) + np.maximum(index - lasts, 0)
+    return np.minimum(np.maximum(rel, -max_len), max_len) + max_len
 
 
 def encode_instance(instance: RelationInstance, doc: NormalizedDoc,
                     embeddings: EmbeddingTable, max_len: int = 64) -> EncodedInstance:
-    n = len(doc.tokens)
+    return _encode(instance, doc_matrix(doc, embeddings), max_len)
+
+
+def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> EncodedInstance:
+    """Encode one instance of a document whose token rows (word vector plus
+    OOV flag) are ``rows``."""
+    n = len(rows)
     hs, he = instance.head.token_start, instance.head.token_end
     ts, te = instance.tail.token_start, instance.tail.token_end
     if he > n or te > n:
@@ -77,33 +95,25 @@ def encode_instance(instance: RelationInstance, doc: NormalizedDoc,
         hi = min(hi, lo + budget)
         lo = max(0, hi - budget)
 
-    items: list[tuple[str | None, int, int]] = []  # (marker, pre-marker idx, kind)
+    # (index into MARKERS, or -1 for a token; pre-marker token index)
+    items: list[tuple[int, int]] = []
     for idx in range(lo, hi):
         if idx == hs:
-            items.append(("<h>", hs, -1))
+            items.append((0, hs))
         if idx == ts:
-            items.append(("<t>", ts, -1))
-        items.append((None, idx, -1))
+            items.append((2, ts))
+        items.append((-1, idx))
         if idx == he - 1:
-            items.append(("</h>", he - 1, -1))
+            items.append((1, he - 1))
         if idx == te - 1:
-            items.append(("</t>", te - 1, -1))
+            items.append((3, te - 1))
 
-    d = embeddings.dim + 1
-    L = len(items)
-    tokens = np.zeros((L, d))
-    marker_ids = np.full(L, -1, dtype=np.int64)
-    pos_head = np.empty(L, dtype=np.int64)
-    pos_tail = np.empty(L, dtype=np.int64)
-    for row, (marker, idx, _) in enumerate(items):
-        if marker is None:
-            vec, oov = embeddings.lookup(doc.tokens[idx].surface)
-            tokens[row, :embeddings.dim] = vec
-            tokens[row, -1] = 1.0 if oov else 0.0
-        else:
-            marker_ids[row] = MARKERS.index(marker)
-        pos_head[row] = _relative(idx, hs, he, max_len)
-        pos_tail[row] = _relative(idx, ts, te, max_len)
+    marker_ids = np.array([marker for marker, _ in items], dtype=np.int64)
+    index = np.array([idx for _, idx in items], dtype=np.int64)
+    real = marker_ids < 0
+    tokens = np.zeros((len(items), rows.shape[1]))
+    tokens[real] = rows[index[real]]
+    pos_head, pos_tail = _relative(index, [(hs, he), (ts, te)], max_len)
     return EncodedInstance(
         tokens=tokens, marker_ids=marker_ids, pos_head=pos_head, pos_tail=pos_tail,
         label=RELATION_LABELS.index(instance.label) if instance.label else None,
@@ -160,84 +170,139 @@ class CnnReModel:
                    dropout=cfg.dropout)
 
 
-def _build_input(model: CnnReModel, enc: EncodedInstance):
-    """L x (d + 2p) input rows: token/marker vector plus position vectors."""
+def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = False,
+             rng: Rng | None = None):
+    """(B, 3) label probabilities of a batch of instances plus a cache for
+    backprop. With dropout on, one (B, 256) block of ``rng`` draws is used,
+    row b for instance b."""
     p = model.params
-    L = enc.tokens.shape[0]
-    x = np.empty((L, model.input_dim + 2 * POS_DIM))
-    x[:, :model.input_dim] = enc.tokens
-    mask = enc.marker_ids >= 0
-    x[mask, :model.input_dim] = p["markers"][enc.marker_ids[mask]]
-    x[:, model.input_dim:model.input_dim + POS_DIM] = p["pos_head"][enc.pos_head]
-    x[:, model.input_dim + POS_DIM:] = p["pos_tail"][enc.pos_tail]
-    return x
-
-
-def cnn_forward(model: CnnReModel, enc: EncodedInstance, train_mode: bool = False,
-                rng: Rng | None = None):
-    """Probabilities over the three labels plus a cache for backprop."""
-    p = model.params
-    x = _build_input(model, enc)
-    L, width = x.shape
-    # same-padding windows of width 3
-    padded = np.zeros((L + 2, width))
-    padded[1:L + 1] = x
-    windows = np.concatenate([padded[:L], padded[1:L + 1], padded[2:L + 2]], axis=1)
-    z = windows @ p["conv_W"].T + p["conv_b"]
-    relu = np.maximum(z, 0.0)
-    argmax = np.argmax(relu, axis=0)
-    pooled = relu[argmax, np.arange(N_FILTERS)]
+    d = model.input_dim
+    lengths = [len(enc.marker_ids) for enc in encs]
+    B, L = len(encs), max(lengths)
+    width = d + 2 * POS_DIM
+    # the input rows of every instance, one after another: token or marker
+    # vector plus the two position vectors
+    marker_ids = _joined(encs, "marker_ids")
+    pos_head = _joined(encs, "pos_head")
+    pos_tail = _joined(encs, "pos_tail")
+    is_marker = marker_ids >= 0
+    x = np.empty((len(marker_ids), width))
+    x[:, :d] = _joined(encs, "tokens")
+    x[is_marker, :d] = p["markers"][marker_ids[is_marker]]
+    x[:, d:d + POS_DIM] = p["pos_head"][pos_head]
+    x[:, d + POS_DIM:] = p["pos_tail"][pos_tail]
+    # same-padding windows of width 3 over each instance's rows; an instance
+    # shorter than L is followed by zero rows, and ``real`` marks its own
+    if len(x) == B * L:
+        real = None
+        x = x.reshape(B, L, width)
+    else:
+        real = np.arange(L) < np.array(lengths)[:, None]
+        padded = np.zeros((B, L, width))
+        padded[real] = x
+        x = padded
+    windows = np.zeros((B, L, KERNEL * width))
+    windows[:, 1:, :width] = x[:, :-1]
+    windows[:, :, width:2 * width] = x
+    windows[:, :-1, 2 * width:] = x[:, 1:]
+    relu = windows.reshape(B * L, -1) @ p["conv_W"].T + p["conv_b"]
+    np.maximum(relu, 0.0, out=relu)
+    relu = relu.reshape(B, L, N_FILTERS)
+    if real is not None:
+        # padding never wins the max, so ties still go to the first real row
+        np.copyto(relu, -1.0, where=~real[..., None])
+    argmax = np.argmax(relu, axis=1)
+    pooled = relu.max(axis=1)
     if train_mode and model.dropout > 0.0:
         if rng is None:
             raise ValueError("train_mode dropout needs an Rng")
-        keep = (rng.uniform(N_FILTERS) >= model.dropout).astype(np.float64)
+        keep = (rng.uniform((B, N_FILTERS)) >= model.dropout).astype(np.float64)
         dropped = pooled * keep / (1.0 - model.dropout)
     else:
         keep = None
         dropped = pooled
-    logits = p["out_W"] @ dropped + p["out_b"]
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    cache = (x, windows, z, argmax, pooled, keep, dropped, probs)
+    logits = dropped @ p["out_W"].T + p["out_b"]
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    cache = (marker_ids, is_marker, pos_head, pos_tail, real, windows, argmax,
+             pooled, keep, dropped)
     return probs, cache
 
 
-def cnn_backward(model: CnnReModel, enc: EncodedInstance, cache, dlogits: np.ndarray,
-                 grad: ParamVector) -> None:
+def _joined(encs: list[EncodedInstance], field: str) -> np.ndarray:
+    """The instances' arrays ``field``, one after another."""
+    if len(encs) == 1:
+        return getattr(encs[0], field)
+    return np.concatenate([getattr(enc, field) for enc in encs])
+
+
+def _backward(model: CnnReModel, cache, dlogits: np.ndarray, grad: ParamVector) -> None:
     p = model.params
-    x, windows, z, argmax, pooled, keep, dropped, probs = cache
-    L, width = x.shape
-    grad["out_W"] += np.outer(dlogits, dropped)
-    grad["out_b"] += dlogits
-    ddropped = p["out_W"].T @ dlogits
+    (marker_ids, is_marker, pos_head, pos_tail, real, windows, argmax,
+     pooled, keep, dropped) = cache
+    B, L, _ = windows.shape
+    d = model.input_dim
+    width = d + 2 * POS_DIM
+    grad["out_W"] += dlogits.T @ dropped
+    grad["out_b"] += dlogits.sum(axis=0)
+    ddropped = dlogits @ p["out_W"]
     dpooled = ddropped * keep / (1.0 - model.dropout) if keep is not None else ddropped
     dpooled = dpooled * (pooled > 0.0)  # ReLU at the pooled positions
-    # route through the argmax positions
-    grad["conv_b"] += dpooled
-    grad["conv_W"] += dpooled[:, None] * windows[argmax]
-    dwindows = np.zeros_like(windows)
-    np.add.at(dwindows, argmax, dpooled[:, None] * p["conv_W"])
-    # windows -> padded rows -> x rows (window slot k covers x row t+k-1)
-    dx = np.zeros_like(x)
-    dx[:L - 1] += dwindows[1:, 0:width]
-    dx += dwindows[:, width:2 * width]
-    dx[1:] += dwindows[:L - 1, 2 * width:]
-    mask = enc.marker_ids >= 0
-    np.add.at(grad["markers"], enc.marker_ids[mask], dx[mask, :model.input_dim])
-    np.add.at(grad["pos_head"], enc.pos_head, dx[:, model.input_dim:model.input_dim + POS_DIM])
-    np.add.at(grad["pos_tail"], enc.pos_tail, dx[:, model.input_dim + POS_DIM:])
+    grad["conv_b"] += dpooled.sum(axis=0)
+    # route through the argmax positions: dpooled at (argmax, filter)
+    routed = np.zeros((B, L, N_FILTERS))
+    np.put_along_axis(routed, argmax[:, None], dpooled[:, None], axis=1)
+    grad["conv_W"] += routed.reshape(B * L, N_FILTERS).T @ windows.reshape(B * L, -1)
+    dwindows = routed @ p["conv_W"]
+    # windows -> x rows (window slot k covers x row t+k-1)
+    dx = np.zeros((B, L, width))
+    dx[:, :L - 1] += dwindows[:, 1:, 0:width]
+    dx += dwindows[:, :, width:2 * width]
+    dx[:, 1:] += dwindows[:, :L - 1, 2 * width:]
+    dx = dx.reshape(B * L, width) if real is None else dx[real]
+    _add_rows(grad["markers"], marker_ids[is_marker], dx[is_marker, :d])
+    _add_rows(grad["pos_head"], pos_head, dx[:, d:d + POS_DIM])
+    _add_rows(grad["pos_tail"], pos_tail, dx[:, d + POS_DIM:])
 
 
-def cnn_loss_and_grad(model: CnnReModel, enc: EncodedInstance, weight: float,
+def _add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """table[ids[k]] += rows[k] for every k."""
+    n, k = table.shape
+    flat = (ids[:, None] * k + np.arange(k)).ravel()
+    table += np.bincount(flat, weights=rows.ravel(), minlength=n * k).reshape(n, k)
+
+
+def cnn_forward(model: CnnReModel, enc: EncodedInstance):
+    """Label probabilities of one instance plus the forward cache of its
+    batch of one."""
+    probs, cache = _forward(model, [enc])
+    return probs[0], cache
+
+
+def _probabilities(model: CnnReModel, encs: list[EncodedInstance]) -> np.ndarray:
+    """(N, 3) label probabilities of N >= 1 instances, _SCORE_BATCH per
+    forward pass."""
+    return np.concatenate([_forward(model, encs[lo:lo + _SCORE_BATCH])[0]
+                           for lo in range(0, len(encs), _SCORE_BATCH)])
+
+
+def cnn_loss_and_grad(model: CnnReModel, encs: list[EncodedInstance], weights,
                       grad: ParamVector | None, train_mode: bool = False,
                       rng: Rng | None = None) -> float:
-    probs, cache = cnn_forward(model, enc, train_mode=train_mode, rng=rng)
-    loss = -weight * float(np.log(max(probs[enc.label], 1e-300)))
+    """Summed weighted cross-entropy of a batch of labelled instances
+    (``weights[b]`` scales instance b's term) plus, when ``grad`` is given,
+    accumulation of its gradient."""
+    probs, cache = _forward(model, encs, train_mode=train_mode, rng=rng)
+    labels = [enc.label for enc in encs]
+    loss = 0.0
+    for row, label, weight in zip(probs.tolist(), labels, weights):
+        loss -= weight * math.log(max(row[label], 1e-300))
     if grad is not None:
-        dlogits = weight * probs.copy()
-        dlogits[enc.label] -= weight
-        cnn_backward(model, enc, cache, dlogits, grad)
+        rows = np.arange(len(encs))
+        weights = np.asarray(weights, dtype=np.float64)
+        dlogits = weights[:, None] * probs
+        dlogits[rows, labels] -= weights
+        _backward(model, cache, dlogits, grad)
     return loss
 
 
@@ -264,14 +329,13 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
     weights = class_weights([enc.label for enc in instances])
     drop_rng = Rng(cfg.seed, stream=41)
 
-    def loss_and_grad(i, grad):
-        enc = instances[i]
-        return cnn_loss_and_grad(model, enc, float(weights[enc.label]),
+    def loss_and_grad(batch, grad):
+        encs = [instances[i] for i in batch]
+        return cnn_loss_and_grad(model, encs, weights[[enc.label for enc in encs]],
                                  grad, train_mode=True, rng=drop_rng)
 
     def dev_score():
-        return macro_f1([enc.label for enc in dev],
-                        [cnn_forward(model, enc)[0] for enc in dev])
+        return macro_f1([enc.label for enc in dev], _probabilities(model, dev))
 
     adam_train(model.params, len(instances), loss_and_grad, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
@@ -286,22 +350,19 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
 
 def classify_pairs(doc: NormalizedDoc, entities, model: CnnReModel,
                    embeddings: EmbeddingTable) -> list[RelationInstance]:
-    """Classify every (Supplement, event) pair; NoRelation predictions are
-    dropped from the result."""
-    out = []
-    for head in entities:
-        if head.etype != "Supplement":
-            continue
-        for tail in entities:
-            if tail.etype not in EVENT_TYPES:
-                continue
-            probe = RelationInstance(doc.doc_id, head, tail, "NoRelation")
-            enc = encode_instance(probe, doc, embeddings, model.max_len)
-            probs, _ = cnn_forward(model, enc)
-            pred = int(np.argmax(probs))  # first max: NoRelation wins ties
-            if model.labels[pred] != "NoRelation":
-                out.append(RelationInstance(doc.doc_id, head, tail, model.labels[pred]))
-    return out
+    """Classify every (Supplement, event) pair in one batch; NoRelation
+    predictions are dropped from the result."""
+    pairs = [(head, tail) for head in entities if head.etype == "Supplement"
+             for tail in entities if tail.etype in EVENT_TYPES]
+    if not pairs:
+        return []
+    rows = doc_matrix(doc, embeddings)
+    encs = [_encode(RelationInstance(doc.doc_id, head, tail, "NoRelation"), rows,
+                    model.max_len) for head, tail in pairs]
+    # first max: NoRelation wins ties
+    preds = np.argmax(_probabilities(model, encs), axis=1)
+    return [RelationInstance(doc.doc_id, head, tail, model.labels[k])
+            for (head, tail), k in zip(pairs, preds) if model.labels[k] != "NoRelation"]
 
 
 def cnn_objective(model: CnnReModel, enc: EncodedInstance, weight: float = 1.0):
@@ -314,7 +375,7 @@ def cnn_objective(model: CnnReModel, enc: EncodedInstance, weight: float = 1.0):
         m = CnnReModel(input_dim=model.input_dim, max_len=model.max_len, params=p,
                        dropout=0.0)
         g = p.zeros_like()
-        value = cnn_loss_and_grad(m, enc, weight, g)
+        value = cnn_loss_and_grad(m, [enc], [weight], g)
         return value, g.data.copy()
 
     return objective

@@ -41,15 +41,42 @@ def _decode_registry(blob) -> FeatureRegistry | None:
     return registry
 
 
-def _array(blob) -> np.ndarray:
-    return np.asarray(blob, dtype=np.float64)
+def _array(model_type: str, weights: dict, name: str) -> np.ndarray:
+    if name not in weights:
+        raise ValueError(f"{model_type} bundle: weights {name} is missing")
+    try:
+        value = np.asarray(weights[name])
+    except ValueError:  # ragged nesting
+        value = None
+    if value is None or value.dtype.kind not in "iuf":
+        raise ValueError(f"{model_type} bundle: weights {name} must be a rectangular "
+                         "array of numbers")
+    return np.asarray(value, dtype=np.float64)
 
 
 def _checked(model_type: str, weights: dict, name: str, shape: tuple) -> np.ndarray:
-    value = _array(weights[name])
+    value = _array(model_type, weights, name)
     if value.shape != shape:
         raise ValueError(f"{model_type} bundle: weights {name} has shape "
                          f"{value.shape}, expected {shape}")
+    return value
+
+
+def _size(model_type: str, hyper: dict, key: str) -> int:
+    """Pop the positive integer hyperparameter ``key``."""
+    if key not in hyper:
+        raise ValueError(f"{model_type} bundle: hyperparameter {key} is missing")
+    value = hyper.pop(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{model_type} bundle: hyperparameter {key} must be a "
+                         f"positive integer, got {value!r}")
+    return value
+
+
+def _field(bundle: dict, key: str, kind: type):
+    value = bundle.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"bundle: {key} must be a {kind.__name__}, got {value!r}")
     return value
 
 
@@ -100,10 +127,10 @@ def model_from_bundle(bundle: dict):
     version = bundle.get("version")
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version!r}")
-    model_type = bundle["model_type"]
-    labels = tuple(bundle["label_alphabet"])
-    hyper = dict(bundle["hyperparameters"])
-    weights = bundle["weights"]
+    model_type = _field(bundle, "model_type", str)
+    labels = tuple(_field(bundle, "label_alphabet", list))
+    hyper = dict(_field(bundle, "hyperparameters", dict))
+    weights = _field(bundle, "weights", dict)
     K = len(labels)
     if model_type in ("crf", "svm"):
         registry = _decode_registry(bundle["feature_registry"])
@@ -131,17 +158,21 @@ def model_from_bundle(bundle: dict):
             hyperparameters=hyper,
         )
     if model_type == "lstm_crf":
-        input_dim = int(hyper.pop("input_dim"))
-        hidden = int(hyper.pop("hidden"))
+        input_dim = _size(model_type, hyper, "input_dim")
+        hidden = _size(model_type, hyper, "hidden")
         params = ParamVector(_param_shapes(input_dim, hidden, len(labels)))
         for name in params.shapes:
-            params[name] = _array(weights[name])
+            params[name] = _array(model_type, weights, name)
         return LstmCrfModel(labels=labels, input_dim=input_dim, hidden=hidden,
                             params=params, hyperparameters=hyper)
     if model_type == "cnn_re":
-        input_dim = int(hyper.pop("input_dim"))
-        max_len = int(hyper.pop("max_len"))
-        dropout = float(hyper.pop("dropout"))
+        input_dim = _size(model_type, hyper, "input_dim")
+        max_len = _size(model_type, hyper, "max_len")
+        dropout = hyper.pop("dropout", None)
+        if (isinstance(dropout, bool) or not isinstance(dropout, (int, float))
+                or not 0.0 <= dropout < 1.0):
+            raise ValueError(f"cnn_re bundle: hyperparameter dropout must be a number "
+                             f"in [0, 1), got {dropout!r}")
         for key in ("use_positions", "use_markers"):
             # older bundles record these always-on switches
             if hyper.pop(key, True) is not True:
@@ -149,9 +180,9 @@ def model_from_bundle(bundle: dict):
                                  "models without it are not supported")
         params = ParamVector(_cnn_shapes(input_dim, max_len))
         for name in params.shapes:
-            params[name] = _array(weights[name])
+            params[name] = _array(model_type, weights, name)
         return CnnReModel(input_dim=input_dim, max_len=max_len, params=params,
-                          dropout=dropout, labels=labels, hyperparameters=hyper)
+                          dropout=float(dropout), labels=labels, hyperparameters=hyper)
     raise ValueError(f"unknown model_type {model_type!r}")
 
 

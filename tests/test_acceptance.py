@@ -257,7 +257,7 @@ def test_criterion_04_gradient_checks():
             p.set_data(z)
             probe = CnnReModel(input_dim=cnn.input_dim, max_len=cnn.max_len,
                                params=p, dropout=0.0)
-            return cnn_loss_and_grad(probe, enc, 1.0, None)
+            return cnn_loss_and_grad(probe, [enc], [1.0], None)
 
         # dropout is off in the gradcheck objective; the small step keeps
         # the sweep clear of ReLU/argmax kinks, and the forward-only value_fn

@@ -153,6 +153,30 @@ def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):
     assert "weights T" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, model, field", [
+    ("eval-ner", "lstm_crf", "hidden"), ("eval-re", "cnn_re", "max_len"),
+])
+def test_eval_on_bundle_with_bad_size_exits_1(tmp_path, capsys, command, model, field):
+    from dsae.annotation import BIO_LABELS
+    from dsae.ner.lstm_crf import LstmCrfModel
+    from dsae.relation import CnnReConfig, CnnReModel
+    from dsae.serialization import model_to_bundle
+
+    if model == "lstm_crf":
+        bundle = model_to_bundle(LstmCrfModel.init(4, 2, BIO_LABELS, seed=0))
+        name = "ner_lstm_crf.json"
+    else:
+        bundle = model_to_bundle(CnnReModel.init(4, CnnReConfig(max_len=8)))
+        name = "re_cnn.json"
+    bundle["hyperparameters"][field] = "8"
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text(json.dumps(bundle))
+    config = write_config(tmp_path, model="lstm_crf")
+    assert run(command, "--config", config, "--out", str(out)) == 1
+    assert f"hyperparameter {field}" in capsys.readouterr().err
+
+
 def test_training_is_deterministic(trained):
     tmp_path, config, out = trained
     again = tmp_path / "again"

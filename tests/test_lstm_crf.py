@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsae.annotation import BIO_LABELS
 from dsae.evaluate import exact_bio_f1
+from dsae.ner import lstm_crf
 from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_decode,
-                               lstm_crf_objective, lstm_crf_train)
+                               lstm_crf_objective, lstm_crf_train, nll_and_grad)
 from dsae.numeric.optim import grad_check
 from dsae.numeric.rng import Rng
 
@@ -44,6 +46,81 @@ def test_objective_gradient_check():
         objective = lstm_crf_objective(model, X, y)
         x0 = model.params.data + rng.normal((model.params.data.size,), scale=0.05)
         assert grad_check(objective, x0) < 1e-6
+
+
+def reference_scores(params, X, H):
+    """Label scores of one sequence from a step-by-step BiLSTM: the forward
+    direction reads X left to right, the backward one right to left."""
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    def run(rows, direction):
+        h, c, out = np.zeros(H), np.zeros(H), []
+        for x in rows:
+            a = (x @ params[f"Wx_{direction}"] + h @ params[f"Wh_{direction}"]
+                 + params[f"b_{direction}"])
+            i, f, o = sigmoid(a[:H]), sigmoid(a[H:2 * H]), sigmoid(a[3 * H:])
+            c = f * c + i * np.tanh(a[2 * H:3 * H])
+            h = o * np.tanh(c)
+            out.append(h)
+        return np.array(out)
+
+    hidden = np.concatenate([run(X, "fwd"), run(X[::-1], "bwd")[::-1]], axis=1)
+    return hidden @ params["Wp"] + params["bp"]
+
+
+def test_padded_forward_matches_step_by_step_reference():
+    rng = Rng(5, stream=15)
+    model = LstmCrfModel.init(3, 4, LABELS, seed=5)
+    model.params.data += rng.normal((model.params.size,), scale=0.3)
+    Xs = [rng.normal((n, 3)) for n in (4, 1, 6, 3)]
+    scores, _ = lstm_crf._forward_scores(model.params, Xs, 4)
+    assert scores.shape == (4, 6, len(LABELS))
+    for X, row in zip(Xs, scores):
+        assert np.allclose(row[:len(X)], reference_scores(model.params, X, 4),
+                           rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 16), order=st.randoms(use_true_random=False))
+def test_batched_gradient_equals_sum_of_sequences(lengths, seed, order):
+    """The batch's loss and gradient are the sums of its sequences', in any
+    batch order, and garbage in the padding changes nothing at all."""
+    rng = Rng(seed, stream=15)
+    d, H = 3, 4
+    model = LstmCrfModel.init(d, H, LABELS, seed=seed)
+    params = model.params
+    params.data += rng.normal((params.size,), scale=0.3)
+    Xs = [rng.normal((n, d)) for n in lengths]
+    ys = [np.array([rng.randint(len(LABELS)) for _ in range(n)]) for n in lengths]
+
+    expected = params.zeros_like()
+    value = sum(nll_and_grad(params, [X], [y], H, expected) for X, y in zip(Xs, ys))
+    perm = list(range(len(Xs)))
+    order.shuffle(perm)
+    Xs, ys = [Xs[k] for k in perm], [ys[k] for k in perm]
+    grad = params.zeros_like()
+    assert nll_and_grad(params, Xs, ys, H, grad) == pytest.approx(value, rel=1e-12)
+    scale = max(1.0, float(np.max(np.abs(expected.data))))
+    assert np.max(np.abs(grad.data - expected.data)) <= 1e-12 * scale
+
+    zero_pad = lstm_crf._pad
+
+    def garbage_pad(seqs, L):
+        out = zero_pad(seqs, L)
+        for row, X in zip(out, seqs):
+            row[len(X):] = rng.normal(row[len(X):].shape, scale=50.0)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lstm_crf, "_pad", garbage_pad)
+        noisy = params.zeros_like()
+        assert nll_and_grad(params, Xs, ys, H, noisy) == nll_and_grad(params, Xs, ys, H)
+    assert np.array_equal(noisy.data, grad.data)
+    # the padded forward pass decodes every sequence as it does alone
+    decoded = lstm_crf._decode_all(model, Xs)
+    assert decoded == [lstm_crf_decode(model, X) for X in Xs]
 
 
 def test_decode_deterministic_and_empty():

@@ -85,6 +85,19 @@ def test_normalize_removes_urls_handles_emoji(unigrams):
     assert doc.surfaces() == ["vitamin", "c", "rocks"]
 
 
+@pytest.mark.parametrize("text, surfaces", [
+    ("love it \U0001F468\u200d\U0001F469\u200d\U0001F467 so much",
+     ["love", "it", "so", "much"]),
+    ("rate 1\ufe0f\u20e3 stars", ["rate", "stars"]),
+    ("i \u2764\ufe0f fish oil", ["i", "fish", "oil"]),
+])
+def test_normalize_removes_emoji_sequences(unigrams, text, surfaces):
+    doc = normalize("d1", text, unigrams)
+    assert doc.surfaces() == surfaces
+    for t in doc.tokens:
+        assert text[t.orig_start:t.orig_end] == t.surface
+
+
 def test_normalize_offsets_point_to_original(unigrams):
     text = "@u Fish OIL!"
     doc = normalize("d1", text, unigrams)
@@ -141,7 +154,8 @@ def test_normalize_offsets_skip_deleted_characters(unigrams):
 _FRAGMENTS = st.sampled_from([
     "Vitamin", "Vit\U0001F600amin", "c", "OIL", "headache", "a-ok", "12",
     "https://x.co/a?b=1", "www.ex.com", "@user", "@", "\U0001F600", "\u2705",
-    "\U0001F1FA\U0001F1F8", "#VitaminC", "#fishoil", "#", "'", "'", "'", "\u2019", '"',
+    "\U0001F1FA\U0001F1F8", "\U0001F468\u200d\U0001F469", "#\ufe0f\u20e3", "\u2764\ufe0f",
+    "#VitaminC", "#fishoil", "#", "'", "'", "'", "\u2019", '"',
     "(", ")", "!", "?", ",", "...", "-", "doesn't", "I'M", "it's", "Y'all", "gonna",
 ])
 _SEPARATORS = st.sampled_from(["", "", "", " ", "  ", "\n"])

@@ -41,6 +41,38 @@ def test_adam_nonfinite_gradient_names_slice():
         adam_step(np.zeros(3), grads, AdamState(), slice_names=names)
 
 
+def reference_adam_step(params, grads, state):
+    """The textbook update with a new array for every intermediate."""
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    state.t += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    mhat = state.m / (1.0 - state.beta1 ** state.t)
+    vhat = state.v / (1.0 - state.beta2 ** state.t)
+    out = params - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    if state.weight_decay:
+        out = out - state.lr * state.weight_decay * out
+    return out
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_step_in_place_equals_reference(weight_decay):
+    rng = Rng(4, stream=3)
+    x = rng.normal((300,))
+    expected = x.copy()
+    state = AdamState(lr=0.01, weight_decay=weight_decay)
+    ref_state = AdamState(lr=0.01, weight_decay=weight_decay)
+    for _ in range(50):
+        grads = rng.normal((300,), scale=3.0)
+        assert adam_step(x, grads, state) is x
+        expected = reference_adam_step(expected, grads, ref_state)
+        assert np.array_equal(x, expected)
+        assert np.array_equal(state.m, ref_state.m)
+        assert np.array_equal(state.v, ref_state.v)
+
+
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError):
         adam_step(np.zeros(3), np.zeros(4), AdamState())
@@ -52,13 +84,32 @@ TARGETS = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0], [2.0, 2.0]])
 
 
 def quadratic_loss(params):
-    """Instance i's loss is 0.5 * ||x - TARGETS[i]||^2."""
-    def loss_and_grad(i, grad):
-        diff = params["x"] - TARGETS[i]
-        grad["x"] += diff
-        return 0.5 * float(diff @ diff)
+    """Instance i's loss is 0.5 * ||x - TARGETS[i]||^2; a batch's is the sum."""
+    def loss_and_grad(batch, grad):
+        diff = params["x"] - TARGETS[batch]
+        grad["x"] += diff.sum(axis=0)
+        return 0.5 * float(np.sum(diff * diff))
 
     return loss_and_grad
+
+
+def test_adam_train_hands_each_permutation_over_in_batches():
+    params = ParamVector({"x": (2,)})
+    batches = []
+    loss = quadratic_loss(params)
+
+    def recording(batch, grad):
+        batches.append(list(batch))
+        return loss(batch, grad)
+
+    adam_train(params, len(TARGETS), recording, epochs=2, batch_size=3, lr=0.1,
+               weight_decay=0.0, rng=Rng(0, stream=3))
+    rng = Rng(0, stream=3)
+    expected = []
+    for _ in range(2):
+        order = list(rng.permutation(len(TARGETS)))
+        expected += [order[:3], order[3:]]
+    assert batches == expected
 
 
 def test_adam_train_restores_best_epoch():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dsae.annotation import RELATION_LABELS, RelationInstance
+from dsae import relation
+from dsae.annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
 from dsae.embeddings import EmbeddingTable
 from dsae.numeric.optim import grad_check
 from dsae.numeric.rng import Rng
-from dsae.relation import (CnnReConfig, CnnReModel, class_weights, classify_pairs,
-                           cnn_forward, cnn_loss_and_grad, cnn_objective, cnn_train,
-                           encode_instance)
+from dsae.relation import (CnnReConfig, CnnReModel, EncodedInstance, class_weights,
+                           classify_pairs, cnn_forward, cnn_loss_and_grad, cnn_objective,
+                           cnn_train, encode_instance)
 
 from util import make_doc, span
 
@@ -108,7 +110,7 @@ def test_dropout_requires_rng(emb):
                           doc, emb, max_len=16)
     model = CnnReModel.init(emb.dim + 1, CnnReConfig(max_len=16))
     with pytest.raises(ValueError, match="Rng"):
-        cnn_loss_and_grad(model, enc, 1.0, None, train_mode=True)
+        cnn_loss_and_grad(model, [enc], [1.0], None, train_mode=True)
 
 
 def test_cnn_gradient_check(emb):
@@ -121,6 +123,82 @@ def test_cnn_gradient_check(emb):
     # eps kept small so the finite-difference sweep stays clear of the
     # ReLU/argmax kinks
     assert grad_check(objective, x0, eps=1e-6) < 1e-4
+
+
+def random_instance(rng, length, d, max_len):
+    return EncodedInstance(
+        tokens=rng.normal((length, d)),
+        marker_ids=np.array([rng.randint(6) - 2 for _ in range(length)]).clip(-1),
+        pos_head=np.array([rng.randint(2 * max_len + 1) for _ in range(length)]),
+        pos_tail=np.array([rng.randint(2 * max_len + 1) for _ in range(length)]),
+        label=rng.randint(len(RELATION_LABELS)))
+
+
+class RecordingRng(Rng):
+    """An Rng that keeps every block of uniforms it hands out."""
+
+    def __init__(self, seed, stream):
+        super().__init__(seed, stream)
+        self.draws = []
+
+    def uniform(self, size=None):
+        u = super().uniform(size)
+        self.draws.append(u)
+        return u
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16), dropout=st.sampled_from([0.0, 0.3]))
+def test_batched_gradient_equals_sum_of_instances(lengths, seed, dropout):
+    """The batch's loss and gradient are the sums of its instances' in
+    batch-of-one calls, padding never wins the max over time, and with
+    dropout on, row b of the batch's draws is what instance b draws alone."""
+    rng = Rng(seed, stream=17)
+    d, max_len = 4, 6
+    model = CnnReModel.init(d, CnnReConfig(max_len=max_len, dropout=dropout, seed=seed))
+    model.params.data += rng.normal((model.params.size,), scale=0.3)
+    encs = [random_instance(rng, n, d, max_len) for n in lengths]
+    weights = rng.uniform(len(encs)) + 0.5
+
+    expected = model.params.zeros_like()
+    alone = RecordingRng(seed, stream=41)
+    value = sum(cnn_loss_and_grad(model, [enc], [w], expected, train_mode=True, rng=alone)
+                for enc, w in zip(encs, weights))
+    together = RecordingRng(seed, stream=41)
+    grad = model.params.zeros_like()
+    assert cnn_loss_and_grad(model, encs, weights, grad, train_mode=True,
+                             rng=together) == pytest.approx(value, rel=1e-12)
+    scale = max(1.0, float(np.max(np.abs(expected.data))))
+    assert np.max(np.abs(grad.data - expected.data)) <= 1e-12 * scale
+    if dropout:
+        assert len(together.draws) == 1
+        assert np.array_equal(together.draws[0], np.concatenate(alone.draws))
+    else:
+        assert together.draws == alone.draws == []
+    probs = relation._forward(model, encs)[0]
+    for enc, row in zip(encs, probs):
+        assert np.allclose(row, cnn_forward(model, enc)[0], rtol=1e-12, atol=0)
+
+
+def test_classify_pairs_matches_per_pair_forward(emb):
+    doc = make_doc("d", ["vitamin", "c", "w1", "nausea", "w2", "sleep", "w3"])
+    model = CnnReModel.init(emb.dim + 1, CnnReConfig(max_len=16, seed=2))
+    model.params.data *= 20.0  # confident, varied predictions
+    entities = [span(doc, "T1", "Supplement", 0, 2), span(doc, "T2", "Symptom", 3, 4),
+                span(doc, "T3", "Symptom", 5, 6), span(doc, "T4", "Supplement", 6, 7),
+                span(doc, "T5", "BodyOrgan", 4, 5)]
+    expected = []
+    for head in entities:
+        for tail in entities:
+            if head.etype == "Supplement" and tail.etype in EVENT_TYPES:
+                probe = RelationInstance("d", head, tail, "NoRelation")
+                probs, _ = cnn_forward(model, encode_instance(probe, doc, emb, 16))
+                label = model.labels[int(np.argmax(probs))]
+                if label != "NoRelation":
+                    expected.append(RelationInstance("d", head, tail, label))
+    assert expected
+    assert classify_pairs(doc, entities, model, emb) == expected
 
 
 # --------------------------------------------------------------- weights

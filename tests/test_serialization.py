@@ -128,6 +128,76 @@ def test_misshaped_weight_is_refused_naming_it(bundles, model_type, name, corrup
         model_from_bundle(bundle)
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("model_type, key", [
+    ("lstm_crf", "input_dim"), ("lstm_crf", "hidden"),
+    ("cnn_re", "input_dim"), ("cnn_re", "max_len"),
+])
+@pytest.mark.parametrize("value", [MISSING, 3.5, 8.0, "8", True, 0, None])
+def test_bad_size_hyperparameter_is_refused_naming_it(bundles, model_type, key, value):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    if value is MISSING:
+        del bundle["hyperparameters"][key]
+    else:
+        bundle["hyperparameters"][key] = value
+    with pytest.raises(ValueError, match=f"{model_type} bundle: hyperparameter {key}"):
+        model_from_bundle(bundle)
+
+
+@pytest.mark.parametrize("value", [MISSING, "0.2", 1.0, -0.1, None])
+def test_bad_cnn_dropout_is_refused_naming_it(bundles, value):
+    bundle = json.loads(dumps_bundle(bundles["cnn_re"]))
+    if value is MISSING:
+        del bundle["hyperparameters"]["dropout"]
+    else:
+        bundle["hyperparameters"]["dropout"] = value
+    with pytest.raises(ValueError, match="hyperparameter dropout"):
+        model_from_bundle(bundle)
+
+
+def _ragged(w):
+    return [w[0][:-1]] + w[1:]
+
+
+def _strings(w):
+    return [[str(v) for v in row] for row in w]
+
+
+def _holes(w):
+    return [[None] * len(w[0])] + w[1:]
+
+
+@pytest.mark.parametrize("model_type, name", [
+    ("lstm_crf", "Wx_fwd"), ("lstm_crf", "Wh_bwd"), ("lstm_crf", "Wp"), ("lstm_crf", "T"),
+    ("cnn_re", "markers"), ("cnn_re", "pos_head"), ("cnn_re", "conv_W"), ("cnn_re", "out_W"),
+])
+@pytest.mark.parametrize("corrupt", [None, _ragged, _strings, _holes])
+def test_bad_weight_list_is_refused_naming_it(bundles, model_type, name, corrupt):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    if corrupt is None:
+        del bundle["weights"][name]
+    else:
+        bundle["weights"][name] = corrupt(bundle["weights"][name])
+    with pytest.raises(ValueError, match=f"{model_type} bundle: weights {name} "):
+        model_from_bundle(bundle)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model_type", None), ("label_alphabet", "BIO"), ("hyperparameters", []),
+    ("weights", MISSING),
+])
+def test_bad_top_level_field_is_refused_naming_it(bundles, key, value):
+    bundle = json.loads(dumps_bundle(bundles["lstm_crf"]))
+    if value is MISSING:
+        del bundle[key]
+    else:
+        bundle[key] = value
+    with pytest.raises(ValueError, match=f"bundle: {key} "):
+        model_from_bundle(bundle)
+
+
 def test_cnn_bundle_with_a_switch_off_is_refused(bundles):
     bundle = bundles["cnn_re"]
     assert "use_positions" not in bundle["hyperparameters"]
