@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -39,7 +40,13 @@ def load_static(path) -> EmbeddingTable:
             if not parts:
                 continue
             word = parts[0].lower()
-            values = [float(v) for v in parts[1:]]
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError:
+                values = [math.nan]  # not a number: refused below
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: vector values must be finite "
+                                 f"numbers, got {line.rstrip()!r}")
             if dim is None:
                 dim = len(values)
                 if dim == 0:

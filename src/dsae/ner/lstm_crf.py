@@ -3,24 +3,23 @@ forward/backward passes.
 
 Per-direction hidden size is 64 (128 concatenated), gate order is
 (input, forget, cell, output). No dropout anywhere, matching the model
-this reimplements.
+this reimplements. ``Wx`` (2, d, 4H), ``Wh`` (2, H, 4H) and ``b`` (2, 4H)
+stack direction 0, which reads each sequence in order, and direction 1,
+which reads it reversed within its own length.
 
-Both passes run over a zero-padded (B, L, d) batch of sequences, after
-the minibatched BiLSTM-CRF of Lample et al. 2016 (arXiv:1603.01360). Each
-direction steps all B sequences at once; the backward one reads each
-sequence reversed within its own length, so in both directions the padding
-comes after a sequence and never reaches it. The B score matrices go
-through one masked ``kernels.crf_layer`` call, and BPTT stores every
-step's gate gradients so that each weight gradient is one matrix product.
-Training runs the shared minibatch Adam loop (``numeric.optim.adam_train``)
-with gradient-norm clipping, whose batch callback is ``nll_and_grad``; a
-dev split selects the epoch by exact-span F1. Dev scoring and
-``lstm_crf_decode`` use the same padded forward pass.
+Both passes run over a zero-padded batch, after Lample et al. 2016
+(arXiv:1603.01360): each step advances both directions of all B sequences
+as one (2, B, H) recursion, with the padding after every sequence. One
+masked ``kernels.crf_layer`` call scores the batch. BPTT computes every
+factor that does not depend on the recursion up front, so the steps carry
+only ``dh`` and ``dc``; each weight gradient is one batched product.
+Training runs ``numeric.optim.adam_train`` with ``nll_and_grad`` as its
+batch callback; a dev split selects the epoch by exact-span F1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,20 +36,15 @@ from .crf import viterbi
 _DECODE_BATCH = 32
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _param_shapes(d: int, hidden: int, n_labels: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    for direction in ("fwd", "bwd"):
-        shapes[f"Wx_{direction}"] = (d, 4 * hidden)
-        shapes[f"Wh_{direction}"] = (hidden, 4 * hidden)
-        shapes[f"b_{direction}"] = (4 * hidden,)
-    shapes["Wp"] = (2 * hidden, n_labels)
-    shapes["bp"] = (n_labels,)
-    shapes["T"] = (n_labels, n_labels)
-    return shapes
+    return {
+        "Wx": (2, d, 4 * hidden),
+        "Wh": (2, hidden, 4 * hidden),
+        "b": (2, 4 * hidden),
+        "Wp": (2 * hidden, n_labels),
+        "bp": (n_labels,),
+        "T": (n_labels, n_labels),
+    }
 
 
 @dataclass
@@ -76,15 +70,12 @@ class LstmCrfModel:
     def init(cls, input_dim: int, hidden: int, labels, seed: int) -> "LstmCrfModel":
         params = ParamVector(_param_shapes(input_dim, hidden, len(labels)))
         rng = Rng(seed, stream=23)
-        for direction in ("fwd", "bwd"):
-            r = np.sqrt(6.0 / (input_dim + 4 * hidden))
-            params[f"Wx_{direction}"][:] = (rng.uniform((input_dim, 4 * hidden)) * 2 - 1) * r
-            Wh = params[f"Wh_{direction}"]
+        r = np.sqrt(6.0 / (input_dim + 4 * hidden))
+        for k in range(2):  # forward, then backward
+            params["Wx"][k] = (rng.uniform((input_dim, 4 * hidden)) * 2 - 1) * r
             for gate in range(4):
-                Wh[:, gate * hidden:(gate + 1) * hidden] = _orthogonal(hidden, rng)
-            b = params[f"b_{direction}"]
-            b[:] = 0.0
-            b[hidden:2 * hidden] = 1.0  # forget-gate bias
+                params["Wh"][k, :, gate * hidden:(gate + 1) * hidden] = _orthogonal(hidden, rng)
+        params["b"][:, hidden:2 * hidden] = 1.0  # forget-gate bias
         r = np.sqrt(6.0 / (2 * hidden + len(labels)))
         params["Wp"][:] = (rng.uniform((2 * hidden, len(labels))) * 2 - 1) * r
         return cls(labels=tuple(labels), input_dim=input_dim, hidden=hidden, params=params)
@@ -103,94 +94,89 @@ def _pad(seqs: list[np.ndarray], L: int) -> np.ndarray:
     return out
 
 
-def _reverse_within(A: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """Each row of the (B, L, ...) batch A reversed within its sequence's
-    length, zero in the padding."""
-    out = np.zeros_like(A)
-    for b, n in enumerate(lengths):
-        out[b, :n] = A[b, n - 1::-1]
-    return out
-
-
-def _lstm_direction(X: np.ndarray, Wx, Wh, b, hidden: int):
-    """Run one direction over the time-ordered (B, L, d) batch X; returns the
-    (B, L, H) hidden states plus the caches needed for BPTT."""
-    B, L, _ = X.shape
-    H = hidden
-    gates = np.empty((B, L, 4 * H))
-    cs = np.empty((B, L, H))
-    tanh_cs = np.empty((B, L, H))
-    hs = np.empty((B, L, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    pre = X @ Wx + b
+def _lstm(inp: np.ndarray, Wx, Wh, b):
+    """Run both directions over the stacked (2, L, B, d) inputs. Returns
+    the time-major (L + 1, 2, B, H) hidden states, whose first row is the
+    zero start state, and the caches BPTT needs."""
+    _, L, B, d = inp.shape
+    H = Wh.shape[1]
+    pre = (np.matmul(inp.reshape(2, L * B, d), Wx) + b[:, None]).reshape(2, L, B, 4 * H)
+    gates = np.empty((L, 2, B, 4 * H))
+    cs = np.zeros((L + 1, 2, B, H))
+    tanh_cs = np.empty((L, 2, B, H))
+    hs = np.zeros((L + 1, 2, B, H))
     for t in range(L):
-        a = pre[:, t] + h @ Wh
-        gate = gates[:, t]
-        gate[:] = _sigmoid(a)  # input, forget, output gates
-        gate[:, 2 * H:3 * H] = np.tanh(a[:, 2 * H:3 * H])  # cell candidate
-        c = gate[:, H:2 * H] * c + gate[:, :H] * gate[:, 2 * H:3 * H]
-        tc = np.tanh(c)
-        h = gate[:, 3 * H:] * tc
-        cs[:, t] = c
-        tanh_cs[:, t] = tc
-        hs[:, t] = h
-    return hs, (gates, cs, tanh_cs)
+        a = np.matmul(hs[t], Wh)
+        a += pre[:, t]
+        gate = gates[t]
+        # the sigmoid 1 / (1 + exp(-a)) of the input, forget and output gates
+        np.negative(a, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+        np.tanh(a[..., 2 * H:3 * H], out=gate[..., 2 * H:3 * H])  # cell candidate
+        c = cs[t + 1]
+        np.multiply(gate[..., H:2 * H], cs[t], out=c)
+        c += gate[..., :H] * gate[..., 2 * H:3 * H]
+        np.tanh(c, out=tanh_cs[t])
+        np.multiply(gate[..., 3 * H:], tanh_cs[t], out=hs[t + 1])
+    return hs, (inp, hs, gates, cs, tanh_cs)
 
 
-def _lstm_direction_backward(X, hs, cache, Wh, dH, hidden, gWx, gWh, gb):
-    """BPTT over the (B, L) batch. Padding follows each sequence and has
-    zero ``dH``, so no gradient reaches it or flows out of it."""
-    gates, cs, tanh_cs = cache
-    B, L, d = X.shape
-    H = hidden
-    dA = np.empty((B, L, 4 * H))
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+def _lstm_backward(cache, Wh, dH, grad: ParamVector) -> None:
+    """BPTT of both directions, given the time-major (L, 2, B, H) gradient
+    ``dH`` of the hidden states. Padding follows each sequence and has zero
+    ``dH``, so no gradient reaches it or flows out of it."""
+    inp, hs, gates, cs, tanh_cs = cache
+    _, L, B, d = inp.shape
+    H = Wh.shape[1]
+    i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    # d a / d c of the input, forget and cell gates, and d a / d h of the
+    # output gate, for the whole sequence at once
+    factors = np.empty((L, 2, B, 4, H))
+    factors[..., 0, :] = g * i * (1.0 - i)
+    factors[..., 1, :] = cs[:-1] * f * (1.0 - f)
+    factors[..., 2, :] = i * (1.0 - g * g)
+    factors[..., 3, :] = tanh_cs * o * (1.0 - o)
+    dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+    WhT = Wh.transpose(0, 2, 1)
+    dA = np.empty((2, L, B, 4, H))
+    dh_next = dc_next = np.zeros((2, B, H))
     for t in range(L - 1, -1, -1):
-        gate = gates[:, t]
-        i = gate[:, :H]
-        f = gate[:, H:2 * H]
-        g = gate[:, 2 * H:3 * H]
-        o = gate[:, 3 * H:]
-        tc = tanh_cs[:, t]
-        dh = dH[:, t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dh = dH[t] + dh_next
+        dc = dh * dc_dh[t]
+        dc += dc_next
         da = dA[:, t]
-        da[:, :H] = dc * g * i * (1.0 - i)
-        c_prev = cs[:, t - 1] if t > 0 else 0.0
-        da[:, H:2 * H] = dc * c_prev * f * (1.0 - f)
-        da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
-        da[:, 3 * H:] = do * o * (1.0 - o)
-        dh_next = da @ Wh.T
-        dc_next = dc * f
-    dA = dA.reshape(B * L, 4 * H)
-    gWx += X.reshape(B * L, d).T @ dA
+        np.multiply(dc[:, :, None], factors[t, :, :, :3], out=da[:, :, :3])
+        np.multiply(dh, factors[t, :, :, 3], out=da[:, :, 3])
+        dh_next = np.matmul(da.reshape(2, B, 4 * H), WhT)
+        dc_next = dc * f[t]
+    dA = dA.reshape(2, L * B, 4 * H)
+    grad["Wx"] += np.matmul(inp.reshape(2, L * B, d).transpose(0, 2, 1), dA)
     # the state each step started from: zero, then the previous output
-    h_prev = np.zeros((B, L, H))
-    h_prev[:, 1:] = hs[:, :-1]
-    gWh += h_prev.reshape(B * L, H).T @ dA
-    gb += dA.sum(axis=0)
+    h_prev = hs[:-1].transpose(1, 0, 2, 3).reshape(2, L * B, H)
+    grad["Wh"] += np.matmul(h_prev.transpose(0, 2, 1), dA)
+    grad["b"] += dA.sum(axis=1)
 
 
 def _forward_scores(params: ParamVector, Xs: list[np.ndarray], hidden: int):
     """Padded (B, L, K) label scores of the sequences ``Xs`` plus the cache
     for backprop. Each sequence's scores fill the first rows of its slice."""
-    lengths = [len(X) for X in Xs]
-    L = max(lengths)
-    X = _pad(Xs, L)
-    Xr = _reverse_within(X, lengths)
-    h_fwd, cache_f = _lstm_direction(
-        X, params["Wx_fwd"], params["Wh_fwd"], params["b_fwd"], hidden)
-    h_bwd_r, cache_b = _lstm_direction(
-        Xr, params["Wx_bwd"], params["Wh_bwd"], params["b_bwd"], hidden)
-    Hcat = np.empty((len(Xs), L, 2 * hidden))
-    Hcat[..., :hidden] = h_fwd
-    Hcat[..., hidden:] = _reverse_within(h_bwd_r, lengths)
+    lengths = np.array([len(X) for X in Xs])
+    B, L, H = len(Xs), lengths.max(), hidden
+    X = _pad(Xs, L).transpose(1, 0, 2)
+    # reverses each sequence within its length, padding in place; self-inverse
+    t = np.arange(L)[:, None]
+    rev = np.where(t < lengths, lengths - 1 - t, t), np.arange(B)
+    inp = np.empty((2, L, B, X.shape[2]))
+    inp[0] = X
+    inp[1] = X[rev]
+    hs, lstm_cache = _lstm(inp, params["Wx"], params["Wh"], params["b"])
+    Hcat = np.empty((B, L, 2 * H))
+    Hcat[..., :H] = hs[1:, 0].transpose(1, 0, 2)
+    Hcat[..., H:] = hs[1:, 1][rev].transpose(1, 0, 2)
     scores = Hcat @ params["Wp"] + params["bp"]
-    cache = (lengths, X, h_fwd, cache_f, Xr, h_bwd_r, cache_b, Hcat)
-    return scores, cache
+    return scores, (lengths, rev, lstm_cache, Hcat)
 
 
 def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray],
@@ -199,9 +185,9 @@ def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray]
     non-empty sequences plus, when ``grad`` is given, accumulation of the
     full-model gradient."""
     scores, cache = _forward_scores(params, Xs, hidden)
-    lengths, X, h_fwd, cache_f, Xr, h_bwd_r, cache_b, Hcat = cache
+    lengths, rev, lstm_cache, Hcat = cache
     B, L, _ = scores.shape
-    mask = np.arange(L) < np.asarray(lengths)[:, None]
+    mask = np.arange(L) < lengths[:, None]
     y = np.zeros((B, L), dtype=np.int64)
     y[mask] = np.concatenate(ys)
     value, dscores, dT = kernels.crf_layer(scores, params["T"], y, mask)
@@ -212,26 +198,22 @@ def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray]
     flat = dscores.reshape(B * L, -1)
     grad["Wp"] += Hcat.reshape(B * L, -1).T @ flat
     grad["bp"] += flat.sum(axis=0)
-    dHcat = dscores @ params["Wp"].T
-    H = hidden
-    _lstm_direction_backward(X, h_fwd, cache_f, params["Wh_fwd"], dHcat[..., :H], H,
-                             grad["Wx_fwd"], grad["Wh_fwd"], grad["b_fwd"])
-    _lstm_direction_backward(Xr, h_bwd_r, cache_b, params["Wh_bwd"],
-                             _reverse_within(dHcat[..., H:], lengths), H,
-                             grad["Wx_bwd"], grad["Wh_bwd"], grad["b_bwd"])
+    dHcat = (dscores @ params["Wp"].T).transpose(1, 0, 2)
+    dH = np.empty((L, 2, B, hidden))
+    dH[:, 0] = dHcat[..., :hidden]
+    dH[:, 1] = dHcat[rev + (slice(hidden, None),)]
+    _lstm_backward(lstm_cache, params["Wh"], dH, grad)
     return value
 
 
 def lstm_crf_objective(model: LstmCrfModel, X: np.ndarray, y: np.ndarray):
     """Flat-parameter objective for one instance, for gradient checking."""
-    template = model.params
 
     def objective(flat: np.ndarray):
-        p = ParamVector(template.shapes)
+        p = ParamVector(model.params.shapes)
         p.set_data(flat)
         g = p.zeros_like()
-        value = nll_and_grad(p, [X], [y], model.hidden, g)
-        return value, g.data.copy()
+        return nll_and_grad(p, [X], [y], model.hidden, g), g.data
 
     return objective
 
@@ -263,11 +245,7 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
                rng=Rng(cfg.seed, stream=29), clip_norm=cfg.clip_norm,
                dev_score=dev_score if dev else None)
-    model.hyperparameters = {
-        "hidden": cfg.hidden, "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "lr": cfg.lr, "weight_decay": cfg.weight_decay, "clip_norm": cfg.clip_norm,
-        "seed": cfg.seed,
-    }
+    model.hyperparameters = asdict(cfg)
     return model
 
 

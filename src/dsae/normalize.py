@@ -288,11 +288,15 @@ class ExternalPos:
     def load(cls, path) -> "ExternalPos":
         table: dict[tuple[str, int], str] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                doc_id, index, tag = line.split("\t")
+                fields = line.split("\t")
+                if len(fields) != 3 or not fields[1].strip().isdecimal():
+                    raise ValueError(f"{path}:{lineno}: expected doc_id<TAB>token "
+                                     f"index<TAB>tag, got {line!r}")
+                doc_id, index, tag = fields
                 table[(doc_id, int(index))] = tag
         return cls(table)
 

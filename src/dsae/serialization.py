@@ -35,8 +35,22 @@ def _encode_registry(registry: FeatureRegistry | None):
 def _decode_registry(blob) -> FeatureRegistry | None:
     if blob is None:
         return None
-    registry = FeatureRegistry(int(blob["dense_dim"]))
-    registry.index = {name: int(idx) for name, idx in blob["index"].items()}
+    if not isinstance(blob, dict):
+        raise ValueError(f"bundle: feature_registry must be a dict, got {blob!r}")
+    dense_dim = blob.get("dense_dim")
+    if type(dense_dim) is not int or dense_dim < 0:
+        raise ValueError("bundle: feature_registry dense_dim must be a non-negative "
+                         f"integer, got {dense_dim!r}")
+    index = blob.get("index")
+    if not isinstance(index, dict):
+        raise ValueError("bundle: feature_registry index must be a dict of columns, "
+                         f"got {type(index).__name__}")
+    columns = index.values()
+    if not all(type(c) is int for c in columns) or set(columns) != set(range(len(index))):
+        raise ValueError("bundle: feature_registry index columns must be the "
+                         f"integers 0..{len(index) - 1}, each once")
+    registry = FeatureRegistry(dense_dim)
+    registry.index = dict(index)
     registry.freeze()
     return registry
 
@@ -90,12 +104,8 @@ def model_to_bundle(model) -> dict:
         model_type = "svm"
         registry = model.registry
         weights = {"W": model.W.tolist(), "b": model.b.tolist()}
-    elif isinstance(model, LstmCrfModel):
-        model_type = "lstm_crf"
-        registry = None
-        weights = {name: model.params[name].tolist() for name in model.params.shapes}
-    elif isinstance(model, CnnReModel):
-        model_type = "cnn_re"
+    elif isinstance(model, (LstmCrfModel, CnnReModel)):
+        model_type = "lstm_crf" if isinstance(model, LstmCrfModel) else "cnn_re"
         registry = None
         weights = {name: model.params[name].tolist() for name in model.params.shapes}
     else:
@@ -133,7 +143,7 @@ def model_from_bundle(bundle: dict):
     weights = _field(bundle, "weights", dict)
     K = len(labels)
     if model_type in ("crf", "svm"):
-        registry = _decode_registry(bundle["feature_registry"])
+        registry = _decode_registry(bundle.get("feature_registry"))
         if registry is None:
             raise ValueError(f"{model_type} bundle: feature_registry is missing")
         D = registry.total_dim

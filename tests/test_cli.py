@@ -153,6 +153,21 @@ def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):
     assert "weights T" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda r: r.pop("dense_dim"), lambda r: r.update(dense_dim="x"),
+    lambda r: r.update(index=list(r["index"])),
+])
+def test_eval_on_bundle_with_bad_registry_exits_1(trained, tmp_path, capsys, corrupt):
+    _, config, out = trained
+    bundle = json.loads((out / "ner_crf.json").read_text())
+    corrupt(bundle["feature_registry"])
+    bad = tmp_path / "out"
+    bad.mkdir()
+    (bad / "ner_crf.json").write_text(json.dumps(bundle))
+    assert run("eval-ner", "--config", config, "--out", str(bad)) == 1
+    assert "bundle: feature_registry " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, model, field", [
     ("eval-ner", "lstm_crf", "hidden"), ("eval-re", "cnn_re", "max_len"),
 ])

@@ -8,6 +8,7 @@ from dsae.ner import lstm_crf
 from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_decode,
                                lstm_crf_objective, lstm_crf_train, nll_and_grad)
 from dsae.numeric.optim import grad_check
+from dsae.numeric.params import ParamVector
 from dsae.numeric.rng import Rng
 
 
@@ -17,14 +18,32 @@ LABELS = BIO_LABELS
 def test_init_orthogonal_recurrent_and_forget_bias():
     model = LstmCrfModel.init(input_dim=6, hidden=5, labels=LABELS, seed=0)
     H = 5
-    for direction in ("fwd", "bwd"):
-        Wh = model.params[f"Wh_{direction}"]
+    for k in range(2):
+        Wh = model.params["Wh"][k]
         for gate in range(4):
             block = Wh[:, gate * H:(gate + 1) * H]
             assert np.allclose(block.T @ block, np.eye(H), atol=1e-10)
-        b = model.params[f"b_{direction}"]
+        b = model.params["b"][k]
         assert np.all(b[H:2 * H] == 1.0)
         assert np.all(b[:H] == 0.0) and np.all(b[2 * H:] == 0.0)
+
+
+def test_init_draws_forward_then_backward_direction():
+    """Direction 0 takes the first Rng(seed, 23) draws, Wx before its four
+    Wh blocks, then direction 1, then Wp."""
+    d, H = 5, 3
+    model = LstmCrfModel.init(d, H, LABELS, seed=4)
+    rng = Rng(4, stream=23)
+    r = np.sqrt(6.0 / (d + 4 * H))
+    for k in range(2):
+        assert np.array_equal(model.params["Wx"][k],
+                              (rng.uniform((d, 4 * H)) * 2 - 1) * r)
+        for gate in range(4):
+            assert np.array_equal(model.params["Wh"][k, :, gate * H:(gate + 1) * H],
+                                  lstm_crf._orthogonal(H, rng))
+    r = np.sqrt(6.0 / (2 * H + len(LABELS)))
+    assert np.array_equal(model.params["Wp"],
+                          (rng.uniform((2 * H, len(LABELS))) * 2 - 1) * r)
 
 
 def test_init_deterministic_in_seed():
@@ -48,24 +67,61 @@ def test_objective_gradient_check():
         assert grad_check(objective, x0) < 1e-6
 
 
+def _batch(rng, lengths, d):
+    Xs = [rng.normal((n, d)) for n in lengths]
+    ys = [np.array([rng.randint(len(LABELS)) for _ in range(n)]) for n in lengths]
+    return Xs, ys
+
+
+def test_batch_gradient_check():
+    rng = Rng(1, stream=14)
+    model = LstmCrfModel.init(input_dim=4, hidden=3, labels=LABELS, seed=1)
+    Xs, ys = _batch(rng, (5, 2, 4), 4)
+
+    def objective(flat):
+        p = ParamVector(model.params.shapes)
+        p.set_data(flat)
+        g = p.zeros_like()
+        return nll_and_grad(p, Xs, ys, 3, g), g.data
+
+    x0 = model.params.data + rng.normal((model.params.size,), scale=0.05)
+    assert grad_check(objective, x0) < 1e-6
+
+
+@pytest.mark.parametrize("silent", [0, 1])
+def test_directions_do_not_mix(silent):
+    """With one direction's half of Wp zeroed, that direction's weights get
+    exactly zero gradient and the other direction's do not."""
+    rng = Rng(2, stream=15)
+    H = 4
+    model = LstmCrfModel.init(3, H, LABELS, seed=2)
+    model.params.data += rng.normal((model.params.size,), scale=0.3)
+    model.params["Wp"][silent * H:(silent + 1) * H] = 0.0
+    Xs, ys = _batch(rng, (4, 1, 6), 3)
+    grad = model.params.zeros_like()
+    nll_and_grad(model.params, Xs, ys, H, grad)
+    for name in ("Wx", "Wh", "b"):
+        assert not np.any(grad[name][silent])
+        assert np.all(np.any(grad[name][1 - silent] != 0.0, axis=-1))
+
+
 def reference_scores(params, X, H):
     """Label scores of one sequence from a step-by-step BiLSTM: the forward
     direction reads X left to right, the backward one right to left."""
     def sigmoid(a):
         return 1.0 / (1.0 + np.exp(-a))
 
-    def run(rows, direction):
+    def run(rows, k):
         h, c, out = np.zeros(H), np.zeros(H), []
         for x in rows:
-            a = (x @ params[f"Wx_{direction}"] + h @ params[f"Wh_{direction}"]
-                 + params[f"b_{direction}"])
+            a = x @ params["Wx"][k] + h @ params["Wh"][k] + params["b"][k]
             i, f, o = sigmoid(a[:H]), sigmoid(a[H:2 * H]), sigmoid(a[3 * H:])
             c = f * c + i * np.tanh(a[2 * H:3 * H])
             h = o * np.tanh(c)
             out.append(h)
         return np.array(out)
 
-    hidden = np.concatenate([run(X, "fwd"), run(X[::-1], "bwd")[::-1]], axis=1)
+    hidden = np.concatenate([run(X, 0), run(X[::-1], 1)[::-1]], axis=1)
     return hidden @ params["Wp"] + params["bp"]
 
 
@@ -164,6 +220,7 @@ def test_train_loss_decreases(memorizable):
     assert loss_after < loss_before
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_nonfinite_loss_names_epoch_and_batch(memorizable):
     bad = [(np.full_like(X, np.nan), y) for X, y in memorizable]
     cfg = LstmCrfConfig(hidden=4, epochs=1, batch_size=4, seed=0)

@@ -196,6 +196,29 @@ def test_pos_external_verbatim_and_missing(unigrams):
         pos_tag(doc, ExternalPos({("d1", 0): "NOUN"}))
 
 
+_POS_FIELD = st.text(alphabet="abcXYZ019_.-", min_size=1, max_size=6)
+_POS_RECORD = st.tuples(_POS_FIELD, st.integers(0, 99), _POS_FIELD).map(
+    lambda r: "\t".join(map(str, r)))
+_BAD_POS_RECORD = st.one_of(
+    st.lists(_POS_FIELD, min_size=1, max_size=5).filter(lambda f: len(f) != 3)
+    .map("\t".join),
+    st.tuples(_POS_FIELD, st.one_of(_POS_FIELD.filter(lambda f: not f.isdecimal()),
+                                    st.integers(max_value=-1).map(str),
+                                    st.floats().map(str)), _POS_FIELD)
+    .map("\t".join),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(good=st.lists(_POS_RECORD, max_size=4), bad=_BAD_POS_RECORD)
+def test_pos_external_load_names_file_and_line_of_bad_record(tmp_path_factory, good, bad):
+    path = tmp_path_factory.mktemp("pos") / "pos.tsv"
+    path.write_text("\n".join(good + [bad]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{len(good) + 1}: ")
+                       + ".*" + re.escape(repr(bad))):
+        ExternalPos.load(path)
+
+
 def test_pos_external_load(tmp_path, unigrams):
     path = tmp_path / "pos.tsv"
     path.write_text("d1\t0\tNOUN\nd1\t1\tNUM\n")

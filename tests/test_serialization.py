@@ -170,7 +170,7 @@ def _holes(w):
 
 
 @pytest.mark.parametrize("model_type, name", [
-    ("lstm_crf", "Wx_fwd"), ("lstm_crf", "Wh_bwd"), ("lstm_crf", "Wp"), ("lstm_crf", "T"),
+    ("lstm_crf", "Wx"), ("lstm_crf", "Wh"), ("lstm_crf", "Wp"), ("lstm_crf", "T"),
     ("cnn_re", "markers"), ("cnn_re", "pos_head"), ("cnn_re", "conv_W"), ("cnn_re", "out_W"),
 ])
 @pytest.mark.parametrize("corrupt", [None, _ragged, _strings, _holes])
@@ -181,6 +181,58 @@ def test_bad_weight_list_is_refused_naming_it(bundles, model_type, name, corrupt
     else:
         bundle["weights"][name] = corrupt(bundle["weights"][name])
     with pytest.raises(ValueError, match=f"{model_type} bundle: weights {name} "):
+        model_from_bundle(bundle)
+
+
+def test_bundle_with_per_direction_lstm_weights_is_refused(bundles):
+    bundle = json.loads(dumps_bundle(bundles["lstm_crf"]))
+    weights = bundle["weights"]
+    for name in ("Wx", "Wh", "b"):
+        weights[f"{name}_fwd"], weights[f"{name}_bwd"] = weights.pop(name)
+    with pytest.raises(ValueError, match="lstm_crf bundle: weights Wx is missing"):
+        model_from_bundle(bundle)
+
+
+def _set_column(value):
+    """Corruption that gives the registry's first indicator ``value`` as
+    its column."""
+    def corrupt(registry):
+        registry["index"][next(iter(registry["index"]))] = value
+    return corrupt
+
+
+def _repeat_column(registry):
+    first, second = list(registry["index"])[:2]
+    registry["index"][first] = registry["index"][second]
+
+
+@pytest.mark.parametrize("model_type", ["crf", "svm"])
+@pytest.mark.parametrize("corrupt, field", [
+    pytest.param(lambda r: r.pop("dense_dim"), "dense_dim", id="dense_dim-missing"),
+    pytest.param(lambda r: r.update(dense_dim="x"), "dense_dim", id="dense_dim-text"),
+    pytest.param(lambda r: r.update(dense_dim=-1), "dense_dim", id="dense_dim-negative"),
+    pytest.param(lambda r: r.update(index=list(r["index"])), "index", id="index-list"),
+    pytest.param(_set_column("0"), "index", id="column-text"),
+    pytest.param(_set_column(0.5), "index", id="column-float"),
+    pytest.param(_set_column([0]), "index", id="column-list"),
+    pytest.param(_set_column(-1), "index", id="column-negative"),
+    pytest.param(_repeat_column, "index", id="column-repeated"),
+    pytest.param(lambda r: r.update(index={k: v + 1 for k, v in r["index"].items()}),
+                 "index", id="columns-from-1"),
+])
+def test_bad_feature_registry_is_refused_naming_the_field(bundles, model_type,
+                                                          corrupt, field):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    corrupt(bundle["feature_registry"])
+    with pytest.raises(ValueError, match=f"bundle: feature_registry {field} "):
+        model_from_bundle(bundle)
+
+
+@pytest.mark.parametrize("model_type", ["crf", "svm"])
+def test_feature_registry_that_is_not_a_dict_is_refused(bundles, model_type):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    bundle["feature_registry"] = [bundle["feature_registry"]]
+    with pytest.raises(ValueError, match="bundle: feature_registry must be a dict"):
         model_from_bundle(bundle)
 
 
