@@ -90,8 +90,8 @@ class AnnotatedDoc:
 
 
 class StandoffError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, doc_id: str, lineno: int, message: str):
+        super().__init__(f"document {doc_id!r}, line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -110,7 +110,8 @@ def _token_range(doc: NormalizedDoc, char_start: int, char_end: int, lineno: int
     starts = {t.start: i for i, t in enumerate(doc.tokens)}
     ends = {t.end: i + 1 for i, t in enumerate(doc.tokens)}
     if char_start not in starts or char_end not in ends:
-        raise StandoffError(lineno, f"span [{char_start},{char_end}) is not token-aligned")
+        raise StandoffError(doc.doc_id, lineno,
+                            f"span [{char_start},{char_end}) is not token-aligned")
     return starts[char_start], ends[char_end]
 
 
@@ -125,57 +126,57 @@ def parse_standoff(ann_text: str, doc: NormalizedDoc) -> AnnotatedDoc:
             continue
         fields = line.split("\t")
         tag = fields[0]
+        parts = fields[1].split(" ") if len(fields) > 1 else []
         if tag.startswith("T"):
-            if len(fields) < 3:
-                raise StandoffError(lineno, "entity line needs 3 tab-separated fields")
-            etype, start_s, end_s = fields[1].split(" ")
-            start, end = int(start_s), int(end_s)
+            if len(fields) < 3 or len(parts) != 3 or not all(p.isdecimal() for p in parts[1:]):
+                raise StandoffError(doc.doc_id, lineno, "entity line needs "
+                                    f"'Ti<TAB>Type start end<TAB>surface', got {line!r}")
+            etype, start, end = parts[0], int(parts[1]), int(parts[2])
             surface = fields[2]
             if etype not in ENTITY_TYPES:
-                raise StandoffError(lineno, f"unknown entity type {etype!r}")
+                raise StandoffError(doc.doc_id, lineno, f"unknown entity type {etype!r}")
             actual = doc.normalized_text[start:end]
             if actual != surface:
-                raise StandoffError(
-                    lineno, f"surface mismatch: annotation {surface!r} vs text {actual!r}")
+                raise StandoffError(doc.doc_id, lineno, f"surface mismatch: annotation "
+                                    f"{surface!r} vs text {actual!r}")
             tok_start, tok_end = _token_range(doc, start, end, lineno)
             if tag in entities:
-                raise StandoffError(lineno, f"duplicate entity id {tag}")
+                raise StandoffError(doc.doc_id, lineno, f"duplicate entity id {tag}")
             entities[tag] = EntitySpan(tag, etype, start, end, tok_start, tok_end)
         elif tag.startswith("R"):
-            parts = fields[1].split(" ")
-            if len(parts) != 3:
-                raise StandoffError(lineno, "relation line needs 'Type Arg1:Ti Arg2:Tj'")
+            if len(parts) != 3 or not all(":" in p for p in parts[1:]):
+                raise StandoffError(doc.doc_id, lineno,
+                                    "relation line needs 'Type Arg1:Ti Arg2:Tj'")
             rtype = parts[0]
             if rtype not in ("Indication", "AdverseEvent"):
-                raise StandoffError(lineno, f"unknown relation type {rtype!r}")
+                raise StandoffError(doc.doc_id, lineno, f"unknown relation type {rtype!r}")
             arg1 = parts[1].split(":", 1)[1]
             arg2 = parts[2].split(":", 1)[1]
             relations.append((lineno, rtype, arg1, arg2))
         elif tag.startswith("A"):
-            parts = fields[1].split(" ")
             if len(parts) != 2 or parts[0] != "Deficiency":
-                raise StandoffError(lineno, "attribute line needs 'Deficiency Ti'")
+                raise StandoffError(doc.doc_id, lineno, "attribute line needs 'Deficiency Ti'")
             deficient.append((lineno, parts[1]))
         else:
-            raise StandoffError(lineno, f"unknown line tag {tag!r}")
+            raise StandoffError(doc.doc_id, lineno, f"unknown line tag {tag!r}")
 
     for lineno, target in deficient:
         if target not in entities:
-            raise StandoffError(lineno, f"dangling entity reference {target}")
+            raise StandoffError(doc.doc_id, lineno, f"dangling entity reference {target}")
         entities[target] = replace(entities[target], deficiency=True)
 
     resolved = []
     for lineno, rtype, arg1, arg2 in relations:
         if arg1 not in entities or arg2 not in entities:
-            raise StandoffError(lineno, f"dangling entity reference in relation")
+            raise StandoffError(doc.doc_id, lineno, f"dangling entity reference in relation")
         try:
             resolved.append(RelationInstance(doc.doc_id, entities[arg1], entities[arg2], rtype))
         except ValueError as exc:
-            raise StandoffError(lineno, str(exc)) from exc
+            raise StandoffError(doc.doc_id, lineno, str(exc)) from exc
     try:
         return AnnotatedDoc(doc, tuple(entities.values()), tuple(resolved))
     except ValueError as exc:
-        raise StandoffError(0, str(exc)) from exc
+        raise StandoffError(doc.doc_id, 0, str(exc)) from exc
 
 
 def to_bio(doc: NormalizedDoc, entities) -> list[str]:

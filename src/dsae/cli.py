@@ -170,7 +170,13 @@ def _resolve_docs(config: dict) -> list[AnnotatedDoc]:
         unigrams = (UnigramTable.load(config["unigrams"]) if config.get("unigrams")
                     else UnigramTable({"the": 1}))
         with open(annotations, encoding="utf-8") as fh:
-            ann_by_doc = json.load(fh)  # doc_id -> standoff text
+            try:
+                ann_by_doc = json.load(fh)  # doc_id -> standoff text
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{annotations}: invalid JSON ({exc})") from exc
+        if not (isinstance(ann_by_doc, dict)
+                and all(isinstance(text, str) for text in ann_by_doc.values())):
+            raise ValueError(f"{annotations}: need a JSON object of doc id -> standoff text")
         docs = []
         for tweet in load_tweets(corpus):
             if tweet.id not in ann_by_doc:

@@ -41,13 +41,14 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
     if not train_docs:
         raise ValueError("empty training set")
     dense_dim = train_docs[0][0][0].dense.shape[0] if train_docs[0][0] else 0
+    if any(len(features) != len(gold) for features, gold in train_docs):
+        raise ValueError("every document needs one gold label per token")
     registry = FeatureRegistry(dense_dim)
-    instances: list[tuple[np.ndarray, np.ndarray, int]] = []
-    for features, gold in train_docs:
-        X = index_features(features, registry)
-        for (idx, val), lab in zip(_token_rows(X), gold):
-            instances.append((idx, val, labels.index(lab)))
+    # one feature matrix for the whole training set, a row per token
+    X = index_features([tok for features, _ in train_docs for tok in features], registry)
     registry.freeze()
+    y = [labels.index(lab) for _, gold in train_docs for lab in gold]
+    instances = [(idx, val, k) for (idx, val), k in zip(_token_rows(X), y)]
 
     K = len(labels)
     # The weights are scale * V: the L2 shrink of every step scales one

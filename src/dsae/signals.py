@@ -44,6 +44,9 @@ class KnowledgeBase:
             if not required <= set(reader.fieldnames or []):
                 raise ValueError(f"{path}: KB file needs header columns {sorted(required)}")
             for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"{path}:{reader.line_num}: KB row needs "
+                                     f"{len(reader.fieldnames)} fields, got {row!r}")
                 pairs.add((row["supplement"].strip().lower(),
                            row["event"].strip().lower(),
                            row["relation"].strip()))

@@ -70,6 +70,17 @@ def test_parse_standoff_surface_mismatch(doc):
     assert err.value.lineno == 1
 
 
+@pytest.mark.parametrize("ann, lineno, message", [
+    ("T1\tSupplement 5\tvitamin c\n", 1, "entity line needs"),  # no end offset
+    ("T1\tSupplement 0 x\tvitamin c\n", 1, "entity line needs"),  # non-integer offset
+    ("T1\tSupplement 0 9\tvitamin c\nT2\tSymptom 20 31\tsore throat\n"
+     "R1\tIndication T1 T2\n", 3, "relation line needs"),  # no Arg1:/Arg2: prefix
+])
+def test_parse_standoff_malformed_line_names_document_and_line(doc, ann, lineno, message):
+    with pytest.raises(StandoffError, match=f"document 'd1', line {lineno}: {message}"):
+        parse_standoff(ann, doc)
+
+
 def test_parse_standoff_misaligned_span(doc):
     with pytest.raises(StandoffError, match="token-aligned"):
         parse_standoff("T1\tSupplement 0 4\tvita\n", doc)

@@ -66,6 +66,23 @@ def test_corpus_without_annotations_exits_2(tmp_path, capsys):
     assert not (out / "signals.tsv").exists()
 
 
+@pytest.mark.parametrize("text, names", [
+    ("{not json", "ann.json: invalid JSON"),
+    (json.dumps(["T1\tSupplement 0 9\tvitamin c"]), "ann.json: need a JSON object"),
+    (json.dumps({"1": 7}), "ann.json: need a JSON object"),
+    (json.dumps({"1": "T1\tSupplement 0 x\tvitamin c\n"}),
+     "document '1', line 1: entity line needs"),
+])
+def test_bad_annotations_exit_1_naming_the_input(tmp_path, capsys, text, names):
+    corpus = tmp_path / "tweets.jsonl"
+    corpus.write_text(json.dumps({"id": "1", "text": "vitamin c", "lang": "en"}) + "\n")
+    path = tmp_path / "ann.json"
+    path.write_text(text)
+    assert run("train-ner", "--corpus", str(corpus), "--annotations", str(path),
+               "--out", str(tmp_path / "out")) == 1
+    assert names in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ ingest
 
 def test_ingest_fixture(tmp_path, capsys):

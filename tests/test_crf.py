@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,97 @@ def test_batched_layer_equals_sum_of_sequences(K, lengths, extra, seed, data):
     assert nll == pytest.approx(want_nll, rel=1e-12, abs=1e-10)
     assert np.allclose(dT, want_dT, atol=1e-10)
     assert np.all(dscores[~mask] == 0.0)
+
+
+def padded_batch(rng, K, lengths, order, extra):
+    """Random (unary, labels) sequences of the given lengths, and the
+    (scores, y, mask) batch holding them in the given row order, padded with
+    garbage to the longest length plus extra."""
+    seqs = [(rng.normal((L, K), scale=2.0), [rng.randint(K) for _ in range(L)])
+            for L in lengths]
+    N, width = len(seqs), max(lengths) + extra
+    scores = rng.normal((N, width, K), scale=50.0)
+    y = np.full((N, width), 99, dtype=np.int64)
+    mask = np.zeros((N, width), dtype=bool)
+    for row, i in enumerate(order):
+        unary, labels = seqs[i]
+        scores[row, :len(labels)] = unary
+        y[row, :len(labels)] = labels
+        mask[row, :len(labels)] = True
+    return seqs, scores, y, mask
+
+
+@pytest.mark.parametrize("spread, wide", [(300.0, False), (499.0, False), (1200.0, True)])
+def test_wide_transitions_match_brute_force(spread, wide):
+    """Transitions spread (max minus min) as normal ones of scale 100 and 400
+    typically are, and just inside the product recursion's range of 500: on
+    both sides of that range the layer gives the brute-force log Z, position
+    marginals and expected transition counts."""
+    rng = Rng(5, stream=12)
+    for _ in range(30):
+        L, K = rng.randint(4) + 2, rng.randint(2) + 3
+        unary, trans = rng.normal((L, K), scale=2.0), rng.normal((K, K))
+        trans *= spread / np.ptp(trans)
+        assert (np.ptp(trans) > kernels._PRODUCT_PTP) == wide
+        paths = brute_force_paths(unary, trans)
+        scores = np.array([s for _, s in paths])
+        weights = np.exp(scores - scores.max())
+        logz = scores.max() + math.log(weights.sum())
+        marg, counts = np.zeros((L, K)), np.zeros((K, K))
+        for (path, _), w in zip(paths, weights / weights.sum()):
+            marg[np.arange(L), path] += w
+            np.add.at(counts, (path[:-1], path[1:]), w)
+        y, y_score = paths[rng.randint(len(paths))]
+        nll, dscores, dT = layer_one(unary, trans, y)
+        gold = np.zeros((K, K))
+        np.add.at(gold, (y[:-1], y[1:]), 1.0)
+        assert nll + y_score == pytest.approx(logz, rel=1e-12)
+        assert np.allclose(dscores[0] + np.eye(K)[y], marg, atol=1e-9)
+        assert np.allclose(dT + gold, counts, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(2, 5), lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+       extra=st.integers(0, 3), scale=st.sampled_from([0.1, 2.0, 50.0, 300.0]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_batched_layer_at_any_transition_scale(K, lengths, extra, scale, seed, data):
+    """Shuffled padded batches give the per-sequence results at transition
+    scales from near-uniform to past the product recursion's range."""
+    rng = Rng(seed, stream=15)
+    trans = rng.normal((K, K), scale=scale)
+    order = data.draw(st.permutations(range(len(lengths))))
+    seqs, scores, y, mask = padded_batch(rng, K, lengths, order, extra)
+
+    nll, dscores, dT = kernels.crf_layer(scores, trans, y, mask)
+
+    ones = [layer_one(seqs[i][0], trans, seqs[i][1]) for i in order]
+    for row, (_, one_dscores, _) in enumerate(ones):
+        assert np.allclose(dscores[row, mask[row]], one_dscores[0], atol=1e-9)
+    assert nll == pytest.approx(sum(one[0] for one in ones), rel=1e-12, abs=1e-9)
+    assert np.allclose(dT, sum(one[2] for one in ones), atol=1e-9)
+    assert np.all(dscores[~mask] == 0.0)
+
+
+def test_shifted_scores_in_mixed_lengths_stay_finite(monkeypatch):
+    """Scores near -1000 put log Z near -10^4 while the padding holds zeros:
+    the product recursion raises no overflow there and equals the
+    log-sum-exp recursion."""
+    rng = Rng(6, stream=12)
+    K, lengths = 4, [9, 1, 5, 9, 3, 7]
+    trans = rng.normal((K, K), scale=2.0)
+    _, scores, y, mask = padded_batch(rng, K, lengths, rng.permutation(len(lengths)), 2)
+    scores[mask] -= 1000.0
+    scores[~mask] = 0.0
+    assert np.ptp(trans) <= kernels._PRODUCT_PTP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nll, dscores, dT = kernels.crf_layer(scores, trans, y, mask)
+        monkeypatch.setattr(kernels, "_PRODUCT_PTP", -1.0)  # log-sum-exp route
+        want_nll, want_dscores, want_dT = kernels.crf_layer(scores, trans, y, mask)
+    assert np.isfinite(nll) and np.all(np.isfinite(dscores)) and np.all(np.isfinite(dT))
+    assert nll == pytest.approx(want_nll, rel=1e-12)
+    assert np.allclose(dscores, want_dscores, atol=1e-9)
+    assert np.allclose(dT, want_dT, atol=1e-9)
 
 
 # ------------------------------------------------------------------- training

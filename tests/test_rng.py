@@ -68,3 +68,19 @@ def test_shuffle_returns_copy():
 def test_shuffle_deterministic():
     assert Rng(9).shuffle(list(range(50))) == Rng(9).shuffle(list(range(50)))
 
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (42, 3), (2**64 + 9, 11)])
+def test_scalar_draws_equal_block_draws(seed, stream):
+    """Scalar uniform()/randint(n) draws, computed on Python ints, are the
+    block outputs at the same counters, and a block draw afterwards goes on
+    from the next counter."""
+    scalar = Rng(seed, stream)
+    words = [int(w) for w in Rng(seed, stream)._block(5001)]
+    for i, word in enumerate(words[:5000]):
+        if i % 3 == 0:
+            assert scalar.uniform() == (word >> 11) * 2.0 ** -53
+        else:
+            n = i if i % 3 == 1 else 2**40 + i
+            assert scalar.randint(n) == (word * n) >> 64
+    assert int(scalar._block(1)[0]) == words[5000]

@@ -163,6 +163,14 @@ def test_kb_load_rejects_bad_header(tmp_path):
         KnowledgeBase.load(path)
 
 
+@pytest.mark.parametrize("row", ["fish oil,nausea", "fish oil,nausea,AdverseEvent,extra"])
+def test_kb_load_names_file_and_line_of_a_short_or_long_row(tmp_path, row):
+    path = tmp_path / "kb.csv"
+    path.write_text(f"supplement,event,relation\nbiotin,acne,AdverseEvent\n{row}\n")
+    with pytest.raises(ValueError, match="kb.csv:3: KB row needs 3 fields"):
+        KnowledgeBase.load(path)
+
+
 def test_compare_kb_reproduces_all_reference_pairs(kb):
     records = [SignalRecord(supp, False, event, "AdverseEvent", 1, ())
                for supp, event, _ in KB_CASES]

@@ -80,6 +80,12 @@ def test_svm_rejects_empty():
         svm_train([])
 
 
+def test_svm_rejects_label_count_mismatch(toy_dataset):
+    features, gold = toy_dataset[0]
+    with pytest.raises(ValueError, match="one gold label per token"):
+        svm_train([(features, gold[:-1])])
+
+
 def test_svm_predict_empty(toy_dataset):
     model = svm_train(toy_dataset, epochs=1)
     assert svm_predict(model, []) == []
