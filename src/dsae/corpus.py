@@ -1,14 +1,22 @@
 """Corpus ingestion: tweets, term lexicons, and candidate filtering by
 supplement/event term co-occurrence.
+
+Lexicon terms are indexed by their first word, a maximal run of
+alphanumeric characters. The matcher scans the words of a text with one
+regex pass and tries only the terms indexed under each word.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 
 logger = logging.getLogger(__name__)
+
+# a maximal run of str.isalnum characters: \w without the underscore
+_WORD = re.compile(r"[^\W_]+")
 
 CATEGORIES = ("Supplement", "Symptom", "BodyOrgan")
 
@@ -35,11 +43,13 @@ class Lexicon:
 
     def __init__(self, entries: dict[str, tuple[str, str]]):
         self._entries = dict(entries)
-        # index terms by their first word for the matcher
+        # index terms by their first word for the matcher; a term that does
+        # not start with one can never match
         self._by_first_word: dict[str, list[str]] = {}
         for term in self._entries:
-            first = _first_word(term)
-            self._by_first_word.setdefault(first, []).append(term)
+            first = _WORD.match(term)
+            if first:
+                self._by_first_word.setdefault(first.group(), []).append(term)
         for terms in self._by_first_word.values():
             terms.sort(key=len, reverse=True)
 
@@ -61,16 +71,6 @@ class Lexicon:
 
     def candidates(self, first_word: str) -> list[str]:
         return self._by_first_word.get(first_word, [])
-
-
-def _first_word(term: str) -> str:
-    out = []
-    for ch in term:
-        if ch.isalnum():
-            out.append(ch)
-        else:
-            break
-    return "".join(out)
 
 
 @dataclass
@@ -109,7 +109,8 @@ def load_tweets(path, report: LoadReport | None = None):
 
 
 def load_lexicon(path, category: str) -> Lexicon:
-    """Load a TSV lexicon: surface<TAB>canonical (canonical optional)."""
+    """Load a TSV lexicon: surface<TAB>canonical (canonical optional). A bad
+    record raises ValueError naming the file and line."""
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}")
     entries: dict[str, tuple[str, str]] = {}
@@ -121,8 +122,12 @@ def load_lexicon(path, category: str) -> Lexicon:
             parts = line.split("\t")
             surface = parts[0].strip().lower()
             canonical = parts[1].strip().lower() if len(parts) > 1 and parts[1].strip() else surface
-            if not surface:
-                raise ValueError(f"{path}:{lineno}: empty surface term")
+            if len(parts) > 2:
+                raise ValueError(f"{path}:{lineno}: expected term<TAB>canonical, got {line!r}")
+            if not _WORD.match(surface):
+                # the matcher finds terms by their first word only
+                raise ValueError(f"{path}:{lineno}: a term must start with a letter or "
+                                 f"digit, got {line!r}")
             if surface in entries and entries[surface][0] != canonical:
                 raise ValueError(
                     f"{path}:{lineno}: conflicting canonical for term {surface!r}: "
@@ -153,30 +158,23 @@ def match_terms(text: str, lexicon: Lexicon) -> list[LexiconHit]:
     """Leftmost-longest, word-boundary-aware, non-overlapping matches."""
     low = text.lower()
     hits: list[LexiconHit] = []
-    i = 0
-    n = len(low)
-    while i < n:
-        if not (low[i].isalnum() and _is_boundary(low, i)):
-            i += 1
+    last_end = 0
+    for word in _WORD.finditer(low):
+        i = word.start()
+        if i < last_end:
             continue
-        word = _first_word(low[i:])
-        matched = None
-        for term in lexicon.candidates(word):
+        for term in lexicon.candidates(word.group()):  # sorted longest-first
             end = i + len(term)
-            if end <= n and low[i:end] == term and _is_boundary(low, end):
-                matched = term
-                break  # candidates are sorted longest-first
-        if matched is None:
-            i += len(word)
-        else:
-            hits.append(LexiconHit(
-                term=matched,
-                canonical=lexicon.canonical(matched),
-                category=lexicon.category(matched),
-                char_start=i,
-                char_end=i + len(matched),
-            ))
-            i += len(matched)
+            if low.startswith(term, i) and _is_boundary(low, end):
+                hits.append(LexiconHit(
+                    term=term,
+                    canonical=lexicon.canonical(term),
+                    category=lexicon.category(term),
+                    char_start=i,
+                    char_end=end,
+                ))
+                last_end = end
+                break
     return hits
 
 

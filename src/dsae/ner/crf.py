@@ -1,10 +1,11 @@
 """Linear-chain CRF over BIO labels, trained with L-BFGS + elastic net.
 
 Unary scores are linear in the token features: the rows of one sparse
-token matrix times the weights. The transition matrix is shared across
-positions. Training evaluates the whole training set as one padded batch
-of the shared CRF layer (``kernels.crf_layer``); decoding is Viterbi with
-ties broken toward the lowest label index.
+token matrix times the weights in training, ``token_scores`` in decoding.
+The transition matrix is shared across positions. Training evaluates the
+whole training set as one padded batch of the shared CRF layer
+(``kernels.crf_layer``); decoding is Viterbi with ties broken toward the
+lowest label index.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 from ..annotation import BIO_LABELS
 from ..numeric import kernels
 from ..numeric.optim import LbfgsConfig, lbfgs_minimize
-from .features import FeatureRegistry, TokenFeatures, index_features
+from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
 
 logger = logging.getLogger(__name__)
 
@@ -28,8 +29,7 @@ def viterbi(unary: np.ndarray, transitions: np.ndarray) -> tuple[list[int], floa
     unary = np.ascontiguousarray(unary, dtype=np.float64)
     if unary.shape[0] == 0:
         return [], 0.0
-    path, score = kernels.viterbi_kernel(unary, np.ascontiguousarray(transitions, dtype=np.float64))
-    return [int(i) for i in path], float(score)
+    return kernels.viterbi_kernel(unary, np.ascontiguousarray(transitions, dtype=np.float64))
 
 
 @dataclass
@@ -53,7 +53,7 @@ class CrfModel:
     def decode(self, features: list[TokenFeatures]) -> list[str]:
         if not features:
             return []
-        path, _ = viterbi(index_features(features, self.registry) @ self.W.T, self.T)
+        path, _ = viterbi(token_scores(features, self.registry, self.W), self.T)
         return [self.labels[i] for i in path]
 
 

@@ -5,6 +5,10 @@ features (window word identities within +-2, POS of the token and its
 neighbors, 3/4-char affixes, digit/punctuation flags, lexicon-hit
 category). The indicator index space is frozen after the training pass;
 unseen indicators at inference map to nothing.
+
+Training builds one sparse token matrix with ``index_features``, which the
+gradients multiply by; decoding scores tokens with ``token_scores``, a dense
+product plus a gather of the indicator weights, and builds no matrix.
 """
 
 from __future__ import annotations
@@ -116,3 +120,20 @@ def index_features(features: list[TokenFeatures], registry: FeatureRegistry) -> 
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return sp.csr_array((values[keep], cols[keep], indptr), shape=(n, registry.total_dim))
+
+
+def token_scores(features: list[TokenFeatures], registry: FeatureRegistry,
+                 W: np.ndarray) -> np.ndarray:
+    """(n, K) scores ``index_features(features, registry) @ W.T``, from the
+    dense rows and the W columns of each token's resolved indicators.
+    Unresolved indicators add nothing, and the registry is not changed."""
+    dim, get = registry.dense_dim, registry.index.get
+    scores = np.array([f.dense for f in features]).reshape(len(features), dim) @ W[:, :dim].T
+    rows, cols = [], []
+    for i, f in enumerate(features):
+        for c in map(get, f.names):
+            if c is not None:
+                rows.append(i)
+                cols.append(dim + c)
+    np.add.at(scores, rows, W.T[cols])
+    return scores

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..annotation import BIO_LABELS
 from ..numeric.rng import Rng
-from .features import FeatureRegistry, TokenFeatures, index_features
+from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
 
 
 @dataclass
@@ -21,9 +21,6 @@ class SvmModel:
     W: np.ndarray  # labels x feature dims
     b: np.ndarray  # labels
     hyperparameters: dict = field(default_factory=dict)
-
-    def margins(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self.W[:, indices] @ values + self.b
 
     def decode(self, features: list[TokenFeatures]) -> list[str]:
         return svm_predict(self, features)
@@ -78,10 +75,5 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
 
 
 def svm_predict(model: SvmModel, features: list[TokenFeatures]) -> list[str]:
-    if not features:
-        return []
-    out = []
-    for idx, val in _token_rows(index_features(features, model.registry)):
-        m = model.margins(idx, val)
-        out.append(model.labels[int(np.argmax(m))])  # first max = lowest index
-    return out
+    margins = token_scores(features, model.registry, model.W) + model.b
+    return [model.labels[k] for k in margins.argmax(axis=1)]  # first max = lowest index

@@ -112,20 +112,20 @@ def _logsumexp_passes(alpha, beta, scores, T, live, lengths):
     return logz, dT
 
 
-def viterbi_kernel(scores: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, float]:
+def viterbi_kernel(scores: np.ndarray, T: np.ndarray) -> tuple[list[int], float]:
     """Best label path of one (L >= 1, K) sequence and its score; ties go to
     the lowest label index."""
     L, K = scores.shape
-    delta = np.empty((L, K))
-    bp = np.zeros((L, K), dtype=np.int64)
-    delta[0] = scores[0]
+    bp = np.zeros((L, K), dtype=np.intp)
+    delta = scores[0]
     for t in range(1, L):
-        m = delta[t - 1][:, None] + T
-        bp[t] = np.argmax(m, axis=0)  # first max -> lowest label index
-        delta[t] = m[bp[t], np.arange(K)] + scores[t]
-    best_j = int(np.argmax(delta[-1]))
-    path = np.empty(L, dtype=np.int64)
-    path[-1] = best_j
+        m = delta[:, None] + T
+        np.argmax(m, axis=0, out=bp[t])  # first max -> lowest label index
+        delta = scores[t] + m.max(axis=0)
+    best = int(np.argmax(delta))
+    path = [best]
+    back = bp.tolist()
     for t in range(L - 1, 0, -1):
-        path[t - 1] = bp[t, path[t]]
-    return path, float(delta[-1, best_j])
+        path.append(back[t][path[-1]])
+    path.reverse()
+    return path, float(delta[best])

@@ -62,9 +62,9 @@ def _array(model_type: str, weights: dict, name: str) -> np.ndarray:
         value = np.asarray(weights[name])
     except ValueError:  # ragged nesting
         value = None
-    if value is None or value.dtype.kind not in "iuf":
+    if value is None or value.dtype.kind not in "iuf" or not np.isfinite(value).all():
         raise ValueError(f"{model_type} bundle: weights {name} must be a rectangular "
-                         "array of numbers")
+                         "array of finite numbers")
     return np.asarray(value, dtype=np.float64)
 
 
@@ -134,11 +134,17 @@ def model_to_bundle(model) -> dict:
 
 def model_from_bundle(bundle: dict):
     """Reconstruct a model object from a bundle dict."""
+    if not isinstance(bundle, dict):
+        raise ValueError(f"bundle must be a JSON object, got {type(bundle).__name__}")
     version = bundle.get("version")
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version!r}")
     model_type = _field(bundle, "model_type", str)
     labels = tuple(_field(bundle, "label_alphabet", list))
+    if not (labels and all(isinstance(lab, str) for lab in labels)
+            and len(set(labels)) == len(labels)):
+        raise ValueError("bundle: label_alphabet must be distinct strings, at least one, "
+                         f"got {list(labels)!r}")
     hyper = dict(_field(bundle, "hyperparameters", dict))
     weights = _field(bundle, "weights", dict)
     K = len(labels)

@@ -110,6 +110,23 @@ def test_ingest_fixture(tmp_path, capsys):
     assert manifest["inputs"]["corpus"]["path"] == str(corpus)
 
 
+@pytest.mark.parametrize("record", ["vitamin c\tVitamin C\textra", "(vitamin c)"])
+def test_ingest_with_bad_lexicon_record_exits_1_naming_it(tmp_path, capsys, record):
+    corpus = tmp_path / "tweets.jsonl"
+    corpus.write_text(json.dumps({"id": "1", "text": "vitamin c gave me a headache",
+                                  "lang": "en"}) + "\n")
+    ds = tmp_path / "ds.tsv"
+    ds.write_text(f"iron\n{record}\n")
+    events = tmp_path / "events.tsv"
+    events.write_text("headache\n")
+    out = tmp_path / "out"
+    code = run("ingest", "--corpus", str(corpus), "--ds-lexicon", str(ds),
+               "--event-lexicon", str(events), "--out", str(out))
+    assert code == 1
+    assert f"{ds}:2: " in capsys.readouterr().err
+    assert not (out / "ingested.jsonl").exists()
+
+
 # ------------------------------------------------- train/eval on synthetic
 
 @pytest.fixture(scope="module")

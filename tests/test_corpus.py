@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsae.corpus import (Lexicon, LoadReport, filter_candidate, load_lexicon,
                          load_tweets, match_terms, merge_lexicons, Tweet)
@@ -77,6 +79,44 @@ def test_merge_lexicons_conflict(ds_lexicon):
     assert len(merged) == len(ds_lexicon) + 1
 
 
+_LEX_FIELD = st.text(alphabet="abc é1-_.", max_size=8)
+_LEX_RECORD = st.tuples(
+    st.text(alphabet="aé1", min_size=1, max_size=2), _LEX_FIELD,
+    st.one_of(st.none(), _LEX_FIELD),
+).map(lambda r: r[0] + r[1] if r[2] is None else f"{r[0] + r[1]}\t{r[2]}")
+_BAD_LEX_RECORD = st.one_of(
+    # a third field
+    st.lists(_LEX_FIELD, min_size=3, max_size=5).map("\t".join),
+    # a term that does not start with a letter or digit can never match
+    st.tuples(st.text(alphabet="-_(.", min_size=1, max_size=2), _LEX_FIELD,
+              st.lists(_LEX_FIELD, max_size=1))
+    .map(lambda r: "\t".join([r[0] + r[1]] + r[2])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(good=st.lists(_LEX_RECORD, max_size=4, unique_by=lambda r: r.split("\t")[0].strip()),
+       bad=_BAD_LEX_RECORD)
+def test_load_lexicon_names_file_and_line_of_bad_record(tmp_path_factory, good, bad):
+    path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+    if not bad.strip():
+        bad = "\t-" + bad  # a blank line is skipped, not a record
+    path.write_text("\n".join(good + [bad]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{len(good) + 1}: ")
+                       + ".*" + re.escape(repr(bad))):
+        load_lexicon(path, "Supplement")
+
+
+@pytest.mark.parametrize("record", ["fish oil\tomega-3\textra", "(iron)", "-zinc",
+                                    "\tiron"])
+def test_load_lexicon_refuses_extra_field_and_unmatchable_term(tmp_path, record):
+    path = tmp_path / "lex.tsv"
+    path.write_text(f"iron\n{record}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*"
+                       + re.escape(repr(record))):
+        load_lexicon(path, "Supplement")
+
+
 # ------------------------------------------------------------------- matching
 
 def brute_force_match(text, lexicon):
@@ -136,6 +176,68 @@ def test_match_terms_matches_brute_force(ds_lexicon, event_lexicon):
                         for _ in range(rng.randint(10) + 1))
         got = [(h.char_start, h.char_end, h.term) for h in match_terms(text, lex)]
         assert got == brute_force_match(text, lex), text
+
+
+def _first_word(term):
+    out = []
+    for ch in term:
+        if ch.isalnum():
+            out.append(ch)
+        else:
+            break
+    return "".join(out)
+
+
+def per_character_match(text, lexicon):
+    """Oracle: the matcher as a loop over characters, each word found by
+    walking its characters."""
+    low = text.lower()
+    n = len(low)
+
+    def boundary(k):
+        return k == 0 or k == n or low[k - 1].isalnum() != low[k].isalnum()
+
+    candidates = {}
+    for term in sorted(lexicon.entries, key=len, reverse=True):
+        candidates.setdefault(_first_word(term), []).append(term)
+    hits = []
+    i = 0
+    while i < n:
+        if not (low[i].isalnum() and boundary(i)):
+            i += 1
+            continue
+        word = _first_word(low[i:])
+        matched = None
+        for term in candidates.get(word, []):
+            end = i + len(term)
+            if end <= n and low[i:end] == term and boundary(end):
+                matched = term
+                break
+        if matched is None:
+            i += len(word)
+        else:
+            hits.append((i, i + len(matched), matched))
+            i += len(matched)
+    return hits
+
+
+_TERMS = ["vitamin c", "vitamin", "c", "fish oil", "iron", "iron)", "a_b", "b12",
+          "émile", "ﬁsh", "x-1", "1", "ß", "(iron)", "-zinc"]
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(_TERMS + ["ironic", "vitamins", "_", "__", " ", "  ", ",", "!", "-",
+                              "(", ")", ".", "9", "Émile", "İ", "Ⅻ", "²", "ﬁ", "日本"]),
+    st.text(alphabet="ab c_1é.-(ßİ", max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.sampled_from(_TERMS), min_size=1, unique=True),
+       pieces=st.lists(_TEXT_PIECES, max_size=12))
+def test_match_terms_equals_per_character_loop(terms, pieces):
+    lexicon = Lexicon({term: (term, "Supplement") for term in terms})
+    text = "".join(pieces)
+    got = [(h.char_start, h.char_end, h.term) for h in match_terms(text, lexicon)]
+    assert got == per_character_match(text, lexicon), text
 
 
 # ------------------------------------------------------------------ filtering

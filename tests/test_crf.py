@@ -9,7 +9,7 @@ from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
 from dsae.ner.crf import (CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train,
                           viterbi)
-from dsae.ner.features import featurize
+from dsae.ner.features import TokenFeatures, featurize, index_features
 from dsae.numeric import kernels
 from dsae.numeric.optim import grad_check
 from dsae.numeric.rng import Rng
@@ -294,6 +294,20 @@ def test_crf_decode_deterministic(toy_dataset):
     a = crf_train(toy_dataset, CrfConfig(max_iter=20))
     b = crf_train(toy_dataset, CrfConfig(max_iter=20))
     assert np.array_equal(a.W, b.W) and np.array_equal(a.T, b.T)
+
+
+def unseen_docs(features):
+    """The toy document reordered and cut, and with a token whose
+    indicators were all unseen in training."""
+    blank = TokenFeatures(np.zeros_like(features[0].dense), ("w[0]=gave", "pre3=gav"))
+    return [features, features[::-1], features[1:3], [blank] + features[2:], [blank]]
+
+
+def test_crf_decode_equals_sparse_reference(toy_dataset):
+    model = crf_train(toy_dataset, CrfConfig(max_iter=5))
+    for features in unseen_docs(toy_dataset[0][0]):
+        path, _ = viterbi(index_features(features, model.registry) @ model.W.T, model.T)
+        assert model.decode(features) == [model.labels[k] for k in path]
 
 
 def test_crf_labels_are_bio():

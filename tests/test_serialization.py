@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dsae.annotation import to_bio
 from dsae.embeddings import EmbeddingTable
@@ -248,6 +250,91 @@ def test_bad_top_level_field_is_refused_naming_it(bundles, key, value):
         bundle[key] = value
     with pytest.raises(ValueError, match=f"bundle: {key} "):
         model_from_bundle(bundle)
+
+
+@pytest.mark.parametrize("model_type", ["crf", "svm", "lstm_crf", "cnn_re"])
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda labels: list(range(len(labels))), id="ints"),
+    pytest.param(lambda labels: [labels[0]] * len(labels), id="duplicates"),
+    pytest.param(lambda labels: [], id="empty"),
+])
+def test_bad_label_alphabet_is_refused_naming_it(bundles, model_type, corrupt):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    bundle["label_alphabet"] = corrupt(bundle["label_alphabet"])
+    with pytest.raises(ValueError, match="bundle: label_alphabet "):
+        model_from_bundle(bundle)
+
+
+@pytest.mark.parametrize("model_type, name", [
+    ("crf", "W"), ("crf", "T"), ("svm", "W"), ("svm", "b"), ("lstm_crf", "Wx"),
+    ("cnn_re", "out_b"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_is_refused_naming_it(bundles, model_type, name, value):
+    bundle = json.loads(dumps_bundle(bundles[model_type]))
+    weight = bundle["weights"][name]
+    row = weight[-1] if isinstance(weight[-1], list) else weight
+    row[-1] = value
+    with pytest.raises(ValueError, match=f"{model_type} bundle: weights {name} "):
+        model_from_bundle(bundle)
+
+
+def test_bundle_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match="bundle must be a JSON object"):
+        load_model(path)
+
+
+# JSON texts, parsed afresh on each draw so that no mutation is shared
+_JSON_VALUES = ["null", "true", "0", "2", "-1.5", '"x"', "[]", "[1, 2]", "{}", '{"a": 1}']
+
+
+def _mutate(data, root):
+    """Walk from the root (a one-item list holding the bundle) to a random
+    node and delete it, swap its JSON type, make it ragged or put a
+    non-finite number in it."""
+    holder, key = root, 0
+    while isinstance(holder[key], (dict, list)) and holder[key] and data.draw(st.booleans()):
+        node = holder[key]
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        holder, key = node, data.draw(st.sampled_from(keys))
+    value = holder[key]
+    how = data.draw(st.sampled_from(["delete", "swap", "ragged", "non-finite"]))
+    if how == "delete" and holder is not root:
+        del holder[key]
+    elif how == "swap":
+        holder[key] = json.loads(data.draw(st.sampled_from(_JSON_VALUES)))
+    elif how == "ragged" and isinstance(value, list) and value:
+        first = value[0]
+        value[0] = first[:-1] if isinstance(first, list) else [first]
+    else:
+        number = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if isinstance(value, list):
+            value.insert(data.draw(st.integers(0, len(value))), number)
+        elif isinstance(value, dict):
+            value[data.draw(st.sampled_from(sorted(value) or ["k"]))] = number
+        else:
+            holder[key] = number
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model_type=st.sampled_from(["crf", "svm", "lstm_crf", "cnn_re"]),
+       mutations=st.integers(1, 3), data=st.data())
+def test_mutated_bundle_loads_or_raises_value_error(bundles, tmp_path, model_type,
+                                                    mutations, data):
+    """A damaged bundle loads or raises ValueError; never KeyError,
+    TypeError, IndexError or AttributeError."""
+    root = [json.loads(dumps_bundle(bundles[model_type]))]
+    for _ in range(mutations):
+        _mutate(data, root)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(root[0]))
+    try:
+        load_model(path)
+    except ValueError:
+        pass
 
 
 def test_cnn_bundle_with_a_switch_off_is_refused(bundles):

@@ -3,7 +3,7 @@ import pytest
 
 from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
-from dsae.ner.features import FeatureRegistry, featurize, index_features
+from dsae.ner.features import FeatureRegistry, TokenFeatures, featurize, index_features
 from dsae.ner.svm import SvmModel, _token_rows, svm_predict, svm_train
 from dsae.numeric.rng import Rng
 
@@ -89,3 +89,12 @@ def test_svm_rejects_label_count_mismatch(toy_dataset):
 def test_svm_predict_empty(toy_dataset):
     model = svm_train(toy_dataset, epochs=1)
     assert svm_predict(model, []) == []
+
+
+def test_svm_predict_equals_sparse_reference(toy_dataset):
+    model = svm_train(toy_dataset, epochs=1)
+    features = toy_dataset[0][0]
+    blank = TokenFeatures(np.zeros_like(features[0].dense), ("w[0]=gave", "pre3=gav"))
+    for doc in (features, features[::-1], features[1:3], [blank] + features[2:]):
+        margins = index_features(doc, model.registry) @ model.W.T + model.b
+        assert svm_predict(model, doc) == [model.labels[k] for k in np.argmax(margins, axis=1)]
