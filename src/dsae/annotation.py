@@ -26,6 +26,18 @@ _BIO_TO_TYPE = {v: k for k, v in _TYPE_TO_BIO.items()}
 BIO_LABELS = ("O", "B-SUPP", "I-SUPP", "B-SYMP", "I-SYMP", "B-ORG", "I-ORG")
 BIO_INDEX = {label: i for i, label in enumerate(BIO_LABELS)}
 
+
+def label_ids(gold, labels: tuple[str, ...] = BIO_LABELS) -> list[int]:
+    """Index in the alphabet labels of each gold label. A label outside it
+    raises ValueError naming the label and the alphabet."""
+    index = {label: i for i, label in enumerate(labels)}
+    try:
+        return [index[label] for label in gold]
+    except KeyError as exc:
+        raise ValueError(f"gold label {exc.args[0]!r} is not in the label alphabet "
+                         f"{tuple(labels)}") from None
+
+
 # cross-type overlap priority: supplements are the pivot of every signal
 _TYPE_PRIORITY = {"Supplement": 0, "Symptom": 1, "BodyOrgan": 2}
 

@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .annotation import (AnnotatedDoc, generate_relation_instances, parse_standoff,
                          split_dataset, to_bio)
 from .corpus import LoadReport, filter_candidate, load_lexicon, load_tweets
@@ -27,7 +25,6 @@ from .ner import (CrfConfig, LstmCrfConfig, crf_train, lstm_crf_train, svm_train
 from .ner.features import featurize
 from .ner.predict import decode_labels, doc_matrix
 from .normalize import UnigramTable, normalize
-from .numeric.optim import grad_check
 from .pipeline import evaluate_pipeline, run_pipeline
 from .relation import CnnReConfig, cnn_train, encode_instance
 from .serialization import atomic_write_text, load_model, save_model
@@ -35,7 +32,7 @@ from .signals import KnowledgeBase, aggregate, compare_kb, emit_report, parse_re
 from .synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 
 COMMANDS = ("ingest", "train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
-            "replicate", "aggregate", "compare-kb", "report", "gradcheck")
+            "replicate", "aggregate", "compare-kb", "report")
 
 # the commands that read annotated documents through _resolve_docs
 _CORPUS_COMMANDS = ("train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
@@ -404,77 +401,6 @@ def cmd_report(config: dict) -> list[str]:
     return [out]
 
 
-def cmd_gradcheck(config: dict) -> list[str]:
-    from .embeddings import EmbeddingTable
-    from .ner.crf import CrfModel, crf_neg_log_likelihood
-    from .ner.lstm_crf import LstmCrfModel, lstm_crf_objective
-    from .relation import CnnReModel, cnn_objective
-    from .numeric.rng import Rng
-    from .synthetic import vocabulary
-
-    _, ds_lex, event_lex = _resolve_resources(config)
-    # small vectors keep the finite-difference sweeps fast
-    words = vocabulary()
-    emb = EmbeddingTable(8, {w: i for i, w in enumerate(words)},
-                         Rng(config["seed"], stream=89).normal((len(words), 8)))
-    docs = generate_corpus(10, seed=config["seed"])
-    rows = []
-
-    feats = [(featurize(d.doc, emb, [ds_lex, event_lex]), to_bio(d.doc, d.entities))
-             for d in docs[:3]]
-    model = crf_train(feats, CrfConfig(max_iter=2))
-    rng = Rng(config["seed"], stream=97)
-    worst = 0.0
-    for features, gold in feats:
-        def crf_obj(x, features=features, gold=gold):
-            probe = CrfModel(labels=model.labels, registry=model.registry,
-                             W=x[:model.W.size].reshape(model.W.shape),
-                             T=x[model.W.size:].reshape(model.T.shape))
-            return crf_neg_log_likelihood(probe, features, gold)
-        x0 = rng.normal((model.W.size + model.T.size,), scale=0.1)
-        worst = max(worst, grad_check(crf_obj, x0))
-    rows.append(("crf", worst))
-
-    worst = 0.0
-    small = LstmCrfModel.init(emb.dim + 1, 4, model.labels, seed=config["seed"])
-    for d in docs[:3]:
-        X = doc_matrix(d.doc, emb)
-        y = np.asarray([model.labels.index(lab) for lab in to_bio(d.doc, d.entities)])
-        x0 = rng.normal((small.params.size,), scale=0.1)
-        worst = max(worst, grad_check(lstm_crf_objective(small, X, y), x0))
-    rows.append(("lstm_crf", worst))
-
-    worst = 0.0
-    cnn_cfg = CnnReConfig(max_len=16)
-    cnn = None
-    checked = 0
-    for d in docs:
-        if checked >= 2:
-            break
-        for ri in generate_relation_instances(d):
-            enc = encode_instance(ri, d.doc, emb, 16)
-            if cnn is None:
-                cnn = CnnReModel.init(enc.tokens.shape[1], cnn_cfg)
-            x0 = rng.normal((cnn.params.size,), scale=0.1)
-            # smaller step: keeps the sweep clear of ReLU/argmax kinks
-            worst = max(worst, grad_check(cnn_objective(cnn, enc), x0, eps=1e-6))
-            checked += 1
-            break
-    rows.append(("cnn_re", worst))
-
-    out = _out(config, "gradcheck.tsv")
-    lines = ["model\tmax_rel_error"]
-    ok = True
-    for name, err in rows:
-        lines.append(f"{name}\t{err!r}")
-        print(f"gradcheck: {name} max relative error {err:.3e}")
-        ok = ok and err < 1e-4
-    atomic_write_text(out, "\n".join(lines) + "\n")
-    if not ok:
-        raise RuntimeError("gradient check exceeded 1e-4")
-    return [out]
-
-
 _HANDLERS = {
     "ingest": cmd_ingest,
     "train-ner": cmd_train_ner,
@@ -486,7 +412,6 @@ _HANDLERS = {
     "aggregate": cmd_aggregate,
     "compare-kb": cmd_compare_kb,
     "report": cmd_report,
-    "gradcheck": cmd_gradcheck,
 }
 
 

@@ -80,6 +80,25 @@ class LoadReport:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _tweet(obj) -> Tweet:
+    """The tweet one parsed line holds. A missing, empty or mistyped field
+    raises KeyError, TypeError or ValueError."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    tweet_id, text, lang = obj["id"], obj["text"], obj["lang"]
+    created_at = obj.get("created_at")
+    if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
+        raise TypeError(f"id must be a string or an integer, got {tweet_id!r}")
+    for name, value in (("text", text), ("lang", lang)):
+        if not isinstance(value, str):
+            raise TypeError(f"{name} must be a string, got {value!r}")
+    if created_at is not None and not isinstance(created_at, str):
+        raise TypeError(f"created_at must be a string or null, got {created_at!r}")
+    if tweet_id == "" or not text:
+        raise ValueError("empty id or text")
+    return Tweet(id=str(tweet_id), text=text, lang=lang, created_at=created_at)
+
+
 def load_tweets(path, report: LoadReport | None = None):
     """Yield tweets from a JSON Lines file, skipping malformed lines."""
     report = report if report is not None else LoadReport()
@@ -89,15 +108,7 @@ def load_tweets(path, report: LoadReport | None = None):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                tweet = Tweet(
-                    id=str(obj["id"]),
-                    text=obj["text"],
-                    lang=obj["lang"],
-                    created_at=obj.get("created_at"),
-                )
-                if not tweet.id or not tweet.text:
-                    raise ValueError("empty id or text")
+                tweet = _tweet(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 report.skipped += 1
                 msg = f"{path}:{lineno}: skipped malformed line ({exc})"

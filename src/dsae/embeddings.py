@@ -18,7 +18,11 @@ class EmbeddingTable:
             raise ValueError("matrix shape does not match vocab/dim")
         self.dim = dim
         self.vocab = vocab
-        self.matrix = matrix
+        # each vector followed by its OOV flag, then one row for unknown words
+        self._rows = np.zeros((len(vocab) + 1, dim + 1))
+        self._rows[:-1, :-1] = matrix
+        self._rows[-1, -1] = 1.0
+        self.matrix = self._rows[:-1, :-1]
         self._zero = np.zeros(dim)
 
     def lookup(self, word: str) -> tuple[np.ndarray, bool]:
@@ -26,6 +30,12 @@ class EmbeddingTable:
         if idx is None:
             return self._zero, True
         return self.matrix[idx], False
+
+    def rows(self, words: list[str]) -> np.ndarray:
+        """(n, dim + 1) matrix: the vector of each word, as ``lookup`` gives
+        it, followed by its OOV flag (1.0 for an unknown word)."""
+        unknown, get = len(self.vocab), self.vocab.get
+        return self._rows[[get(w.lower(), unknown) for w in words]]
 
 
 def load_static(path) -> EmbeddingTable:

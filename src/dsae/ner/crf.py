@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ..annotation import BIO_LABELS
+from ..annotation import BIO_LABELS, label_ids
 from ..numeric import kernels
 from ..numeric.optim import LbfgsConfig, lbfgs_minimize
 from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
@@ -73,7 +73,7 @@ def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
     if len(features) != len(gold_labels) or not features:
         raise ValueError("need equally many features and labels, at least one")
     X = index_features(features, model.registry)
-    y = np.asarray([[model.labels.index(lab) for lab in gold_labels]], dtype=np.int64)
+    y = np.asarray([label_ids(gold_labels, model.labels)], dtype=np.int64)
     return _nll_grad(model.W, model.T, X, y, np.ones(y.shape, dtype=bool))
 
 
@@ -93,7 +93,7 @@ def crf_train(train_docs, config: CrfConfig | None = None,
     lengths = np.array([len(features) for features, _ in docs], dtype=np.int64)
     mask = np.arange(lengths.max()) < lengths[:, None]
     y = np.zeros(mask.shape, dtype=np.int64)
-    y[mask] = [labels.index(lab) for _, gold in docs for lab in gold]
+    y[mask] = label_ids((lab for _, gold in docs for lab in gold), labels)
 
     K = len(labels)
     F = registry.total_dim

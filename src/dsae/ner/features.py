@@ -54,17 +54,12 @@ class FeatureRegistry:
         self.frozen = True
 
 
-def _window(surfaces: list[str], i: int, offset: int) -> str:
-    j = i + offset
-    if j < 0 or j >= len(surfaces):
-        return BOUNDARY
-    return surfaces[j]
-
-
 def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
               lexicons: list[Lexicon] | None = None) -> list[TokenFeatures]:
     surfaces = doc.surfaces()
-    poss = [t.pos or "X" for t in doc.tokens]
+    # window names read the neighbours from lists padded with the boundary
+    words = [BOUNDARY] * 2 + surfaces + [BOUNDARY] * 2
+    poss = [BOUNDARY] + [t.pos or "X" for t in doc.tokens] + [BOUNDARY]
 
     hit_category = [None] * len(surfaces)
     for lex in lexicons or []:
@@ -74,14 +69,10 @@ def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
                     hit_category[k] = hit.category
 
     out: list[TokenFeatures] = []
-    for i, surface in enumerate(surfaces):
-        vec, oov = embeddings.lookup(surface)
-        dense = np.concatenate([vec, [1.0 if oov else 0.0]])
-        names = []
-        for off in (-2, -1, 0, 1, 2):
-            names.append(f"w[{off}]={_window(surfaces, i, off)}")
-        for off in (-1, 0, 1):
-            names.append(f"pos[{off}]={_window(poss, i, off)}")
+    for i, (surface, dense) in enumerate(zip(surfaces, embeddings.rows(surfaces))):
+        names = [f"w[-2]={words[i]}", f"w[-1]={words[i + 1]}", f"w[0]={surface}",
+                 f"w[1]={words[i + 3]}", f"w[2]={words[i + 4]}",
+                 f"pos[-1]={poss[i]}", f"pos[0]={poss[i + 1]}", f"pos[1]={poss[i + 2]}"]
         if len(surface) >= 3:
             names.append(f"pre3={surface[:3]}")
             names.append(f"suf3={surface[-3:]}")

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..annotation import BIO_LABELS
+from ..annotation import BIO_LABELS, label_ids
 from ..evaluate import exact_bio_f1
 from ..numeric import kernels
 from ..numeric.optim import adam_train
@@ -230,7 +230,7 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
     d = train[0][0].shape[1]
     model = LstmCrfModel.init(d, cfg.hidden, labels, cfg.seed)
     packed = [(np.asarray(X, dtype=np.float64),
-               np.asarray([labels.index(lab) for lab in y], dtype=np.int64))
+               np.asarray(label_ids(y, labels), dtype=np.int64))
               for X, y in train if len(y) > 0]
 
     def loss_and_grad(batch, grad):

@@ -16,10 +16,7 @@ from .svm import SvmModel, svm_predict
 
 def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> np.ndarray:
     """Dense per-token input: word vector plus OOV flag."""
-    rows = np.empty((len(doc.tokens), embeddings.dim + 1))
-    for row, tok in zip(rows, doc.tokens):
-        row[:-1], row[-1] = embeddings.lookup(tok.surface)
-    return rows
+    return embeddings.rows(doc.surfaces())
 
 
 def decode_labels(model, doc: NormalizedDoc, embeddings: EmbeddingTable,

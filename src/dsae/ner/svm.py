@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..annotation import BIO_LABELS
+from ..annotation import BIO_LABELS, label_ids
 from ..numeric.rng import Rng
 from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
 
@@ -26,50 +26,77 @@ class SvmModel:
         return svm_predict(self, features)
 
 
-def _token_rows(X):
-    """(column indices, values) of each row of a CSR token matrix."""
-    for lo, hi in zip(X.indptr[:-1], X.indptr[1:]):
-        yield X.indices[lo:hi], X.data[lo:hi]
+# tokens whose margins are computed in one go; a hinge violation or a scale
+# fold ends a block early, and the next one starts right after that token
+BLOCK = 32
 
 
 def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
               seed: int = 0, labels: tuple[str, ...] = BIO_LABELS) -> SvmModel:
-    """train_docs: list of (features, gold label strings) pairs."""
-    if not train_docs:
+    """train_docs: list of (features, gold label strings) pairs; documents
+    without tokens are skipped."""
+    docs = [(features, gold) for features, gold in train_docs if features]
+    if not docs:
         raise ValueError("empty training set")
-    dense_dim = train_docs[0][0][0].dense.shape[0] if train_docs[0][0] else 0
-    if any(len(features) != len(gold) for features, gold in train_docs):
+    if any(len(features) != len(gold) for features, gold in docs):
         raise ValueError("every document needs one gold label per token")
-    registry = FeatureRegistry(dense_dim)
+    y = np.array(label_ids((lab for _, gold in docs for lab in gold), labels))
+    dim = docs[0][0][0].dense.shape[0]
+    registry = FeatureRegistry(dim)
+    tokens = [tok for features, _ in docs for tok in features]
     # one feature matrix for the whole training set, a row per token
-    X = index_features([tok for features, _ in train_docs for tok in features], registry)
+    X = index_features(tokens, registry)
     registry.freeze()
-    y = [labels.index(lab) for _, gold in train_docs for lab in gold]
-    instances = [(idx, val, k) for (idx, val), k in zip(_token_rows(X), y)]
+    F = registry.total_dim
+    n = X.shape[0]
+    Xd = np.array([tok.dense for tok in tokens]).reshape(n, dim)
+    # indicator columns of each token, which follow its non-zero dense
+    # values in its row of X, padded with F, a row of V kept at zero
+    n_ind = np.diff(X.indptr) - np.count_nonzero(Xd, axis=1)
+    cols = np.full((n, n_ind.max(initial=0)), F, dtype=np.int64)
+    cols[np.arange(cols.shape[1]) < n_ind[:, None]] = X.indices[X.indices >= dim]
 
     K = len(labels)
-    # The weights are scale * V: the L2 shrink of every step scales one
-    # number instead of the whole matrix.
-    V = np.zeros((K, registry.total_dim))
+    signs = np.full((n, K), -1.0)
+    signs[np.arange(n), y] = 1.0
+    # The weights are scale * V, V stored feature-major: the L2 shrink of
+    # every step scales one number instead of the whole matrix. The margins
+    # of a block come from the same V until a token violates a hinge, so
+    # the tokens before it only shrink the scale.
+    V = np.zeros((F + 1, K))
     scale = 1.0
     b = np.zeros(K)
+    shrink = np.full(BLOCK, 1.0 - lr * l2)
     rng = Rng(seed, stream=11)
-    n = len(instances)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for pos in order:
-            idx, val, y = instances[pos]
-            m = scale * (V[:, idx] @ val) + b
-            scale *= 1.0 - lr * l2
+        co, so = cols[order], signs[order]
+        pos = 0
+        while pos < n:
+            end = min(pos + BLOCK, n)
+            # scales[j] is the scale token pos + j sees, scales[j + 1] the
+            # scale after its shrink
+            scales = np.cumprod(np.concatenate(([scale], shrink[:end - pos])))
+            raw = Xd[order[pos:end]] @ V[:dim] + V[co[pos:end]].sum(axis=1)
+            viol = so[pos:end] * (scales[:-1, None] * raw + b) < 1.0
+            # the block ends at its first token that violates a hinge or
+            # takes the scale below 1e-9, or else at its last token
+            stop = viol.any(axis=1) | (scales[1:] < 1e-9)
+            stop[-1] = True
+            j = int(stop.argmax())
+            scale = scales[j + 1]
             if scale < 1e-9:  # fold a vanishing scale back into V
                 V *= scale
                 scale = 1.0
-            for k in range(K):
-                sign = 1.0 if k == y else -1.0
-                if sign * m[k] < 1.0:
-                    V[k, idx] += (lr * sign / scale) * val
-                    b[k] += lr * sign
-    W = scale * V
+            ks = np.flatnonzero(viol[j])
+            if len(ks):
+                row = order[pos + j]
+                lo, hi = X.indptr[row], X.indptr[row + 1]
+                step = lr * so[pos + j, ks]
+                V[np.ix_(X.indices[lo:hi], ks)] += np.outer(X.data[lo:hi], step / scale)
+                b[ks] += step
+            pos += j + 1
+    W = np.ascontiguousarray(scale * V[:F].T)
     return SvmModel(labels=tuple(labels), registry=registry, W=W, b=b,
                     hyperparameters={"epochs": epochs, "lr": lr, "l2": l2, "seed": seed})
 

@@ -137,8 +137,10 @@ def model_from_bundle(bundle: dict):
     if not isinstance(bundle, dict):
         raise ValueError(f"bundle must be a JSON object, got {type(bundle).__name__}")
     version = bundle.get("version")
-    if version != BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {version!r}")
+    # by type as well: true and 1.0 compare equal to 1
+    if type(version) is not int or version != BUNDLE_VERSION:
+        raise ValueError(f"bundle: unsupported version {version!r}, "
+                         f"expected the integer {BUNDLE_VERSION}")
     model_type = _field(bundle, "model_type", str)
     labels = tuple(_field(bundle, "label_alphabet", list))
     if not (labels and all(isinstance(lab, str) for lab in labels)

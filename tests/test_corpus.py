@@ -48,6 +48,41 @@ def test_load_tweets_skips_malformed(tmp_path):
     assert tweets[1].created_at == "2020-01-01"
 
 
+# one JSON value of each type, and the empty string
+_TYPED = {"null": None, "bool": True, "int": 7, "float": 1.5, "string": "zinc",
+          "empty string": "", "list": ["zinc"], "object": {"a": "b"}}
+# the JSON types load_tweets accepts in each field; an empty id or text is
+# skipped, and only created_at may be absent
+_ACCEPTED = {"id": {"int", "string"}, "text": {"string"},
+             "lang": {"string", "empty string"},
+             "created_at": {"string", "empty string", "null", "absent"}}
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(sorted(_ACCEPTED)),
+       kind=st.sampled_from(sorted(_TYPED) + ["absent"]))
+def test_load_tweets_skips_a_field_of_the_wrong_json_type(tmp_path_factory, field, kind):
+    record = {"id": "1", "text": "zinc gave me a rash", "lang": "en",
+              "created_at": "2020-01-01"}
+    record.pop(field)
+    if kind != "absent":
+        record[field] = _TYPED[kind]
+    path = tmp_path_factory.mktemp("tweets") / "tweets.jsonl"
+    path.write_text(json.dumps({"id": "0", "text": "zinc", "lang": "en"}) + "\n"
+                    + json.dumps(record) + "\n")
+    report = LoadReport()
+    tweets = list(load_tweets(path, report))
+    if kind in _ACCEPTED[field]:
+        assert (report.loaded, report.skipped) == (2, 0)
+        tweet = tweets[1]
+        assert (tweet.id, tweet.text, tweet.lang, tweet.created_at) == (
+            str(record["id"]), record["text"], record["lang"], record.get("created_at"))
+        filter_candidate(tweet, Lexicon({}), Lexicon({}))
+    else:
+        assert (report.loaded, report.skipped) == (1, 1)
+        assert report.diagnostics[0].startswith(f"{path}:2: skipped malformed line")
+
+
 def test_load_lexicon_defaults_and_case(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("Vitamin C\tvitamin c\nIRON\n\n")

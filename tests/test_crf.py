@@ -312,3 +312,13 @@ def test_crf_decode_equals_sparse_reference(toy_dataset):
 
 def test_crf_labels_are_bio():
     assert BIO_LABELS[0] == "O" and len(BIO_LABELS) == 7
+
+
+def test_crf_rejects_unknown_gold_label(toy_dataset):
+    features, gold = toy_dataset[0]
+    bad = gold[:-1] + ["B-DRUG"]
+    with pytest.raises(ValueError, match=r"'B-DRUG' is not in the label alphabet \('O', "):
+        crf_train(toy_dataset[1:] + [(features, bad)], CrfConfig(max_iter=2))
+    model = crf_train(toy_dataset, CrfConfig(max_iter=2))
+    with pytest.raises(ValueError, match="'B-DRUG' is not in the label alphabet"):
+        crf_neg_log_likelihood(model, features, bad)

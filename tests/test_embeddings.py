@@ -75,3 +75,14 @@ def test_load_static_empty_file(tmp_path):
 def test_embedding_table_shape_check():
     with pytest.raises(ValueError):
         EmbeddingTable(3, {"a": 0}, np.zeros((2, 3)))
+
+
+def test_rows_equal_lookup_with_oov_flag():
+    table = EmbeddingTable(3, {"zinc": 0, "fish": 1}, np.arange(6.0).reshape(2, 3) + 1)
+    words = ["Zinc", "unknown", "FISH", "zinc", "Fish", ""]
+    rows = table.rows(words)
+    assert rows.shape == (len(words), 4)
+    for row, word in zip(rows, words):
+        vec, oov = table.lookup(word)
+        assert np.array_equal(row, np.concatenate([vec, [1.0 if oov else 0.0]]))
+    assert table.rows([]).shape == (0, 4)

@@ -81,3 +81,28 @@ def test_token_scores_equal_sparse_product(dim, K, frozen, seen, tokens, seed):
     assert got.shape == (len(features), K)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
     assert np.array_equal(got[-1], np.zeros(K))
+
+
+def test_featurize_dense_rows_and_windows_on_a_synthetic_corpus():
+    from dsae.ner.features import BOUNDARY
+    from dsae.ner.predict import doc_matrix
+    from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
+
+    emb = synthetic_embeddings(dim=6, seed=3)
+    for annotated in generate_corpus(40, seed=9):
+        doc = annotated.doc
+        features = featurize(doc, emb, list(synthetic_lexicons()))
+        surfaces = doc.surfaces()
+        tags = [t.pos or "X" for t in doc.tokens]
+
+        def window(seq, j):
+            return seq[j] if 0 <= j < len(seq) else BOUNDARY
+
+        for i, (feat, surface) in enumerate(zip(features, surfaces)):
+            vec, oov = emb.lookup(surface)
+            assert np.array_equal(feat.dense, np.concatenate([vec, [1.0 if oov else 0.0]]))
+            assert feat.names[:8] == (
+                tuple(f"w[{off}]={window(surfaces, i + off)}" for off in (-2, -1, 0, 1, 2))
+                + tuple(f"pos[{off}]={window(tags, i + off)}" for off in (-1, 0, 1)))
+        assert np.array_equal(doc_matrix(doc, emb),
+                              np.array([f.dense for f in features]).reshape(-1, 7))

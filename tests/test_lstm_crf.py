@@ -232,3 +232,9 @@ def test_train_rejects_empty():
     with pytest.raises(ValueError):
         lstm_crf_train([], LstmCrfConfig())
 
+
+def test_train_rejects_unknown_gold_label(memorizable):
+    X, y = memorizable[0]
+    bad = [(X, list(y[:-1]) + ["B-DRUG"])]
+    with pytest.raises(ValueError, match=r"'B-DRUG' is not in the label alphabet \('O', "):
+        lstm_crf_train(memorizable + bad, LstmCrfConfig(hidden=4, epochs=1, seed=0))

@@ -287,7 +287,8 @@ def test_bundle_that_is_not_an_object_is_refused(tmp_path):
 
 
 # JSON texts, parsed afresh on each draw so that no mutation is shared
-_JSON_VALUES = ["null", "true", "0", "2", "-1.5", '"x"', "[]", "[1, 2]", "{}", '{"a": 1}']
+_JSON_VALUES = ["null", "true", "0", "2", "-1.5", '"x"', "[]", "[1, 2]", "{}", '{"a": 1}',
+                "1.0", '"1"']
 
 
 def _mutate(data, root):
@@ -334,7 +335,9 @@ def test_mutated_bundle_loads_or_raises_value_error(bundles, tmp_path, model_typ
     try:
         load_model(path)
     except ValueError:
-        pass
+        return
+    # true, 1.0 and "1" are not the version 1
+    assert type(root[0]["version"]) is int
 
 
 def test_cnn_bundle_with_a_switch_off_is_refused(bundles):
@@ -358,6 +361,15 @@ def test_bundle_is_canonical_json(ner_data):
     assert parsed["version"] == BUNDLE_VERSION
     # canonical form: re-serializing the parsed dict gives the same bytes
     assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n" == text
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_version_of_another_json_type_is_refused(bundles, version):
+    bundle = json.loads(dumps_bundle(bundles["svm"]))
+    model_from_bundle(bundle)
+    bundle["version"] = version
+    with pytest.raises(ValueError, match=f"unsupported version {version!r}"):
+        model_from_bundle(json.loads(json.dumps(bundle)))
 
 
 def test_bundle_version_and_type_errors(ner_data):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
 from dsae.ner.features import FeatureRegistry, TokenFeatures, featurize, index_features
-from dsae.ner.svm import SvmModel, _token_rows, svm_predict, svm_train
+from dsae.ner.svm import BLOCK, SvmModel, svm_predict, svm_train
 from dsae.numeric.rng import Rng
 
 from util import make_doc, span
@@ -35,12 +36,21 @@ def test_svm_deterministic(toy_dataset):
     assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
 
 
+def token_rows(train_docs):
+    """(column indices, values, label index) of every training token, one
+    CSR row at a time."""
+    registry = FeatureRegistry(train_docs[0][0][0].dense.shape[0])
+    rows = []
+    for features, gold in train_docs:
+        X = index_features(features, registry)
+        for lo, hi, lab in zip(X.indptr[:-1], X.indptr[1:], gold):
+            rows.append((X.indices[lo:hi], X.data[lo:hi], BIO_LABELS.index(lab)))
+    return registry, rows
+
+
 def reference_svm(train_docs, epochs, lr, l2, seed):
     """The update as first written: the whole weight matrix shrinks each step."""
-    registry = FeatureRegistry(train_docs[0][0][0].dense.shape[0])
-    instances = [(idx, val, BIO_LABELS.index(lab)) for features, gold in train_docs
-                 for (idx, val), lab in zip(_token_rows(index_features(features, registry)),
-                                            gold)]
+    registry, instances = token_rows(train_docs)
     K = len(BIO_LABELS)
     W = np.zeros((K, registry.total_dim))
     b = np.zeros(K)
@@ -65,6 +75,85 @@ def test_svm_matches_per_step_shrink(toy_dataset, lr, l2):
     W, b = reference_svm(toy_dataset, epochs=3, lr=lr, l2=l2, seed=2)
     assert np.allclose(model.W, W, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(W).max()))
     assert np.allclose(model.b, b, rtol=1e-12, atol=1e-12)
+
+
+def per_token_svm(train_docs, epochs, lr, l2, seed):
+    """One SGD step per token on scaled weights, the scale shrinking each
+    step and folded into V when it falls below 1e-9."""
+    registry, instances = token_rows(train_docs)
+    K = len(BIO_LABELS)
+    V = np.zeros((K, registry.total_dim))
+    scale = 1.0
+    b = np.zeros(K)
+    rng = Rng(seed, stream=11)
+    for _ in range(epochs):
+        for pos in rng.permutation(len(instances)):
+            idx, val, y = instances[pos]
+            m = scale * (V[:, idx] @ val) + b
+            scale *= 1.0 - lr * l2
+            if scale < 1e-9:
+                V *= scale
+                scale = 1.0
+            for k in range(K):
+                sign = 1.0 if k == y else -1.0
+                if sign * m[k] < 1.0:
+                    V[k, idx] += (lr * sign / scale) * val
+                    b[k] += lr * sign
+    return scale * V, b
+
+
+_NAMES = [f"f{i}" for i in range(12)]
+
+
+@st.composite
+def _corpus(draw):
+    """Documents of random dense rows (some all zero) and indicator names,
+    from fewer tokens than one block to a few blocks that are not a
+    multiple of it."""
+    dim = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, 0.0, 1.0, -0.5, 0.25, 1.5, -2.0])
+    zero_rows = draw(st.booleans())
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2 * BLOCK // 4))
+    docs = []
+    for L in lengths:
+        features = [TokenFeatures(
+            np.zeros(dim) if zero_rows and draw(st.booleans())
+            else np.array(draw(st.lists(value, min_size=dim, max_size=dim))),
+            tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))))
+            for _ in range(L)]
+        docs.append((features, draw(st.lists(st.sampled_from(BIO_LABELS),
+                                             min_size=L, max_size=L))))
+    return docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=_corpus(), epochs=st.integers(1, 3),
+       lr_l2=st.sampled_from([(0.5, 0.0), (1.0, 0.0), (0.5, 2.0), (0.5, 1.0), (0.25, 3.0)]),
+       seed=st.integers(0, 50))
+def test_block_training_equals_per_token_sgd(docs, epochs, lr_l2, seed):
+    """Block SGD takes the steps of per-token SGD but sums each margin in
+    another order, so a margin within rounding of a hinge could go either
+    way. The dense values, learning rates and shrink factors (1, 0, 1/2,
+    1/4) are dyadic here, so the margins come out without such rounding.
+    The factors 1/2 and 1/4 fold the scale every 30 and 15 steps."""
+    lr, l2 = lr_l2
+    model = svm_train(docs, epochs=epochs, lr=lr, l2=l2, seed=seed)
+    W, b = per_token_svm(docs, epochs, lr, l2, seed)
+    assert np.array_equal(model.W, W) and np.array_equal(model.b, b)
+
+
+def test_svm_skips_empty_documents(toy_dataset):
+    docs = [([], [])] + toy_dataset[:4] + [([], [])] + toy_dataset[4:]
+    model = svm_train(docs, epochs=2, seed=3)
+    plain = svm_train(toy_dataset, epochs=2, seed=3)
+    assert model.registry.dense_dim == plain.registry.dense_dim
+    assert np.array_equal(model.W, plain.W) and np.array_equal(model.b, plain.b)
+
+
+def test_svm_rejects_unknown_gold_label(toy_dataset):
+    features, gold = toy_dataset[0]
+    with pytest.raises(ValueError, match=r"'B-DRUG' is not in the label alphabet \('O', "):
+        svm_train([(features, gold[:-1] + ["B-DRUG"])])
 
 
 def test_svm_tie_breaks_to_lowest_index(toy_dataset):
