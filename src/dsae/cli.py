@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 
@@ -439,6 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # warnings of every module to stderr, named by their logger; this does
+    # nothing when the root logger already has a handler
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)

@@ -23,17 +23,11 @@ class EmbeddingTable:
         self._rows[:-1, :-1] = matrix
         self._rows[-1, -1] = 1.0
         self.matrix = self._rows[:-1, :-1]
-        self._zero = np.zeros(dim)
-
-    def lookup(self, word: str) -> tuple[np.ndarray, bool]:
-        idx = self.vocab.get(word.lower())
-        if idx is None:
-            return self._zero, True
-        return self.matrix[idx], False
 
     def rows(self, words: list[str]) -> np.ndarray:
-        """(n, dim + 1) matrix: the vector of each word, as ``lookup`` gives
-        it, followed by its OOV flag (1.0 for an unknown word)."""
+        """(n, dim + 1) matrix: the vector of each word, case-folded, or the
+        zero vector for an unknown word, followed by its OOV flag (1.0 for
+        an unknown word)."""
         unknown, get = len(self.vocab), self.vocab.get
         return self._rows[[get(w.lower(), unknown) for w in words]]
 

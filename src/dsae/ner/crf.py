@@ -1,11 +1,12 @@
 """Linear-chain CRF over BIO labels, trained with L-BFGS + elastic net.
 
-Unary scores are linear in the token features: the rows of one sparse
-token matrix times the weights in training, ``token_scores`` in decoding.
-The transition matrix is shared across positions. Training evaluates the
-whole training set as one padded batch of the shared CRF layer
-(``kernels.crf_layer``); decoding is Viterbi with ties broken toward the
-lowest label index.
+Unary scores are linear in the token features. Training splits the
+training set's token matrix into a dense block of word vectors and a 0/1
+indicator matrix (kept with its transpose for the gradient), and builds
+one ``kernels.CrfBatch`` of the whole training set; each L-BFGS evaluation
+only multiplies and runs the batch's forward-backward. Decoding scores
+tokens with ``token_scores`` and runs Viterbi with ties broken toward the
+lowest label index. The transition matrix is shared across positions.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..annotation import BIO_LABELS, label_ids
 from ..numeric import kernels
 from ..numeric.optim import LbfgsConfig, lbfgs_minimize
-from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
+from .features import (FeatureRegistry, TokenFeatures, index_features, split_features,
+                       token_scores)
 
 logger = logging.getLogger(__name__)
 
@@ -57,14 +58,34 @@ class CrfModel:
         return [self.labels[i] for i in path]
 
 
-def _nll_grad(W: np.ndarray, T: np.ndarray, X: sp.csr_array, y: np.ndarray,
-              mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """NLL of the gold paths y and its flat gradient over (W, T). The rows of
-    the token matrix X are the True positions of mask, in row-major order."""
-    scores = np.zeros(mask.shape + (W.shape[0],))
-    scores[mask] = X @ W.T
-    value, dscores, dT = kernels.crf_layer(scores, T, y, mask)
-    return value, np.concatenate([(dscores[mask].T @ X).ravel(), dT.ravel()])
+def _nll_objective(features: list[TokenFeatures], registry: FeatureRegistry,
+                   y: np.ndarray, mask: np.ndarray, K: int):
+    """The training objective: the function of the flat weights (W then T)
+    that gives the NLL of the gold paths y and its flat gradient. The tokens
+    of features are the True positions of mask, in row-major order; indexing
+    them adds their indicators to the registry. Everything that does not
+    depend on the weights is built here, once: the dense block, the 0/1
+    indicator matrix and its transpose, and the CRF batch."""
+    dim = registry.dense_dim
+    dense, indicators = split_features(features, index_features(features, registry), dim)
+    by_column = indicators.T.tocsr()
+    batch = kernels.CrfBatch(y, mask, K)
+    F = registry.total_dim
+    nW = K * F
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        W, T = x[:nW].reshape(K, F), x[nW:].reshape(K, K)
+        scores = dense @ W[:, :dim].T
+        scores += indicators @ W[:, dim:].T
+        value, dscores, dT = batch.evaluate(scores, T)
+        grad = np.empty_like(x)
+        dW = grad[:nW].reshape(K, F)
+        dW[:, :dim] = dscores.T @ dense
+        dW[:, dim:] = (by_column @ dscores).T
+        grad[nW:] = dT.ravel()
+        return value, grad
+
+    return objective
 
 
 def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
@@ -74,7 +95,9 @@ def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
         raise ValueError("need equally many features and labels, at least one")
     X = index_features(features, model.registry)
     y = np.asarray([label_ids(gold_labels, model.labels)], dtype=np.int64)
-    return _nll_grad(model.W, model.T, X, y, np.ones(y.shape, dtype=bool))
+    value, dscores, dT = kernels.crf_layer((X @ model.W.T)[None], model.T, y,
+                                           np.ones(y.shape, dtype=bool))
+    return value, np.concatenate([(dscores[0].T @ X).ravel(), dT.ravel()])
 
 
 def crf_train(train_docs, config: CrfConfig | None = None,
@@ -86,29 +109,26 @@ def crf_train(train_docs, config: CrfConfig | None = None,
         raise ValueError("empty training set")
     if any(len(features) != len(gold) for features, gold in docs):
         raise ValueError("every document needs one gold label per token")
-    registry = FeatureRegistry(docs[0][0][0].dense.shape[0])
-    # one feature matrix for the whole training set, a row per token
-    X = index_features([tok for features, _ in docs for tok in features], registry)
-    registry.freeze()
     lengths = np.array([len(features) for features, _ in docs], dtype=np.int64)
     mask = np.arange(lengths.max()) < lengths[:, None]
     y = np.zeros(mask.shape, dtype=np.int64)
     y[mask] = label_ids((lab for _, gold in docs for lab in gold), labels)
-
     K = len(labels)
+    registry = FeatureRegistry(docs[0][0][0].dense.shape[0])
+    # one objective over the whole training set, a row per token
+    objective = _nll_objective([tok for features, _ in docs for tok in features],
+                               registry, y, mask, K)
+    registry.freeze()
     F = registry.total_dim
     nW = K * F
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return _nll_grad(x[:nW].reshape(K, F), x[nW:].reshape(K, K), X, y, mask)
-
     result = lbfgs_minimize(
         objective, np.zeros(nW + K * K),
         LbfgsConfig(memory=cfg.memory, max_iter=cfg.max_iter, tol=cfg.tol,
                     c1=cfg.c1, c2=cfg.c2))
     if not result.converged:
-        logger.warning("crf_train: L-BFGS stopped after %d iterations without converging "
-                       "(max_iter=%d, tol=%g)", result.iterations, cfg.max_iter, cfg.tol)
+        logger.warning("crf_train: L-BFGS stopped without converging: %s (steps %d, "
+                       "objective evaluations %d, max_iter %d, tol %g)", result.stop,
+                       result.iterations, result.evaluations, cfg.max_iter, cfg.tol)
     W = result.x[:nW].reshape(K, F)
     T = result.x[nW:].reshape(K, K)
     return CrfModel(

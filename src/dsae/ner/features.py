@@ -6,14 +6,17 @@ neighbors, 3/4-char affixes, digit/punctuation flags, lexicon-hit
 category). The indicator index space is frozen after the training pass;
 unseen indicators at inference map to nothing.
 
-Training builds one sparse token matrix with ``index_features``, which the
-gradients multiply by; decoding scores tokens with ``token_scores``, a dense
-product plus a gather of the indicator weights, and builds no matrix.
+Training builds one sparse token matrix with ``index_features``, resolving
+all indicator names in bulk, and ``split_features`` splits it into the dense
+block and a 0/1 indicator matrix, which the trainers multiply by; decoding
+scores tokens with ``token_scores``, a dense product plus a gather of the
+indicator weights, and builds no matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,12 +46,12 @@ class FeatureRegistry:
     def total_dim(self) -> int:
         return self.dense_dim + len(self.index)
 
-    def resolve(self, name: str) -> int | None:
-        idx = self.index.get(name)
-        if idx is None and not self.frozen:
-            idx = len(self.index)
-            self.index[name] = idx
-        return None if idx is None else self.dense_dim + idx
+    def add(self, names) -> None:
+        """Give each name not yet indexed the next index, in the order the
+        names first appear; a frozen registry adds none."""
+        if not self.frozen:
+            fresh = [name for name in dict.fromkeys(names) if name not in self.index]
+            self.index.update(zip(fresh, range(len(self.index), len(self.index) + len(fresh))))
 
     def freeze(self) -> None:
         self.frozen = True
@@ -94,23 +97,41 @@ def index_features(features: list[TokenFeatures], registry: FeatureRegistry) -> 
     the token's non-zero dense values, then 1.0 for each indicator the
     registry resolves, in name order."""
     n, dim = len(features), registry.dense_dim
-    n_names = np.array([len(f.names) for f in features], dtype=np.int64)
+    n_names = np.fromiter(map(len, (f.names for f in features)), dtype=np.int64, count=n)
+    names = list(chain.from_iterable(f.names for f in features))
+    registry.add(names)
     # one padded row per token, dense columns first, then the indicators;
     # column -1 marks a zero dense value, an unresolved indicator or
     # padding, and is dropped
     values = np.ones((n, dim + n_names.max(initial=0)))
-    for row, f in zip(values, features):
-        row[:dim] = f.dense
+    values[:, :dim] = np.array([f.dense for f in features]).reshape(n, dim)
     cols = np.full(values.shape, -1, dtype=np.int32)
     cols[:, :dim] = np.arange(dim)
     cols[:, :dim][values[:, :dim] == 0] = -1
-    resolved = (registry.resolve(name) for f in features for name in f.names)
-    cols[:, dim:][np.arange(cols.shape[1] - dim) < n_names[:, None]] = np.fromiter(
-        (-1 if c is None else c for c in resolved), dtype=np.int32, count=n_names.sum())
+    # an unresolved name gets -1 - dim, so -1 once shifted past the dense block
+    resolved = np.fromiter(map(registry.index.get, names, repeat(-1 - dim)),
+                           dtype=np.int32, count=len(names))
+    cols[:, dim:][np.arange(cols.shape[1] - dim) < n_names[:, None]] = resolved + dim
     keep = cols >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return sp.csr_array((values[keep], cols[keep], indptr), shape=(n, registry.total_dim))
+
+
+def split_features(features: list[TokenFeatures], X: sp.csr_array,
+                   dense_dim: int) -> tuple[np.ndarray, sp.csr_array]:
+    """The dense rows of features as an (n, dense_dim) array, and the
+    indicator columns of X, their ``index_features`` matrix, as a 0/1 CSR
+    matrix whose column c is column dense_dim + c of X."""
+    n = len(features)
+    dense = np.array([f.dense for f in features]).reshape(n, dense_dim)
+    # a row of X holds the token's non-zero dense values, then its indicators
+    indptr = np.zeros(n + 1, dtype=X.indptr.dtype)
+    np.cumsum(np.diff(X.indptr) - np.count_nonzero(dense, axis=1), out=indptr[1:])
+    is_indicator = X.indices >= dense_dim
+    indicators = sp.csr_array((X.data[is_indicator], X.indices[is_indicator] - dense_dim, indptr),
+                              shape=(n, X.shape[1] - dense_dim))
+    return dense, indicators
 
 
 def token_scores(features: list[TokenFeatures], registry: FeatureRegistry,

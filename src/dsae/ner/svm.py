@@ -11,7 +11,8 @@ import numpy as np
 
 from ..annotation import BIO_LABELS, label_ids
 from ..numeric.rng import Rng
-from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
+from .features import (FeatureRegistry, TokenFeatures, index_features, split_features,
+                       token_scores)
 
 
 @dataclass
@@ -49,12 +50,11 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
     registry.freeze()
     F = registry.total_dim
     n = X.shape[0]
-    Xd = np.array([tok.dense for tok in tokens]).reshape(n, dim)
-    # indicator columns of each token, which follow its non-zero dense
-    # values in its row of X, padded with F, a row of V kept at zero
-    n_ind = np.diff(X.indptr) - np.count_nonzero(Xd, axis=1)
+    Xd, indicators = split_features(tokens, X, dim)
+    # indicator columns of each token, padded with F, a row of V kept at zero
+    n_ind = np.diff(indicators.indptr)
     cols = np.full((n, n_ind.max(initial=0)), F, dtype=np.int64)
-    cols[np.arange(cols.shape[1]) < n_ind[:, None]] = X.indices[X.indices >= dim]
+    cols[np.arange(cols.shape[1]) < n_ind[:, None]] = indicators.indices + dim
 
     K = len(labels)
     signs = np.full((n, K), -1.0)

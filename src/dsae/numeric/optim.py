@@ -138,28 +138,35 @@ class LbfgsConfig:
     c2: float = 0.0  # L2 coefficient, folded into the smooth objective
 
 
+# why lbfgs_minimize stopped
+CONVERGED = "converged"
+MAX_ITER = "max_iter"
+LINE_SEARCH_FAILED = "line search failed"
+NO_DESCENT = "no descent direction"
+
+
 @dataclass
 class LbfgsResult:
+    """The best point seen and its value; ``iterations`` counts the steps
+    taken, ``evaluations`` the objective calls, and ``stop`` is one of
+    CONVERGED, MAX_ITER, LINE_SEARCH_FAILED and NO_DESCENT."""
+
     x: np.ndarray
     value: float
     iterations: int
-    converged: bool
+    evaluations: int
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == CONVERGED
 
 
 def _pseudo_gradient(x, g, c1):
-    pg = np.empty_like(g)
-    pos = x > 0
-    neg = x < 0
-    pg[pos] = g[pos] + c1
-    pg[neg] = g[neg] - c1
-    zero = ~(pos | neg)
-    right = g[zero] + c1
-    left = g[zero] - c1
-    pz = np.zeros(int(zero.sum()))
-    pz[right < 0] = right[right < 0]
-    pz[left > 0] = left[left > 0]
-    pg[zero] = pz
-    return pg
+    right, left = g + c1, g - c1
+    # at zero, the one-sided derivative that descends, if one does
+    at_zero = np.where(right < 0, right, np.where(left > 0, left, 0.0))
+    return np.where(x > 0, right, np.where(x < 0, left, at_zero))
 
 
 def lbfgs_minimize(objective: Objective, x0: np.ndarray,
@@ -173,8 +180,11 @@ def lbfgs_minimize(objective: Objective, x0: np.ndarray,
     """
     cfg = config or LbfgsConfig()
     c1, c2 = cfg.c1, cfg.c2
+    evaluations = 0
 
     def full(x):
+        nonlocal evaluations
+        evaluations += 1
         v, g = objective(x)
         if c2:
             v = v + 0.5 * c2 * float(np.dot(x, x))
@@ -186,12 +196,14 @@ def lbfgs_minimize(objective: Objective, x0: np.ndarray,
     best_x, best_f = x.copy(), f
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
+    steps = 0
+    while True:
         pg = _pseudo_gradient(x, g, c1) if c1 else g
         if float(np.max(np.abs(pg))) < cfg.tol:
-            converged = True
+            stop = CONVERGED
+            break
+        if steps == cfg.max_iter:
+            stop = MAX_ITER
             break
         # two-loop recursion on the pseudo-gradient
         q = pg.copy()
@@ -218,21 +230,22 @@ def lbfgs_minimize(objective: Objective, x0: np.ndarray,
             s_hist.clear()
             y_hist.clear()
             if deriv >= 0:
+                stop = NO_DESCENT
                 break
         orthant = np.where(x != 0, np.sign(x), -np.sign(pg))
         step = 1.0
-        ok = False
         for _ in range(_MAX_LS):
             x_new = x + step * d
             if c1:
                 x_new[x_new * orthant < 0] = 0.0
             f_new, g_new = full(x_new)
             if f_new <= f + _ARMIJO_C * step * deriv:
-                ok = True
                 break
             step *= _SHRINK
-        if not ok:
+        else:
+            stop = LINE_SEARCH_FAILED
             break
+        steps += 1
         s = x_new - x
         y = g_new - g
         if float(np.dot(s, y)) > 1e-12:
@@ -249,9 +262,8 @@ def lbfgs_minimize(objective: Objective, x0: np.ndarray,
         x, f, g = x_new, f_new, g_new
         if f < best_f:
             best_f, best_x = f, x.copy()
-    if f < best_f:
-        best_f, best_x = f, x.copy()
-    return LbfgsResult(x=best_x, value=best_f, iterations=it, converged=converged)
+    return LbfgsResult(x=best_x, value=best_f, iterations=steps, evaluations=evaluations,
+                       stop=stop)
 
 
 def grad_check(objective: Objective, x: np.ndarray, eps: float = 1e-5,

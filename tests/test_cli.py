@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dsae
 from dsae.cli import main
 
 
@@ -240,3 +244,19 @@ def test_missing_model_file_is_runtime_error(tmp_path, capsys):
     os.makedirs(out, exist_ok=True)
     assert run("eval-ner", "--config", config, "--out", str(out)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_crf_that_cannot_converge_warns_with_its_stop_reason(tmp_path):
+    """Run as a program, the CLI prints the CRF's warning on stderr, named
+    by its logger and giving why L-BFGS stopped."""
+    config = write_config(tmp_path, crf={"c1": 0.05, "c2": 0.05, "max_iter": 1})
+    src = str(Path(dsae.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dsae.cli", "train-ner", "--config", config,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert ("dsae.ner.crf: crf_train: L-BFGS stopped without converging: max_iter "
+            "(steps 1, ") in done.stderr

@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
+from dsae.ner import crf as crf_module
 from dsae.ner.crf import (CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train,
                           viterbi)
 from dsae.ner.features import TokenFeatures, featurize, index_features
 from dsae.numeric import kernels
-from dsae.numeric.optim import grad_check
+from dsae.numeric.optim import CONVERGED, LbfgsResult, grad_check
 from dsae.numeric.rng import Rng
+from dsae.serialization import save_model
+from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 
 from util import brute_force_paths, make_doc, span
 
@@ -227,6 +230,54 @@ def test_shifted_scores_in_mixed_lengths_stay_finite(monkeypatch):
     assert np.allclose(dT, want_dT, atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(2, 5), lengths=st.lists(st.integers(1, 7), min_size=0, max_size=5),
+       extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_one_batch_evaluates_as_fresh_layers(K, lengths, extra, seed, data):
+    """A batch built once and evaluated at several (scores, T) pairs, on
+    both sides of the product recursion's range and back, gives what a
+    fresh crf_layer call gives at each, bit for bit."""
+    rng = Rng(seed, stream=16)
+    lengths = lengths + [1]  # always a sequence of length one
+    order = data.draw(st.permutations(range(len(lengths))))
+    _, _, y, mask = padded_batch(rng, K, lengths, order, extra)
+    batch = kernels.CrfBatch(y, mask, K)
+    for spread in (3.0, 1500.0, 40.0):
+        scores = rng.normal(mask.shape + (K,), scale=2.0)
+        trans = rng.normal((K, K))
+        trans *= spread / np.ptp(trans)
+        assert (np.ptp(trans) > kernels._PRODUCT_PTP) == (spread > 500.0)
+        nll, dreal, dT = batch.evaluate(scores[mask], trans)
+        want_nll, want_dscores, want_dT = kernels.crf_layer(scores, trans, y, mask)
+        assert nll == want_nll
+        assert np.array_equal(dreal, want_dscores[mask])
+        assert np.array_equal(dT, want_dT)
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+_ENTRY = st.one_of(st.sampled_from([-np.inf, 0.0, -0.0, 1.5, -3.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 6), K=st.integers(1, 8), data=st.data())
+def test_column_chains_equal_numpy_reductions(rows, K, data):
+    """The column max and log-sum-exp equal numpy's reductions over the last
+    axis bit for bit, with ties and -inf entries, for few rows and for as
+    many as take the chains of column operations, in 2-d and 3-d."""
+    a = np.array(data.draw(st.lists(_ENTRY, min_size=rows * K, max_size=rows * K)))
+    a = a.reshape(rows, K)
+    many = np.tile(a, (kernels._CHAIN_ROWS // rows + 1, 1))
+    for x in (a, many, many.reshape(-1, 1, K), many.reshape(1, -1, K)):
+        out = np.empty(x.shape[:-1])
+        assert np.array_equal(bits(kernels._max_columns(x, out)), bits(x.max(axis=-1)))
+        assert np.array_equal(bits(kernels._logsumexp_columns(x)),
+                              bits(np.logaddexp.reduce(x, axis=-1)))
+
+
 # ------------------------------------------------------------------- training
 
 @pytest.fixture(scope="module")
@@ -290,10 +341,48 @@ def test_crf_train_rejects_empty():
         crf_train([], CrfConfig())
 
 
-def test_crf_decode_deterministic(toy_dataset):
+def test_crf_decode_deterministic(toy_dataset, tmp_path):
     a = crf_train(toy_dataset, CrfConfig(max_iter=20))
     b = crf_train(toy_dataset, CrfConfig(max_iter=20))
     assert np.array_equal(a.W, b.W) and np.array_equal(a.T, b.T)
+    save_model(a, tmp_path / "a.json")
+    save_model(b, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset():
+    """Featurized synthetic documents of mixed lengths, with lexicon hits."""
+    emb = synthetic_embeddings(dim=6, seed=2)
+    lexicons = list(synthetic_lexicons())
+    return [(featurize(d.doc, emb, lexicons), to_bio(d.doc, d.entities))
+            for d in generate_corpus(30, seed=4)]
+
+
+def test_training_objective_is_the_sum_over_documents(mixed_dataset, monkeypatch):
+    """The objective crf_train hands L-BFGS equals, at a random point, the
+    summed per-document crf_neg_log_likelihood, value and gradient."""
+    captured = []
+
+    def first_point(objective, x0, config):
+        captured.append(objective)
+        return LbfgsResult(x=x0, value=0.0, iterations=0, evaluations=0, stop=CONVERGED)
+
+    monkeypatch.setattr(crf_module, "lbfgs_minimize", first_point)
+    model = crf_train(mixed_dataset, CrfConfig())
+    assert len({len(f) for f, _ in mixed_dataset}) > 3
+    x = Rng(8, stream=12).normal((model.W.size + model.T.size,), scale=0.3)
+    value, grad = captured[0](x)
+    probe = CrfModel(labels=model.labels, registry=model.registry,
+                     W=x[:model.W.size].reshape(model.W.shape),
+                     T=x[model.W.size:].reshape(model.T.shape))
+    want_value, want_grad = 0.0, np.zeros_like(x)
+    for features, gold in mixed_dataset:
+        one_value, one_grad = crf_neg_log_likelihood(probe, features, gold)
+        want_value += one_value
+        want_grad += one_grad
+    assert value == pytest.approx(want_value, rel=0, abs=1e-9)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-9
 
 
 def unseen_docs(features):

@@ -12,19 +12,19 @@ def test_load_static_basic(tmp_path):
     path.write_text("hello 1.0 2.0 3.0\nWorld -1 0 0.5\n")
     table = load_static(path)
     assert table.dim == 3
-    vec, oov = table.lookup("hello")
-    assert not oov and np.array_equal(vec, [1.0, 2.0, 3.0])
-    # case-folded lookup and storage
-    vec, oov = table.lookup("WORLD")
-    assert not oov and np.array_equal(vec, [-1.0, 0.0, 0.5])
+    # words are stored case-folded, in file order
+    assert table.vocab == {"hello": 0, "world": 1}
+    assert np.array_equal(table.matrix, [[1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
+    assert np.array_equal(table.rows(["hello", "WORLD"]),
+                          [[1.0, 2.0, 3.0, 0.0], [-1.0, 0.0, 0.5, 0.0]])
 
 
 def test_load_static_oov_zero_vector(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1 1\n")
     table = load_static(path)
-    vec, oov = table.lookup("missing")
-    assert oov and np.array_equal(vec, np.zeros(2))
+    assert "missing" not in table.vocab
+    assert np.array_equal(table.rows(["missing"]), [[0.0, 0.0, 1.0]])
 
 
 def test_load_static_inconsistent_dim_names_line(tmp_path):
@@ -61,8 +61,9 @@ def test_load_static_duplicates_first_wins(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         table = load_static(path)
     assert table.duplicates == 1
-    vec, _ = table.lookup("a")
-    assert np.array_equal(vec, [1.0, 2.0])
+    assert table.vocab == {"a": 0, "b": 1}
+    assert np.array_equal(table.matrix[table.vocab["a"]], [1.0, 2.0])
+    assert np.array_equal(table.rows(["A"]), [[1.0, 2.0, 0.0]])
 
 
 def test_load_static_empty_file(tmp_path):
@@ -77,12 +78,16 @@ def test_embedding_table_shape_check():
         EmbeddingTable(3, {"a": 0}, np.zeros((2, 3)))
 
 
-def test_rows_equal_lookup_with_oov_flag():
-    table = EmbeddingTable(3, {"zinc": 0, "fish": 1}, np.arange(6.0).reshape(2, 3) + 1)
+def test_rows_are_vectors_then_oov_flag():
+    matrix = np.arange(6.0).reshape(2, 3) + 1
+    table = EmbeddingTable(3, {"zinc": 0, "fish": 1}, matrix)
     words = ["Zinc", "unknown", "FISH", "zinc", "Fish", ""]
     rows = table.rows(words)
     assert rows.shape == (len(words), 4)
     for row, word in zip(rows, words):
-        vec, oov = table.lookup(word)
-        assert np.array_equal(row, np.concatenate([vec, [1.0 if oov else 0.0]]))
+        idx = table.vocab.get(word.lower())
+        if idx is None:
+            assert np.array_equal(row, [0.0, 0.0, 0.0, 1.0])
+        else:
+            assert np.array_equal(row, np.append(matrix[idx], 0.0))
     assert table.rows([]).shape == (0, 4)

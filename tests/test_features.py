@@ -11,15 +11,17 @@ from util import make_doc
 
 def loop_rows(features, registry):
     """Reference: a token's non-zero dense values, then 1.0 per resolved
-    indicator in name order."""
+    indicator in name order; an unfrozen registry indexes each new name as
+    it comes."""
     rows = []
     for feat in features:
         cols = [int(k) for k in np.nonzero(feat.dense)[0]]
         vals = [float(feat.dense[k]) for k in cols]
         for name in feat.names:
-            col = registry.resolve(name)
-            if col is not None:
-                cols.append(col)
+            if name not in registry.index and not registry.frozen:
+                registry.index[name] = len(registry.index)
+            if name in registry.index:
+                cols.append(registry.dense_dim + registry.index[name])
                 vals.append(1.0)
         rows.append((cols, vals))
     return rows
@@ -64,8 +66,7 @@ def test_token_scores_equal_sparse_product(dim, K, frozen, seen, tokens, seed):
     """token_scores is index_features(...) @ W.T; indicators the registry does
     not hold add nothing and are not added to it, frozen or not."""
     registry = FeatureRegistry(dim)
-    for name in seen:
-        registry.resolve(name)
+    registry.add(seen)
     if frozen:
         registry.freeze()
     reference = FeatureRegistry(dim)
@@ -99,8 +100,9 @@ def test_featurize_dense_rows_and_windows_on_a_synthetic_corpus():
             return seq[j] if 0 <= j < len(seq) else BOUNDARY
 
         for i, (feat, surface) in enumerate(zip(features, surfaces)):
-            vec, oov = emb.lookup(surface)
-            assert np.array_equal(feat.dense, np.concatenate([vec, [1.0 if oov else 0.0]]))
+            idx = emb.vocab.get(surface.lower())
+            vec = np.zeros(emb.dim) if idx is None else emb.matrix[idx]
+            assert np.array_equal(feat.dense, np.append(vec, 1.0 if idx is None else 0.0))
             assert feat.names[:8] == (
                 tuple(f"w[{off}]={window(surfaces, i + off)}" for off in (-2, -1, 0, 1, 2))
                 + tuple(f"pos[{off}]={window(tags, i + off)}" for off in (-1, 0, 1)))

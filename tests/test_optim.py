@@ -230,6 +230,55 @@ def test_lbfgs_monotone_best_value():
     assert result.value <= v0
 
 
+def counted(objective):
+    """objective, and a list that grows by one on each of its calls."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        return objective(x)
+    return wrapped, calls
+
+
+def test_lbfgs_reports_convergence_at_the_start():
+    quad, calls = counted(lambda x: (float(x @ x), 2 * x))
+    result = lbfgs_minimize(quad, np.zeros(3), LbfgsConfig(tol=1e-8))
+    assert result.stop == optim.CONVERGED and result.converged
+    assert result.iterations == 0 and result.evaluations == len(calls) == 1
+
+
+def test_lbfgs_reports_convergence_after_steps():
+    quad, calls = counted(lambda x: (float(x @ x), 2 * x))
+    result = lbfgs_minimize(quad, np.ones(3), LbfgsConfig(tol=1e-8))
+    assert result.stop == optim.CONVERGED
+    assert result.iterations >= 1 and result.evaluations == len(calls) > result.iterations
+
+
+def test_lbfgs_reports_max_iter():
+    objective, calls = counted(rosenbrock)
+    result = lbfgs_minimize(objective, np.array([-1.2, 1.0]), LbfgsConfig(max_iter=3))
+    assert result.stop == optim.MAX_ITER and not result.converged
+    assert result.iterations == 3 and result.evaluations == len(calls)
+
+
+def test_lbfgs_reports_line_search_failure():
+    # the gradient points the wrong way: no step along -g lowers the value
+    objective, calls = counted(lambda x: (float(x @ x), -2 * x))
+    result = lbfgs_minimize(objective, np.ones(2), LbfgsConfig(max_iter=10))
+    assert result.stop == optim.LINE_SEARCH_FAILED and not result.converged
+    assert result.iterations == 0
+    assert result.evaluations == len(calls) == 1 + optim._MAX_LS
+    assert np.array_equal(result.x, np.ones(2))
+
+
+def test_lbfgs_reports_no_descent_direction():
+    # a zero gradient never passes a zero tolerance, and gives no direction
+    objective, calls = counted(lambda x: (float(x @ x), 2 * x))
+    result = lbfgs_minimize(objective, np.zeros(2), LbfgsConfig(tol=0.0))
+    assert result.stop == optim.NO_DESCENT and not result.converged
+    assert result.iterations == 0 and result.evaluations == len(calls) == 1
+
+
 # ----------------------------------------------------------------- grad_check
 
 def test_grad_check_accepts_correct_gradient():
