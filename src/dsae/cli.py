@@ -436,14 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kb", help="knowledge-base CSV")
         p.add_argument("--signals", help="signals TSV (compare-kb/report input)")
         p.add_argument("--synthetic-docs", dest="synthetic_docs", type=int)
+        level = p.add_mutually_exclusive_group()
+        level.add_argument("--verbose", dest="log_level", action="store_const",
+                           const=logging.INFO, help="log progress messages too")
+        level.add_argument("--quiet", dest="log_level", action="store_const",
+                           const=logging.ERROR, help="log errors only, not warnings")
     return parser
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     # warnings of every module to stderr, named by their logger; this does
     # nothing when the root logger already has a handler
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    logging.basicConfig(stream=sys.stderr, level=args.log_level or logging.WARNING,
+                        format="%(name)s: %(message)s")
     try:
         config = _load_config(args)
         _validate(config, args.command)

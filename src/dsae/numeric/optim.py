@@ -33,6 +33,9 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    # scratch vectors of the update, kept between steps
+    step: np.ndarray | None = None
+    denom: np.ndarray | None = None
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -56,11 +59,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
+        state.step = np.empty_like(params)
+        state.denom = np.empty_like(params)
     state.t += 1
-    m, v = state.m, state.v
+    m, v, step, denom = state.m, state.v, state.step, state.denom
     # the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     # p -= lr mhat / (sqrt(vhat) + eps), p -= lr wd p, in their usual order
-    step = np.multiply(grads, 1.0 - state.beta1)
+    np.multiply(grads, 1.0 - state.beta1, out=step)
     m *= state.beta1
     m += step
     np.multiply(grads, 1.0 - state.beta2, out=step)
@@ -69,7 +74,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     v += step
     np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
     step *= state.lr
-    denom = np.divide(v, 1.0 - state.beta2 ** state.t)
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     step /= denom
@@ -90,20 +95,21 @@ def adam_train(params: ParamVector, n: int,
     Each epoch visits one ``rng.permutation(n)`` in batches.
     ``loss_and_grad(batch, grad)`` gets the batch's instance indices in
     permutation order, returns their summed loss and adds their summed
-    gradient into ``grad``; the step uses its mean, rescaled to norm
-    ``clip_norm`` when longer. With ``dev_score``, the parameters after the
-    epoch with the highest score (the first, on ties) are restored at the
-    end.
+    gradient into ``grad``, one vector zeroed before every batch; the step
+    uses its mean, rescaled to norm ``clip_norm`` when longer. With
+    ``dev_score``, the parameters after the epoch with the highest score
+    (the first, on ties) are restored at the end.
     """
     state = AdamState(lr=lr, weight_decay=weight_decay)
     names = params.slice_names()
+    grad = params.zeros_like()
     best_score = -math.inf
     best = None
     for epoch in range(epochs):
         order = rng.permutation(n)
         for lo in range(0, len(order), batch_size):
             batch = order[lo:lo + batch_size]
-            grad = params.zeros_like()
+            grad.data.fill(0.0)
             loss = loss_and_grad(batch, grad)
             if not np.isfinite(loss):
                 raise FloatingPointError(

@@ -10,9 +10,16 @@ embeddings and inverse-frequency class weighting are always on.
 The forward and backward passes take a batch of instances padded to its
 longest, after the position-feature CNN of Zeng et al. 2014 (COLING): one
 window matrix product, max-over-time pooling that never picks a padding
-row, one (B, 256) block of dropout draws per batch (the draws the B
-instances would make one after another), and the pooled gradient routed
-back through a (B, L, 256) matrix that holds it at each filter's argmax.
+row (padding holds -1), and one (B, 256) block of dropout draws per batch
+(the draws the B instances would make one after another). Both passes
+write into a workspace of buffers: ``cnn_train`` builds one for all its
+training and dev-scoring batches, and any other call builds one for its
+own batch. The backward pass turns the conv output in place into the
+routed gradient: each filter's pooled gradient goes to the rows that
+equal its max, and only to the first of them when several do, as an
+argmax would route it. Word vectors are frozen, so the gradient is carried
+back onto the input rows only where it reaches parameters: the position
+columns of every row and the word columns of the marker rows.
 Training runs the shared minibatch Adam loop (``numeric.optim.adam_train``),
 whose batch callback is ``cnn_loss_and_grad``; a dev split selects the
 epoch by macro per-label F1. ``classify_pairs`` scores all of a document's
@@ -21,8 +28,10 @@ pairs in one batch.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,48 +179,126 @@ class CnnReModel:
                    dropout=cfg.dropout)
 
 
+class _Workspace:
+    """Work buffers for batches of up to ``rows`` padded rows (B * L) of
+    input dimension ``d``. A batch writes views of their first rows. The
+    input rows, the conv output and the position back-product each keep a
+    zero row at index ``rows``, which gathers read outside an instance.
+    ``mapped`` buffers each get an anonymous memory mapping of their own,
+    so that their pages go back to the system when the workspace is
+    dropped: for one that lives through a training run, the C heap would
+    keep them, fragmented, for the rest of the process."""
+
+    def __init__(self, rows: int, d: int, mapped: bool = False):
+        empty = _mapped_empty if mapped else np.empty
+        width = d + 2 * POS_DIM
+        self.rows = rows
+        self.x = empty((rows + 1, width))
+        self.windows = empty((rows, KERNEL * width))
+        # the conv output, overwritten by its gradient in the backward pass
+        self.conv = empty((rows + 1, N_FILTERS))
+        self.dpos = empty((rows + 1, KERNEL * 2 * POS_DIM))
+        for buffer in (self.x, self.conv, self.dpos):
+            buffer[rows] = 0.0
+        self.dconv_W = empty((N_FILTERS, KERNEL * width))
+
+
+def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
+    """A float64 array of ``shape`` in an anonymous memory mapping."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+
+
+def _batch_index(lengths: tuple[int, ...], zero: int):
+    """Index arrays of a batch of instances of ``lengths``, whose input
+    rows follow one another and whose windows are padded to the longest, L:
+
+    - ``source`` (B, L, 3): the input row in slot k of window t of instance
+      b, its row t + k - 1, or row ``zero`` outside the instance;
+    - ``covering`` (3, n): the window b * L + t + 1 - k that holds input
+      row r (row t of instance b) in slot k, or ``zero`` where none does;
+    - ``padding`` (B, L): the windows past an instance's end, or None.
+
+    Those of a single instance come from a cache: scoring one pair and
+    gradient checks repeat them, where training batches do not repeat."""
+    if len(lengths) == 1:
+        return _instance_index(lengths[0], zero)
+    return _index_arrays(lengths, zero)
+
+
+@functools.lru_cache(maxsize=64)
+def _instance_index(n: int, zero: int):
+    return _index_arrays((n,), zero)
+
+
+def _index_arrays(lengths: tuple[int, ...], zero: int):
+    sizes = np.array(lengths)
+    B, L, n = len(lengths), max(lengths), sum(lengths)
+    starts = np.cumsum(sizes) - sizes
+    t = np.arange(L)[:, None] + np.arange(-1, KERNEL - 1)
+    source = np.where((t >= 0) & (t < sizes[:, None, None]), starts[:, None, None] + t, zero)
+    b = np.repeat(np.arange(B), sizes)
+    window = (np.arange(n) - starts[b]) + np.arange(1, 1 - KERNEL, -1)[:, None]
+    covering = np.where((window >= 0) & (window < L), b * L + window, zero)
+    padding = np.arange(L) >= sizes[:, None] if n < B * L else None
+    for array in (source, covering, padding):
+        if array is not None:
+            array.flags.writeable = False
+    return source, covering, padding
+
+
+@dataclass
+class _Cache:
+    """What the backward pass needs of a forward pass."""
+
+    work: _Workspace
+    shape: tuple[int, int]  # B instances, padded to L rows
+    covering: np.ndarray
+    marker_ids: np.ndarray
+    pos_head: np.ndarray
+    pos_tail: np.ndarray
+    pooled: np.ndarray
+    keep: np.ndarray | None
+    dropped: np.ndarray
+
+
 def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = False,
-             rng: Rng | None = None):
+             rng: Rng | None = None, work: _Workspace | None = None):
     """(B, 3) label probabilities of a batch of instances plus a cache for
-    backprop. With dropout on, one (B, 256) block of ``rng`` draws is used,
-    row b for instance b."""
+    backprop, computed in ``work`` (a workspace of the batch's own size
+    when None). With dropout on, one (B, 256) block of ``rng`` draws is
+    used, row b for instance b."""
     p = model.params
     d = model.input_dim
-    lengths = [len(enc.marker_ids) for enc in encs]
-    B, L = len(encs), max(lengths)
     width = d + 2 * POS_DIM
+    lengths = tuple(len(enc.marker_ids) for enc in encs)
+    B, L = len(encs), max(lengths)
+    if work is None:
+        work = _Workspace(B * L, d)
+    elif B * L > work.rows:
+        raise ValueError(f"batch of {B} x {L} rows exceeds a workspace of {work.rows}")
+    source, covering, padding = _batch_index(lengths, work.rows)
     # the input rows of every instance, one after another: token or marker
     # vector plus the two position vectors
     marker_ids = _joined(encs, "marker_ids")
     pos_head = _joined(encs, "pos_head")
     pos_tail = _joined(encs, "pos_tail")
+    x = work.x[:len(marker_ids)]
+    np.concatenate([enc.tokens for enc in encs], out=x[:, :d])
     is_marker = marker_ids >= 0
-    x = np.empty((len(marker_ids), width))
-    x[:, :d] = _joined(encs, "tokens")
     x[is_marker, :d] = p["markers"][marker_ids[is_marker]]
     x[:, d:d + POS_DIM] = p["pos_head"][pos_head]
     x[:, d + POS_DIM:] = p["pos_tail"][pos_tail]
-    # same-padding windows of width 3 over each instance's rows; an instance
-    # shorter than L is followed by zero rows, and ``real`` marks its own
-    if len(x) == B * L:
-        real = None
-        x = x.reshape(B, L, width)
-    else:
-        real = np.arange(L) < np.array(lengths)[:, None]
-        padded = np.zeros((B, L, width))
-        padded[real] = x
-        x = padded
-    windows = np.zeros((B, L, KERNEL * width))
-    windows[:, 1:, :width] = x[:, :-1]
-    windows[:, :, width:2 * width] = x
-    windows[:, :-1, 2 * width:] = x[:, 1:]
-    relu = windows.reshape(B * L, -1) @ p["conv_W"].T + p["conv_b"]
+    # same-padding windows of width 3, one matrix product over all of them
+    windows = work.windows[:B * L]
+    np.take(work.x, source, axis=0, out=windows.reshape(B, L, KERNEL, width), mode="clip")
+    relu = work.conv[:B * L]
+    np.matmul(windows, p["conv_W"].T, out=relu)
+    relu += p["conv_b"]
     np.maximum(relu, 0.0, out=relu)
     relu = relu.reshape(B, L, N_FILTERS)
-    if real is not None:
-        # padding never wins the max, so ties still go to the first real row
-        np.copyto(relu, -1.0, where=~real[..., None])
-    argmax = np.argmax(relu, axis=1)
+    if padding is not None:
+        # padding rows hold -1, below every pooled max
+        relu[padding] = -1.0
     pooled = relu.max(axis=1)
     if train_mode and model.dropout > 0.0:
         if rng is None:
@@ -224,9 +311,8 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     logits = dropped @ p["out_W"].T + p["out_b"]
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = exp / exp.sum(axis=1, keepdims=True)
-    cache = (marker_ids, is_marker, pos_head, pos_tail, real, windows, argmax,
-             pooled, keep, dropped)
-    return probs, cache
+    return probs, _Cache(work, (B, L), covering, marker_ids, pos_head, pos_tail, pooled, keep,
+                         dropped)
 
 
 def _joined(encs: list[EncodedInstance], field: str) -> np.ndarray:
@@ -236,33 +322,51 @@ def _joined(encs: list[EncodedInstance], field: str) -> np.ndarray:
     return np.concatenate([getattr(enc, field) for enc in encs])
 
 
-def _backward(model: CnnReModel, cache, dlogits: np.ndarray, grad: ParamVector) -> None:
+def _backward(model: CnnReModel, cache: _Cache, dlogits: np.ndarray,
+              grad: ParamVector) -> None:
     p = model.params
-    (marker_ids, is_marker, pos_head, pos_tail, real, windows, argmax,
-     pooled, keep, dropped) = cache
-    B, L, _ = windows.shape
+    work, covering = cache.work, cache.covering
     d = model.input_dim
     width = d + 2 * POS_DIM
-    grad["out_W"] += dlogits.T @ dropped
+    grad["out_W"] += dlogits.T @ cache.dropped
     grad["out_b"] += dlogits.sum(axis=0)
-    ddropped = dlogits @ p["out_W"]
-    dpooled = ddropped * keep / (1.0 - model.dropout) if keep is not None else ddropped
-    dpooled = dpooled * (pooled > 0.0)  # ReLU at the pooled positions
+    dpooled = dlogits @ p["out_W"]
+    if cache.keep is not None:
+        dpooled = dpooled * cache.keep / (1.0 - model.dropout)
+    dpooled = dpooled * (cache.pooled > 0.0)  # ReLU at the pooled positions
     grad["conv_b"] += dpooled.sum(axis=0)
-    # route through the argmax positions: dpooled at (argmax, filter)
-    routed = np.zeros((B, L, N_FILTERS))
-    np.put_along_axis(routed, argmax[:, None], dpooled[:, None], axis=1)
-    grad["conv_W"] += routed.reshape(B * L, N_FILTERS).T @ windows.reshape(B * L, -1)
-    dwindows = routed @ p["conv_W"]
-    # windows -> x rows (window slot k covers x row t+k-1)
-    dx = np.zeros((B, L, width))
-    dx[:, :L - 1] += dwindows[:, 1:, 0:width]
-    dx += dwindows[:, :, width:2 * width]
-    dx[:, 1:] += dwindows[:, :L - 1, 2 * width:]
-    dx = dx.reshape(B * L, width) if real is None else dx[real]
-    _add_rows(grad["markers"], marker_ids[is_marker], dx[is_marker, :d])
-    _add_rows(grad["pos_head"], pos_head, dx[:, d:d + POS_DIM])
-    _add_rows(grad["pos_tail"], pos_tail, dx[:, d + POS_DIM:])
+    # route dpooled to the rows that hold the pooled max, over the conv
+    # output; a column with one such row sums to dpooled exactly, and a max
+    # held by several rows goes to the first of them alone, as argmax has it
+    B, L = cache.shape
+    routed = work.conv[:B * L].reshape(B, L, N_FILTERS)
+    np.equal(routed, cache.pooled[:, None], out=routed)
+    routed *= dpooled[:, None]
+    tied = routed.sum(axis=1) != dpooled
+    if tied.any():
+        bs, fs = np.nonzero(tied)
+        first = np.argmax(routed[bs, :, fs] != 0.0, axis=1)
+        routed[bs, :, fs] = 0.0
+        routed[bs, first, fs] = dpooled[bs, fs]
+    routed = routed.reshape(B * L, N_FILTERS)
+    grad["conv_W"] += np.matmul(routed.T, work.windows[:B * L], out=work.dconv_W)
+    # the input-row gradient reaches parameters only in the position
+    # columns of every row and the word columns of marker rows; a row's is
+    # the sum over the three windows that cover it
+    conv_W = p["conv_W"].reshape(N_FILTERS, KERNEL, width)
+    np.matmul(routed, conv_W[:, :, d:].reshape(N_FILTERS, -1), out=work.dpos[:B * L])
+    dpos = work.dpos.reshape(-1, KERNEL, 2 * POS_DIM)
+    dx = dpos[covering[0], 0]
+    for k in range(1, KERNEL):
+        dx += dpos[covering[k], k]
+    _add_rows(grad["pos_head"], cache.pos_head, dx[:, :POS_DIM])
+    _add_rows(grad["pos_tail"], cache.pos_tail, dx[:, POS_DIM:])
+    # the marker rows: per slot, the windows over each marker summed first
+    markers = np.flatnonzero(cache.marker_ids >= 0)
+    if len(markers):
+        which = (cache.marker_ids[markers] == np.arange(len(MARKERS))[:, None]).astype(np.float64)
+        for k in range(KERNEL):
+            grad["markers"] += (which @ work.conv[covering[k, markers]]) @ conv_W[:, k, :d]
 
 
 def _add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -279,20 +383,22 @@ def cnn_forward(model: CnnReModel, enc: EncodedInstance):
     return probs[0], cache
 
 
-def _probabilities(model: CnnReModel, encs: list[EncodedInstance]) -> np.ndarray:
+def _probabilities(model: CnnReModel, encs: list[EncodedInstance],
+                   work: _Workspace | None = None) -> np.ndarray:
     """(N, 3) label probabilities of N >= 1 instances, _SCORE_BATCH per
     forward pass."""
-    return np.concatenate([_forward(model, encs[lo:lo + _SCORE_BATCH])[0]
+    return np.concatenate([_forward(model, encs[lo:lo + _SCORE_BATCH], work=work)[0]
                            for lo in range(0, len(encs), _SCORE_BATCH)])
 
 
 def cnn_loss_and_grad(model: CnnReModel, encs: list[EncodedInstance], weights,
                       grad: ParamVector | None, train_mode: bool = False,
-                      rng: Rng | None = None) -> float:
+                      rng: Rng | None = None, *, work: _Workspace | None = None) -> float:
     """Summed weighted cross-entropy of a batch of labelled instances
     (``weights[b]`` scales instance b's term) plus, when ``grad`` is given,
-    accumulation of its gradient."""
-    probs, cache = _forward(model, encs, train_mode=train_mode, rng=rng)
+    accumulation of its gradient. Both passes run in ``work``, or in a
+    workspace of the batch's own size."""
+    probs, cache = _forward(model, encs, train_mode=train_mode, rng=rng, work=work)
     labels = [enc.label for enc in encs]
     loss = 0.0
     for row, label, weight in zip(probs.tolist(), labels, weights):
@@ -328,14 +434,17 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
     model = CnnReModel.init(d, cfg)
     weights = class_weights([enc.label for enc in instances])
     drop_rng = Rng(cfg.seed, stream=41)
+    # one workspace for every training and dev-scoring batch of this call
+    longest = max(len(enc.marker_ids) for encs in (instances, dev or []) for enc in encs)
+    work = _Workspace(max(cfg.batch_size, _SCORE_BATCH) * longest, d, mapped=True)
 
     def loss_and_grad(batch, grad):
         encs = [instances[i] for i in batch]
         return cnn_loss_and_grad(model, encs, weights[[enc.label for enc in encs]],
-                                 grad, train_mode=True, rng=drop_rng)
+                                 grad, train_mode=True, rng=drop_rng, work=work)
 
     def dev_score():
-        return macro_f1([enc.label for enc in dev], _probabilities(model, dev))
+        return macro_f1([enc.label for enc in dev], _probabilities(model, dev, work))
 
     adam_train(model.params, len(instances), loss_and_grad, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,

@@ -246,17 +246,40 @@ def test_missing_model_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_crf_that_cannot_converge_warns_with_its_stop_reason(tmp_path):
-    """Run as a program, the CLI prints the CRF's warning on stderr, named
-    by its logger and giving why L-BFGS stopped."""
+def train_unconverged_crf_as_program(tmp_path, *flags):
+    """Run ``dsae train-ner`` as a program, with an L-BFGS step budget the
+    CRF cannot converge in; returns the finished process."""
     config = write_config(tmp_path, crf={"c1": 0.05, "c2": 0.05, "max_iter": 1})
     src = str(Path(dsae.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run(
         [sys.executable, "-m", "dsae.cli", "train-ner", "--config", config,
-         "--out", str(tmp_path / "out")],
+         "--out", str(tmp_path / "out"), *flags],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert ("dsae.ner.crf: crf_train: L-BFGS stopped without converging: max_iter "
-            "(steps 1, ") in done.stderr
+    return done
+
+
+CRF_WARNING = "dsae.ner.crf: crf_train: L-BFGS stopped without converging: "
+
+
+def test_crf_that_cannot_converge_warns_with_its_stop_reason(tmp_path):
+    """Run as a program, the CLI prints the CRF's warning on stderr, named
+    by its logger and giving why L-BFGS stopped."""
+    done = train_unconverged_crf_as_program(tmp_path)
+    assert CRF_WARNING + "max_iter (steps 1, " in done.stderr
+
+
+@pytest.mark.parametrize("flag, shown", [("--verbose", True), ("--quiet", False)])
+def test_log_level_flags_show_or_hide_the_crf_warning(tmp_path, flag, shown):
+    """--verbose logs from INFO up and keeps the warning; --quiet logs
+    errors only and drops it."""
+    done = train_unconverged_crf_as_program(tmp_path, flag)
+    assert (CRF_WARNING in done.stderr) == shown
+
+
+def test_verbose_and_quiet_exclude_each_other(capsys):
+    with pytest.raises(SystemExit):
+        run("train-ner", "--verbose", "--quiet")
+    assert "not allowed with" in capsys.readouterr().err

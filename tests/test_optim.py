@@ -64,6 +64,7 @@ def test_adam_step_in_place_equals_reference(weight_decay):
     expected = x.copy()
     state = AdamState(lr=0.01, weight_decay=weight_decay)
     ref_state = AdamState(lr=0.01, weight_decay=weight_decay)
+    buffers = None
     for _ in range(50):
         grads = rng.normal((300,), scale=3.0)
         assert adam_step(x, grads, state) is x
@@ -71,6 +72,10 @@ def test_adam_step_in_place_equals_reference(weight_decay):
         assert np.array_equal(x, expected)
         assert np.array_equal(state.m, ref_state.m)
         assert np.array_equal(state.v, ref_state.v)
+        # every step reuses the moment and scratch vectors of the first
+        step_buffers = (state.m, state.v, state.step, state.denom)
+        assert buffers is None or all(a is b for a, b in zip(step_buffers, buffers))
+        buffers = step_buffers
 
 
 def test_adam_shape_mismatch():
@@ -110,6 +115,21 @@ def test_adam_train_hands_each_permutation_over_in_batches():
         order = list(rng.permutation(len(TARGETS)))
         expected += [order[:3], order[3:]]
     assert batches == expected
+
+
+def test_adam_train_hands_a_zero_gradient_to_every_batch():
+    params = ParamVector({"x": (2,)})
+    loss = quadratic_loss(params)
+    seen = []
+
+    def checking(batch, grad):
+        assert np.all(grad.data == 0.0)
+        seen.append(grad)
+        return loss(batch, grad)
+
+    adam_train(params, len(TARGETS), checking, epochs=3, batch_size=3, lr=0.1,
+               weight_decay=0.0, rng=Rng(0, stream=3))
+    assert len(seen) == 6
 
 
 def test_adam_train_restores_best_epoch():

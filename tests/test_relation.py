@@ -7,9 +7,10 @@ from dsae.annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
 from dsae.embeddings import EmbeddingTable
 from dsae.numeric.optim import grad_check
 from dsae.numeric.rng import Rng
-from dsae.relation import (CnnReConfig, CnnReModel, EncodedInstance, class_weights,
-                           classify_pairs, cnn_forward, cnn_loss_and_grad, cnn_objective,
-                           cnn_train, encode_instance)
+from dsae.relation import (N_FILTERS, POS_DIM, CnnReConfig, CnnReModel, EncodedInstance,
+                           class_weights, classify_pairs, cnn_forward, cnn_loss_and_grad,
+                           cnn_objective, cnn_train, encode_instance)
+from dsae.serialization import save_model
 
 from util import make_doc, span
 
@@ -181,6 +182,147 @@ def test_batched_gradient_equals_sum_of_instances(lengths, seed, dropout):
         assert np.allclose(row, cnn_forward(model, enc)[0], rtol=1e-12, atol=0)
 
 
+def input_rows(model, enc):
+    """Instance ``enc``'s input rows: token or marker vector, then the head
+    and tail position vectors."""
+    p, d = model.params, model.input_dim
+    tokens = enc.tokens.copy()
+    markers = enc.marker_ids >= 0
+    tokens[markers] = p["markers"][enc.marker_ids[markers]]
+    return np.hstack([tokens, p["pos_head"][enc.pos_head], p["pos_tail"][enc.pos_tail]])
+
+
+def oracle_loss_and_grad(model, encs, weights, rng=None):
+    """Loss and gradient of a batch computed the long way: zero-padded
+    input rows, pooling routed through ``np.argmax`` and
+    ``put_along_axis``, and the full back-product onto every window column."""
+    p, d = model.params, model.input_dim
+    width = d + 2 * POS_DIM
+    B, L = len(encs), max(len(enc.marker_ids) for enc in encs)
+    x = np.zeros((B, L, width))
+    real = np.zeros((B, L), dtype=bool)
+    for b, enc in enumerate(encs):
+        x[b, :len(enc.marker_ids)] = input_rows(model, enc)
+        real[b, :len(enc.marker_ids)] = True
+    zero = np.zeros((B, 1, width))
+    windows = np.concatenate([np.concatenate([zero, x[:, :-1]], axis=1), x,
+                              np.concatenate([x[:, 1:], zero], axis=1)], axis=2)
+    relu = np.maximum(windows @ p["conv_W"].T + p["conv_b"], 0.0)
+    relu[~real] = -1.0
+    argmax = np.argmax(relu, axis=1)
+    pooled = np.take_along_axis(relu, argmax[:, None], axis=1)[:, 0]
+    scale = np.ones((B, N_FILTERS))
+    if rng is not None and model.dropout > 0.0:
+        scale = (rng.uniform((B, N_FILTERS)) >= model.dropout) / (1.0 - model.dropout)
+    dropped = pooled * scale
+    logits = dropped @ p["out_W"].T + p["out_b"]
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    labels = [enc.label for enc in encs]
+    weights = np.asarray(weights, dtype=np.float64)
+    loss = -float(np.sum(weights * np.log(probs[np.arange(B), labels])))
+
+    grad = model.params.zeros_like()
+    dlogits = weights[:, None] * (probs - np.eye(len(RELATION_LABELS))[labels])
+    grad["out_W"][:] = dlogits.T @ dropped
+    grad["out_b"][:] = dlogits.sum(axis=0)
+    dpooled = (dlogits @ p["out_W"]) * scale * (pooled > 0.0)
+    grad["conv_b"][:] = dpooled.sum(axis=0)
+    routed = np.zeros((B, L, N_FILTERS))
+    np.put_along_axis(routed, argmax[:, None], dpooled[:, None], axis=1)
+    grad["conv_W"][:] = routed.reshape(B * L, -1).T @ windows.reshape(B * L, -1)
+    dwindows = routed @ p["conv_W"]
+    dx = dwindows[:, :, width:2 * width].copy()
+    dx[:, :-1] += dwindows[:, 1:, :width]
+    dx[:, 1:] += dwindows[:, :-1, 2 * width:]
+    for b, enc in enumerate(encs):
+        rows = dx[b, :len(enc.marker_ids)]
+        markers = enc.marker_ids >= 0
+        np.add.at(grad["markers"], enc.marker_ids[markers], rows[markers, :d])
+        np.add.at(grad["pos_head"], enc.pos_head, rows[:, d:d + POS_DIM])
+        np.add.at(grad["pos_tail"], enc.pos_tail, rows[:, d + POS_DIM:])
+    return loss, grad
+
+
+def random_model(rng, d, max_len, dropout, seed):
+    model = CnnReModel.init(d, CnnReConfig(max_len=max_len, dropout=dropout, seed=seed))
+    model.params.data += rng.normal((model.params.size,), scale=0.3)
+    return model
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16), dropout=st.sampled_from([0.0, 0.3]))
+def test_gradient_equals_argmax_routing_oracle(lengths, seed, dropout):
+    """Routing to the rows equal to the pooled max, and back-products onto
+    the position columns and the marker rows alone, give the gradient of
+    argmax routing and the full back-product."""
+    rng = Rng(seed, stream=19)
+    d, max_len = 4, 6
+    model = random_model(rng, d, max_len, dropout, seed)
+    encs = [random_instance(rng, n, d, max_len) for n in lengths]
+    weights = rng.uniform(len(encs)) + 0.5
+    grad = model.params.zeros_like()
+    value = cnn_loss_and_grad(model, encs, weights, grad, train_mode=True,
+                              rng=Rng(seed, stream=41))
+    expected_value, expected = oracle_loss_and_grad(model, encs, weights,
+                                                    rng=Rng(seed, stream=41))
+    assert value == pytest.approx(expected_value, rel=1e-12)
+    scale = max(1.0, float(np.max(np.abs(expected.data))))
+    assert np.max(np.abs(grad.data - expected.data)) <= 1e-12 * scale
+
+
+def test_tied_max_routes_to_each_instance_first_row():
+    """With conv_W = 0 and conv_b > 0 every real row of every filter holds
+    the pooled max; the conv_W gradient comes from each first window alone."""
+    rng = Rng(8, stream=19)
+    d, max_len = 4, 6
+    model = random_model(rng, d, max_len, 0.0, 8)
+    model.params["conv_W"][:] = 0.0
+    model.params["conv_b"][:] = rng.uniform(N_FILTERS) + 0.1
+    encs = [random_instance(rng, n, d, max_len) for n in (3, 1, 5, 5)]
+    weights = [1.0, 0.5, 2.0, 1.5]
+    grad = model.params.zeros_like()
+    cnn_loss_and_grad(model, encs, weights, grad)
+
+    p = model.params
+    logits = p["out_W"] @ p["conv_b"] + p["out_b"]  # every instance pools conv_b
+    probs = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+    expected = np.zeros_like(p["conv_W"])
+    for enc, weight in zip(encs, weights):
+        dpooled = weight * (probs - np.eye(len(probs))[enc.label]) @ p["out_W"]
+        rows = input_rows(model, enc)
+        first_window = np.concatenate([np.zeros_like(rows[0]), rows[0],
+                                       rows[1] if len(rows) > 1 else np.zeros_like(rows[0])])
+        expected += np.outer(dpooled, first_window)
+    assert np.allclose(grad["conv_W"], expected, rtol=1e-12, atol=1e-14)
+    assert np.allclose(grad.data, oracle_loss_and_grad(model, encs, weights)[1].data,
+                       rtol=1e-12, atol=1e-14)
+
+
+def test_reused_workspace_gives_the_gradient_of_a_fresh_one():
+    """A short batch run in a workspace a longer batch used before reads
+    none of the long batch's rows (padding invariance)."""
+    rng = Rng(6, stream=19)
+    d, max_len = 4, 6
+    model = random_model(rng, d, max_len, 0.3, 6)
+    long_batch = [random_instance(rng, n, d, max_len) for n in (9, 7, 9, 8)]
+    short_batch = [random_instance(rng, n, d, max_len) for n in (2, 1, 3)]
+    work = relation._Workspace(4 * 9, d)
+    results = []
+    for workspace in (work, None):
+        if workspace is not None:
+            cnn_loss_and_grad(model, long_batch, [1.0] * 4, model.params.zeros_like(),
+                              train_mode=True, rng=Rng(1, stream=41), work=workspace)
+        grad = model.params.zeros_like()
+        value = cnn_loss_and_grad(model, short_batch, [1.0, 2.0, 0.5], grad, train_mode=True,
+                                  rng=Rng(2, stream=41), work=workspace)
+        results.append((value, grad.data))
+    (value, grad), (fresh_value, fresh_grad) = results
+    assert value == fresh_value
+    assert np.array_equal(grad, fresh_grad)
+
+
 def test_classify_pairs_matches_per_pair_forward(emb):
     doc = make_doc("d", ["vitamin", "c", "w1", "nausea", "w2", "sleep", "w3"])
     model = CnnReModel.init(emb.dim + 1, CnnReConfig(max_len=16, seed=2))
@@ -242,6 +384,27 @@ def test_cnn_train_and_classify_pairs(emb):
     preds = classify_pairs(doc, entities, model, emb)
     assert len(preds) == 1 and preds[0].label == expected
     assert preds[0].head.id == "T1" and preds[0].tail.id == "T2"
+
+
+def test_cnn_train_same_seed_gives_identical_bundles(emb, tmp_path):
+    """Two trainings with one seed, dev scoring included, save the same
+    bytes; the dev split is scored in batches larger than a training batch."""
+    rng = Rng(7, stream=16)
+    encs = []
+    for i in range(48):
+        words = ["vitamin"] + [f"w{rng.randint(30)}" for _ in range(rng.randint(6))] + \
+            ["nausea" if i % 3 else "sleep"]
+        doc = make_doc(f"d{i}", words)
+        label = ("NoRelation", "AdverseEvent", "Indication")[i % 3]
+        encs.append(encode_instance(instance(doc, 0, 1, len(words) - 1, len(words), label=label),
+                                    doc, emb, max_len=16))
+    cfg = CnnReConfig(max_len=16, epochs=2, batch_size=8, lr=1e-3, seed=4)
+    blobs = []
+    for run in range(2):
+        path = tmp_path / f"cnn{run}.json"
+        save_model(cnn_train(encs[:12], cfg, dev=encs[12:]), path)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_classify_pairs_zero_model_drops_all(emb):
