@@ -15,19 +15,18 @@ import logging
 import os
 import sys
 
-from .annotation import (AnnotatedDoc, generate_relation_instances, parse_standoff,
-                         split_dataset, to_bio)
+from .annotation import (AnnotatedDoc, from_bio, generate_relation_instances,
+                         parse_standoff, split_dataset, to_bio)
 from .corpus import LoadReport, filter_candidate, load_lexicon, load_tweets
 from .embeddings import load_static
 from .evaluate import (EvalCounts, align_spans, metrics, relation_metrics,
                        replicate)
-from .annotation import from_bio
 from .ner import (CrfConfig, LstmCrfConfig, crf_train, lstm_crf_train, svm_train)
 from .ner.features import featurize
 from .ner.predict import decode_labels, doc_matrix
 from .normalize import UnigramTable, normalize
 from .pipeline import evaluate_pipeline, run_pipeline
-from .relation import CnnReConfig, cnn_train, encode_instance
+from .relation import CnnReConfig, classify_pairs, cnn_train, encode_instance
 from .serialization import atomic_write_text, load_model, save_model
 from .signals import KnowledgeBase, aggregate, compare_kb, emit_report, parse_report, top_k
 from .synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
@@ -295,7 +294,6 @@ def cmd_eval_re(config: dict) -> list[str]:
     emb, _, _ = _resolve_resources(config)
     _, _, test = split_dataset(_resolve_docs(config), seed=config["seed"])
     model = load_model(_out(config, "re_cnn.json"))
-    from .relation import classify_pairs
     gold = [r for d in test for r in d.relations]
     predicted = [r for d in test
                  for r in classify_pairs(d.doc, list(d.entities), model, emb)]
@@ -374,7 +372,8 @@ def cmd_aggregate(config: dict) -> list[str]:
     outputs = [run_pipeline(d.doc, ner, re_model, emb, lexicons) for d in docs]
     records = top_k(aggregate(outputs, {d.doc.doc_id: d.doc for d in docs}, ds_lex))
     out = _out(config, "signals.tsv")
-    emit_report(records, out, format="tsv")
+    emit_report(records, out, format="tsv",
+                corpus_index={d.doc.doc_id: d.doc.original_text for d in docs})
     print(f"aggregate: {len(records)} signals from {len(docs)} documents")
     return [out]
 

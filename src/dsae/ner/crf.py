@@ -1,12 +1,12 @@
 """Linear-chain CRF over BIO labels, trained with L-BFGS + elastic net.
 
-Unary scores are linear in the token features. Training splits the
-training set's token matrix into a dense block of word vectors and a 0/1
-indicator matrix (kept with its transpose for the gradient), and builds
-one ``kernels.CrfBatch`` of the whole training set; each L-BFGS evaluation
-only multiplies and runs the batch's forward-backward. Decoding scores
-tokens with ``token_scores`` and runs Viterbi with ties broken toward the
-lowest label index. The transition matrix is shared across positions.
+Unary scores are linear in the token features. Training indexes the
+training set into a dense block of word vectors and a 0/1 indicator matrix
+(kept with its transpose for the gradient), and builds one
+``kernels.CrfBatch`` of the whole training set; each L-BFGS evaluation only
+multiplies and runs the batch's forward-backward. Decoding scores tokens
+with ``token_scores`` and runs ``viterbi``, the batched max-product decoder
+the BiLSTM-CRF shares. The transition matrix is shared across positions.
 """
 
 from __future__ import annotations
@@ -19,18 +19,50 @@ import numpy as np
 from ..annotation import BIO_LABELS, label_ids
 from ..numeric import kernels
 from ..numeric.optim import LbfgsConfig, lbfgs_minimize
-from .features import (FeatureRegistry, TokenFeatures, index_features, split_features,
-                       token_scores)
+from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
 
 logger = logging.getLogger(__name__)
 
 
-def viterbi(unary: np.ndarray, transitions: np.ndarray) -> tuple[list[int], float]:
-    """Best-scoring label path; empty input decodes to an empty path."""
-    unary = np.ascontiguousarray(unary, dtype=np.float64)
-    if unary.shape[0] == 0:
-        return [], 0.0
-    return kernels.viterbi_kernel(unary, np.ascontiguousarray(transitions, dtype=np.float64))
+def viterbi(scores: np.ndarray, T: np.ndarray, lengths) -> tuple[list[list[int]], list[float]]:
+    """Best label path of each sequence of a padded batch, and its score.
+
+    scores: (N >= 1, L, K) unary scores; T: (K, K), T[i, j] scores label i
+    followed by label j; lengths: the N sequence lengths, each from 1 to L.
+    Padded entries of scores are ignored. Ties go to the lowest label index:
+    of the best paths, the one with the lowest last label, then the lowest
+    label before it, and so on. This is the max-product recursion of
+    Sutton & McCallum, *An Introduction to Conditional Random Fields* (2012).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    N, L, K = scores.shape
+    lengths = list(map(int, lengths))
+    if N == 0 or len(lengths) != N or not 1 <= min(lengths) <= max(lengths) <= L:
+        raise ValueError(f"need a length from 1 to {L} for each of the {N} >= 1 sequences")
+    # longest first, so the sequences still running at step t are the first n rows
+    order = sorted(range(N), key=lengths.__getitem__, reverse=True)
+    steps = [lengths[r] for r in order]
+    # delta_t overwrites the scores of step t, in a time-major view of a copy
+    grid = scores.take(order, axis=0).transpose(1, 0, 2)
+    to_from = np.asarray(T, dtype=np.float64).T
+    back = [None]  # back[t][r][j]: the best label at t - 1 before label j at t
+    n = N
+    for t in range(1, steps[0]):
+        while steps[n - 1] <= t:
+            n -= 1
+        # m[r, j, i]: label i at t - 1, then j; each step reduces over the last axis
+        m = grid[t - 1, :n, None] + to_from
+        back.append(m.argmax(axis=2).tolist())  # first max -> lowest label index
+        delta = grid[t, :n]
+        delta += m.max(axis=2)
+    paths, best = [[]] * N, [0.0] * N
+    for r, (row, length) in enumerate(zip(order, steps)):
+        delta = grid[length - 1, r].tolist()
+        path = [delta.index(max(delta))]
+        for t in range(length - 1, 0, -1):
+            path.append(back[t][r][path[-1]])
+        paths[row], best[row] = path[::-1], delta[path[0]]
+    return paths, best
 
 
 @dataclass
@@ -54,7 +86,8 @@ class CrfModel:
     def decode(self, features: list[TokenFeatures]) -> list[str]:
         if not features:
             return []
-        path, _ = viterbi(token_scores(features, self.registry, self.W), self.T)
+        (path,), _ = viterbi(token_scores(features, self.registry, self.W)[None], self.T,
+                             [len(features)])
         return [self.labels[i] for i in path]
 
 
@@ -67,7 +100,7 @@ def _nll_objective(features: list[TokenFeatures], registry: FeatureRegistry,
     depend on the weights is built here, once: the dense block, the 0/1
     indicator matrix and its transpose, and the CRF batch."""
     dim = registry.dense_dim
-    dense, indicators = split_features(features, index_features(features, registry), dim)
+    dense, indicators = index_features(features, registry)
     by_column = indicators.T.tocsr()
     batch = kernels.CrfBatch(y, mask, K)
     F = registry.total_dim
@@ -93,11 +126,14 @@ def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
     """Value and flat gradient (over W then T) for one instance."""
     if len(features) != len(gold_labels) or not features:
         raise ValueError("need equally many features and labels, at least one")
-    X = index_features(features, model.registry)
+    dense, indicators = index_features(features, model.registry)
+    W, dim = model.W, model.registry.dense_dim
     y = np.asarray([label_ids(gold_labels, model.labels)], dtype=np.int64)
-    value, dscores, dT = kernels.crf_layer((X @ model.W.T)[None], model.T, y,
-                                           np.ones(y.shape, dtype=bool))
-    return value, np.concatenate([(dscores[0].T @ X).ravel(), dT.ravel()])
+    value, (dscores,), dT = kernels.crf_layer(
+        (dense @ W[:, :dim].T + indicators @ W[:, dim:].T)[None], model.T, y,
+        np.ones_like(y, dtype=bool))
+    dW = np.hstack([dscores.T @ dense, (indicators.T @ dscores).T])
+    return value, np.concatenate([dW.ravel(), dT.ravel()])
 
 
 def crf_train(train_docs, config: CrfConfig | None = None,

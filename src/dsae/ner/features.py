@@ -6,11 +6,11 @@ neighbors, 3/4-char affixes, digit/punctuation flags, lexicon-hit
 category). The indicator index space is frozen after the training pass;
 unseen indicators at inference map to nothing.
 
-Training builds one sparse token matrix with ``index_features``, resolving
-all indicator names in bulk, and ``split_features`` splits it into the dense
-block and a 0/1 indicator matrix, which the trainers multiply by; decoding
-scores tokens with ``token_scores``, a dense product plus a gather of the
-indicator weights, and builds no matrix.
+Training indexes its tokens with ``index_features``, which resolves all
+indicator names in bulk and returns the two blocks the trainers multiply
+by: the dense rows and a 0/1 indicator matrix. Decoding scores tokens with
+``token_scores``, a dense product plus a gather of the indicator weights,
+and builds no matrix.
 """
 
 from __future__ import annotations
@@ -92,53 +92,32 @@ def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
     return out
 
 
-def index_features(features: list[TokenFeatures], registry: FeatureRegistry) -> sp.csr_array:
-    """Token-by-column CSR matrix over the unified index space. A row holds
-    the token's non-zero dense values, then 1.0 for each indicator the
-    registry resolves, in name order."""
-    n, dim = len(features), registry.dense_dim
+def index_features(features: list[TokenFeatures], registry: FeatureRegistry
+                   ) -> tuple[np.ndarray, sp.csr_array]:
+    """The token matrix of features as two blocks: the (n, dense_dim) dense
+    rows, and a 0/1 CSR matrix whose column c is indicator c of the
+    registry, a row holding the indicators the registry resolves in name
+    order. An unfrozen registry first indexes the names it lacks."""
+    n = len(features)
     n_names = np.fromiter(map(len, (f.names for f in features)), dtype=np.int64, count=n)
     names = list(chain.from_iterable(f.names for f in features))
     registry.add(names)
-    # one padded row per token, dense columns first, then the indicators;
-    # column -1 marks a zero dense value, an unresolved indicator or
-    # padding, and is dropped
-    values = np.ones((n, dim + n_names.max(initial=0)))
-    values[:, :dim] = np.array([f.dense for f in features]).reshape(n, dim)
-    cols = np.full(values.shape, -1, dtype=np.int32)
-    cols[:, :dim] = np.arange(dim)
-    cols[:, :dim][values[:, :dim] == 0] = -1
-    # an unresolved name gets -1 - dim, so -1 once shifted past the dense block
-    resolved = np.fromiter(map(registry.index.get, names, repeat(-1 - dim)),
-                           dtype=np.int32, count=len(names))
-    cols[:, dim:][np.arange(cols.shape[1] - dim) < n_names[:, None]] = resolved + dim
-    keep = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return sp.csr_array((values[keep], cols[keep], indptr), shape=(n, registry.total_dim))
-
-
-def split_features(features: list[TokenFeatures], X: sp.csr_array,
-                   dense_dim: int) -> tuple[np.ndarray, sp.csr_array]:
-    """The dense rows of features as an (n, dense_dim) array, and the
-    indicator columns of X, their ``index_features`` matrix, as a 0/1 CSR
-    matrix whose column c is column dense_dim + c of X."""
-    n = len(features)
-    dense = np.array([f.dense for f in features]).reshape(n, dense_dim)
-    # a row of X holds the token's non-zero dense values, then its indicators
-    indptr = np.zeros(n + 1, dtype=X.indptr.dtype)
-    np.cumsum(np.diff(X.indptr) - np.count_nonzero(dense, axis=1), out=indptr[1:])
-    is_indicator = X.indices >= dense_dim
-    indicators = sp.csr_array((X.data[is_indicator], X.indices[is_indicator] - dense_dim, indptr),
-                              shape=(n, X.shape[1] - dense_dim))
-    return dense, indicators
+    cols = np.fromiter(map(registry.index.get, names, repeat(-1)), dtype=np.int32,
+                       count=len(names))
+    # the token of each resolved name; token i's row starts after those before i
+    rows = np.repeat(np.arange(n, dtype=np.int32), n_names)[cols >= 0]
+    indicators = sp.csr_array((np.ones(rows.size), cols[cols >= 0],
+                               np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))),
+                              shape=(n, len(registry.index)))
+    return np.array([f.dense for f in features]).reshape(n, registry.dense_dim), indicators
 
 
 def token_scores(features: list[TokenFeatures], registry: FeatureRegistry,
                  W: np.ndarray) -> np.ndarray:
-    """(n, K) scores ``index_features(features, registry) @ W.T``, from the
-    dense rows and the W columns of each token's resolved indicators.
-    Unresolved indicators add nothing, and the registry is not changed."""
+    """(n, K) scores of features under the weights W over the registry's
+    columns: the dense rows times W's dense columns, plus the W columns of
+    each token's resolved indicators. Unresolved indicators add nothing, and
+    the registry is not changed."""
     dim, get = registry.dense_dim, registry.index.get
     scores = np.array([f.dense for f in features]).reshape(len(features), dim) @ W[:, :dim].T
     rows, cols = [], []

@@ -10,9 +10,10 @@ which reads it reversed within its own length.
 Both passes run over a zero-padded batch, after Lample et al. 2016
 (arXiv:1603.01360): each step advances both directions of all B sequences
 as one (2, B, H) recursion, with the padding after every sequence. One
-masked ``kernels.crf_layer`` call scores the batch. BPTT computes every
-factor that does not depend on the recursion up front, so the steps carry
-only ``dh`` and ``dc``; each weight gradient is one batched product.
+masked ``kernels.crf_layer`` call scores the batch, and one ``viterbi``
+call decodes it. BPTT computes every factor that does not depend on the
+recursion up front, so the steps carry only ``dh`` and ``dc``; each weight
+gradient is one batched product.
 Training runs ``numeric.optim.adam_train`` with ``nll_and_grad`` as its
 batch callback; a dev split selects the epoch by exact-span F1.
 """
@@ -254,13 +255,14 @@ def lstm_crf_decode(model: LstmCrfModel, X: np.ndarray) -> list[str]:
 
 
 def _decode_all(model: LstmCrfModel, Xs: list[np.ndarray]) -> list[list[str]]:
-    """Best label sequence of each input, scored _DECODE_BATCH at a time."""
+    """Best label sequence of each input, scored and decoded _DECODE_BATCH at a time."""
     out: list[list[str]] = [[] for _ in Xs]
     live = [k for k, X in enumerate(Xs) if len(X)]
     for lo in range(0, len(live), _DECODE_BATCH):
         chunk = live[lo:lo + _DECODE_BATCH]
-        scores, _ = _forward_scores(model.params, [Xs[k] for k in chunk], model.hidden)
-        for k, row in zip(chunk, scores):
-            path, _ = viterbi(row[:len(Xs[k])], model.params["T"])
+        scores, (lengths, *_) = _forward_scores(model.params, [Xs[k] for k in chunk],
+                                                model.hidden)
+        paths, _ = viterbi(scores, model.params["T"], lengths)
+        for k, path in zip(chunk, paths):
             out[k] = [model.labels[i] for i in path]
     return out

@@ -11,8 +11,7 @@ import numpy as np
 
 from ..annotation import BIO_LABELS, label_ids
 from ..numeric.rng import Rng
-from .features import (FeatureRegistry, TokenFeatures, index_features, split_features,
-                       token_scores)
+from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
 
 
 @dataclass
@@ -45,12 +44,11 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
     dim = docs[0][0][0].dense.shape[0]
     registry = FeatureRegistry(dim)
     tokens = [tok for features, _ in docs for tok in features]
-    # one feature matrix for the whole training set, a row per token
-    X = index_features(tokens, registry)
+    # one dense block and indicator matrix for the whole training set, a row per token
+    Xd, indicators = index_features(tokens, registry)
     registry.freeze()
     F = registry.total_dim
-    n = X.shape[0]
-    Xd, indicators = split_features(tokens, X, dim)
+    n = len(tokens)
     # indicator columns of each token, padded with F, a row of V kept at zero
     n_ind = np.diff(indicators.indptr)
     cols = np.full((n, n_ind.max(initial=0)), F, dtype=np.int64)
@@ -91,9 +89,10 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
             ks = np.flatnonzero(viol[j])
             if len(ks):
                 row = order[pos + j]
-                lo, hi = X.indptr[row], X.indptr[row + 1]
+                lo, hi = indicators.indptr[row], indicators.indptr[row + 1]
                 step = lr * so[pos + j, ks]
-                V[np.ix_(X.indices[lo:hi], ks)] += np.outer(X.data[lo:hi], step / scale)
+                V[:dim, ks] += np.outer(Xd[row], step / scale)
+                V[np.ix_(dim + indicators.indices[lo:hi], ks)] += step / scale
                 b[ks] += step
             pos += j + 1
     W = np.ascontiguousarray(scale * V[:F].T)

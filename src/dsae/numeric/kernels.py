@@ -1,5 +1,5 @@
 """The linear-chain CRF output layer shared by the feature CRF and the
-BiLSTM-CRF, and single-sequence Viterbi decoding.
+BiLSTM-CRF: the training objective and its gradients.
 
 ``CrfBatch`` runs the forward-backward recursions of Sutton & McCallum,
 *An Introduction to Conditional Random Fields* (arXiv:1011.4088), section
@@ -197,21 +197,3 @@ def _logsumexp_passes(work, T, live, last):
         beta[t - 1, :n] = _logsumexp_columns(nxt)
     return logz, dT
 
-
-def viterbi_kernel(scores: np.ndarray, T: np.ndarray) -> tuple[list[int], float]:
-    """Best label path of one (L >= 1, K) sequence and its score; ties go to
-    the lowest label index."""
-    L, K = scores.shape
-    bp = np.zeros((L, K), dtype=np.intp)
-    delta = scores[0]
-    for t in range(1, L):
-        m = delta[:, None] + T
-        np.argmax(m, axis=0, out=bp[t])  # first max -> lowest label index
-        delta = scores[t] + m.max(axis=0)
-    best = int(np.argmax(delta))
-    path = [best]
-    back = bp.tolist()
-    for t in range(L - 1, 0, -1):
-        path.append(back[t][path[-1]])
-    path.reverse()
-    return path, float(delta[best])

@@ -113,6 +113,8 @@ def sample_examples(record: SignalRecord, corpus_index: dict[str, str],
 
 
 _COLUMNS = ("supplement", "deficiency", "event", "relation", "frequency", "in_kb", "examples")
+# example tweets may hold tabs and line breaks; in a report cell they become spaces
+_ONE_LINE = str.maketrans("\t\r\n", "   ")
 
 
 def emit_report(records: list[SignalRecord], path, format: str = "tsv",
@@ -123,7 +125,7 @@ def emit_report(records: list[SignalRecord], path, format: str = "tsv",
     for r in records:
         examples = ""
         if corpus_index is not None:
-            examples = " | ".join(sample_examples(r, corpus_index))
+            examples = " | ".join(sample_examples(r, corpus_index)).translate(_ONE_LINE)
         rows.append((r.supplement_canonical, str(r.deficiency).lower(), r.event_term,
                      r.relation, str(r.frequency),
                      "" if r.in_kb is None else str(r.in_kb).lower(), examples))

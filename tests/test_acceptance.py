@@ -159,7 +159,7 @@ def test_criterion_02_viterbi_brute_force():
         L, K = rng.randint(6) + 1, rng.randint(3) + 2
         unary = rng.normal((L, K), scale=2.0)
         trans = rng.normal((K, K), scale=2.0)
-        path, score = viterbi(unary, trans)
+        (path,), (score,) = viterbi(unary[None], trans, [L])
         paths = brute_force_paths(unary, trans)
         # strict > keeps the first maximizer: the lowest-index tie-break
         best_path, best_score = paths[0]

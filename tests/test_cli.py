@@ -8,6 +8,7 @@ import pytest
 
 import dsae
 from dsae.cli import main
+from dsae.synthetic import generate_corpus
 
 
 SMALL_CONFIG = {
@@ -178,6 +179,20 @@ def test_signal_commands_roundtrip(trained, tmp_path):
     assert all(line.split("\t")[5] == "false" for line in flagged[1:])
     assert run("report", "--config", config, "--out", str(out)) == 0
     assert (out / "report.md").read_text().startswith("| supplement |")
+
+
+def test_aggregate_writes_example_tweets(trained):
+    """Each signal's examples cell holds the original texts of up to three
+    of its supporting documents."""
+    _, config, out = trained
+    assert run("aggregate", "--config", config, "--out", str(out)) == 0
+    rows = [line.split("\t") for line in (out / "signals.tsv").read_text().splitlines()[1:]]
+    texts = {d.doc.original_text for d in generate_corpus(SMALL_CONFIG["synthetic_docs"], seed=0)}
+    assert rows
+    for row in rows:
+        examples = row[6].split(" | ")
+        assert row[6] and 1 <= len(examples) <= min(3, int(row[4]))
+        assert set(examples) <= texts
 
 
 def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):

@@ -10,7 +10,7 @@ from dsae.embeddings import EmbeddingTable
 from dsae.ner import crf as crf_module
 from dsae.ner.crf import (CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train,
                           viterbi)
-from dsae.ner.features import TokenFeatures, featurize, index_features
+from dsae.ner.features import FeatureRegistry, TokenFeatures, featurize, index_features
 from dsae.numeric import kernels
 from dsae.numeric.optim import CONVERGED, LbfgsResult, grad_check
 from dsae.numeric.rng import Rng
@@ -28,11 +28,17 @@ def random_instance(rng, max_len=6, max_labels=4):
 
 # ------------------------------------------------------------------- decoding
 
+def viterbi_one(unary, trans):
+    """viterbi on a batch holding one unpadded sequence."""
+    (path,), (score,) = viterbi(unary[None], trans, [len(unary)])
+    return path, score
+
+
 def test_viterbi_matches_brute_force():
     rng = Rng(0, stream=12)
     for _ in range(200):
         unary, trans = random_instance(rng)
-        path, score = viterbi(unary, trans)
+        path, score = viterbi_one(unary, trans)
         paths = brute_force_paths(unary, trans)
         best = max(p for _, p in paths)
         assert score == pytest.approx(best, abs=1e-9)
@@ -45,23 +51,71 @@ def test_viterbi_matches_brute_force():
 def test_viterbi_tie_breaks_to_lowest_index():
     unary = np.zeros((3, 3))
     trans = np.zeros((3, 3))
-    path, score = viterbi(unary, trans)
+    path, score = viterbi_one(unary, trans)
     assert path == [0, 0, 0] and score == 0.0
 
 
 def test_viterbi_empty():
-    assert viterbi(np.zeros((0, 4)), np.zeros((4, 4))) == ([], 0.0)
+    model = CrfModel(labels=BIO_LABELS, registry=FeatureRegistry(2),
+                     W=np.zeros((len(BIO_LABELS), 2)), T=np.zeros((len(BIO_LABELS),) * 2))
+    assert model.decode([]) == []
 
 
 def test_viterbi_invariant_constant_shift():
     rng = Rng(1, stream=12)
     for _ in range(20):
         unary, trans = random_instance(rng)
-        path, _ = viterbi(unary, trans)
+        path, _ = viterbi_one(unary, trans)
         shifted = unary.copy()
         shifted[0] += 7.5  # constant added to one position's scores
-        path2, _ = viterbi(shifted, trans)
+        path2, _ = viterbi_one(shifted, trans)
         assert path == path2
+
+
+@st.composite
+def _padded_batch(draw):
+    """A padded (N, L, K) batch with mixed lengths (1 among them), large
+    garbage in the padding, and either integer scores, which tie often, or
+    spread-out ones."""
+    K = draw(st.integers(2, 7))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=9))
+    lengths[draw(st.integers(0, len(lengths) - 1))] = 1
+    L = max(lengths) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        scores = rng.integers(0, 3, size=(len(lengths), L, K)).astype(float)
+        trans = rng.integers(0, 3, size=(K, K)).astype(float)
+    else:
+        scores = rng.normal(scale=2.0, size=(len(lengths), L, K))
+        trans = rng.normal(scale=2.0, size=(K, K))
+    for row, n in zip(scores, lengths):
+        row[n:] = rng.normal(scale=1e6, size=(L - n, K))
+    return scores, trans, lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_padded_batch())
+def test_batched_viterbi_equals_each_row_alone_and_brute_force(batch):
+    scores, trans, lengths = batch
+    paths, best = viterbi(scores, trans, lengths)
+    assert len(paths) == len(best) == len(lengths)
+    for row, n, path, score in zip(scores, lengths, paths, best):
+        assert viterbi_one(row[:n], trans) == (path, score)
+        if n <= 6:
+            # of the best paths, the one with the lowest last label, then the
+            # lowest label before it, and so on back to the first
+            paths_n = brute_force_paths(row[:n], trans)
+            best_score = max(s for _, s in paths_n)
+            assert path == min((p for p, s in paths_n if s == best_score), key=lambda p: p[::-1])
+            assert score == pytest.approx(best_score, abs=1e-9)
+
+
+def test_viterbi_rejects_lengths_outside_the_batch():
+    for lengths in ([0, 2], [1, 4], [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="a length from 1 to 3 for each of the 2 >= 1"):
+            viterbi(np.zeros((2, 3, 2)), np.zeros((2, 2)), lengths)
+    with pytest.raises(ValueError, match="each of the 0 >= 1 sequences"):
+        viterbi(np.zeros((0, 3, 2)), np.zeros((2, 2)), [])
 
 
 # ----------------------------------------------------------- forward-backward
@@ -395,7 +449,10 @@ def unseen_docs(features):
 def test_crf_decode_equals_sparse_reference(toy_dataset):
     model = crf_train(toy_dataset, CrfConfig(max_iter=5))
     for features in unseen_docs(toy_dataset[0][0]):
-        path, _ = viterbi(index_features(features, model.registry) @ model.W.T, model.T)
+        dense, indicators = index_features(features, model.registry)
+        dim = model.registry.dense_dim
+        scores = dense @ model.W[:, :dim].T + indicators @ model.W[:, dim:].T
+        (path,), _ = viterbi(scores[None], model.T, [len(features)])
         assert model.decode(features) == [model.labels[k] for k in path]
 
 

@@ -27,9 +27,18 @@ def loop_rows(features, registry):
     return rows
 
 
-def csr_rows(X):
-    return [(X.indices[lo:hi].tolist(), X.data[lo:hi].tolist())
-            for lo, hi in zip(X.indptr[:-1], X.indptr[1:])]
+def merged_rows(blocks, dense_dim):
+    """The rows of index_features' two blocks as one token matrix would
+    hold them: the non-zero dense values, then the indicators shifted past
+    the dense block."""
+    dense, indicators = blocks
+    assert dense.shape == (indicators.shape[0], dense_dim)
+    rows = []
+    for row, lo, hi in zip(dense, indicators.indptr[:-1], indicators.indptr[1:]):
+        cols = np.nonzero(row)[0].tolist()
+        rows.append((cols + (dense_dim + indicators.indices[lo:hi]).tolist(),
+                     row[cols].tolist() + indicators.data[lo:hi].tolist()))
+    return rows
 
 
 def test_index_features_matches_per_token_loop():
@@ -40,14 +49,15 @@ def test_index_features_matches_per_token_loop():
     unseen = featurize(make_doc("b", ["c", "gave", "me", "nausea"]), emb)
     fast, slow = FeatureRegistry(5), FeatureRegistry(5)
 
-    X = index_features(train, fast)
-    assert csr_rows(X) == loop_rows(train, slow)
-    assert fast.index == slow.index and X.shape == (5, fast.total_dim)
+    dense, indicators = index_features(train, fast)
+    assert merged_rows((dense, indicators), 5) == loop_rows(train, slow)
+    assert fast.index == slow.index and indicators.shape == (5, len(fast.index))
     fast.freeze()
     slow.freeze()
-    assert csr_rows(index_features(unseen, fast)) == loop_rows(unseen, slow)
+    assert merged_rows(index_features(unseen, fast), 5) == loop_rows(unseen, slow)
     assert fast.index == slow.index
-    assert index_features([], fast).shape == (0, fast.total_dim)
+    dense, indicators = index_features([], fast)
+    assert dense.shape == (0, 5) and indicators.shape == (0, len(fast.index))
 
 
 _SEEN = [f"w[0]=t{i}" for i in range(8)]
@@ -63,8 +73,9 @@ _UNSEEN = ["w[0]=gave", "pre3=xyz", "lex=Other"]
                        max_size=6),
        seed=st.integers(0, 2**16))
 def test_token_scores_equal_sparse_product(dim, K, frozen, seen, tokens, seed):
-    """token_scores is index_features(...) @ W.T; indicators the registry does
-    not hold add nothing and are not added to it, frozen or not."""
+    """token_scores is the product of index_features' two blocks with W;
+    indicators the registry does not hold add nothing and are not added to
+    it, frozen or not."""
     registry = FeatureRegistry(dim)
     registry.add(seen)
     if frozen:
@@ -78,7 +89,8 @@ def test_token_scores_equal_sparse_product(dim, K, frozen, seen, tokens, seed):
 
     got = token_scores(features, registry, W)
     assert registry.index == reference.index
-    expected = index_features(features, reference) @ W.T
+    dense, indicators = index_features(features, reference)
+    expected = dense @ W[:, :dim].T + indicators @ W[:, dim:].T
     assert got.shape == (len(features), K)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
     assert np.array_equal(got[-1], np.zeros(K))

@@ -216,6 +216,20 @@ def test_report_includes_examples(tmp_path, thirty_tweets):
     assert "vitamin c gave me today nausea" in body
 
 
+def test_report_cells_stay_on_one_line(tmp_path, thirty_tweets):
+    docs, outputs = thirty_tweets
+    records = top_k(aggregate(outputs, docs, DS_LEXICON), k=2)
+    index = {doc_id: "vitamin c\tgave me\nnausea\r\n" for doc_id in docs}
+    for format in ("tsv", "markdown"):
+        path = tmp_path / f"report.{format}"
+        emit_report(records, path, format=format, corpus_index=index)
+        lines = path.read_text().splitlines()
+        assert len(lines) == (1 if format == "tsv" else 2) + len(records)
+        assert "vitamin c gave me nausea" in lines[-1]
+    assert [r.frequency for r in parse_report(tmp_path / "report.tsv")] == \
+        [r.frequency for r in records]
+
+
 def test_sample_examples_dangling_doc():
     record = SignalRecord("x", False, "y", "Indication", 1, ("missing",))
     with pytest.raises(KeyError, match="missing"):

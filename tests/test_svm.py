@@ -37,14 +37,18 @@ def test_svm_deterministic(toy_dataset):
 
 
 def token_rows(train_docs):
-    """(column indices, values, label index) of every training token, one
-    CSR row at a time."""
-    registry = FeatureRegistry(train_docs[0][0][0].dense.shape[0])
+    """(column indices, values, label index) of every training token: its
+    non-zero dense values, then its indicators, past the dense block."""
+    dim = train_docs[0][0][0].dense.shape[0]
+    registry = FeatureRegistry(dim)
     rows = []
     for features, gold in train_docs:
-        X = index_features(features, registry)
-        for lo, hi, lab in zip(X.indptr[:-1], X.indptr[1:], gold):
-            rows.append((X.indices[lo:hi], X.data[lo:hi], BIO_LABELS.index(lab)))
+        dense, indicators = index_features(features, registry)
+        for row, lo, hi, lab in zip(dense, indicators.indptr[:-1], indicators.indptr[1:], gold):
+            cols = np.nonzero(row)[0]
+            rows.append((np.concatenate([cols, dim + indicators.indices[lo:hi]]),
+                         np.concatenate([row[cols], indicators.data[lo:hi]]),
+                         BIO_LABELS.index(lab)))
     return registry, rows
 
 
@@ -185,5 +189,7 @@ def test_svm_predict_equals_sparse_reference(toy_dataset):
     features = toy_dataset[0][0]
     blank = TokenFeatures(np.zeros_like(features[0].dense), ("w[0]=gave", "pre3=gav"))
     for doc in (features, features[::-1], features[1:3], [blank] + features[2:]):
-        margins = index_features(doc, model.registry) @ model.W.T + model.b
+        dense, indicators = index_features(doc, model.registry)
+        dim = model.registry.dense_dim
+        margins = dense @ model.W[:, :dim].T + indicators @ model.W[:, dim:].T + model.b
         assert svm_predict(model, doc) == [model.labels[k] for k in np.argmax(margins, axis=1)]
