@@ -19,17 +19,19 @@ from .annotation import (AnnotatedDoc, from_bio, generate_relation_instances,
                          parse_standoff, split_dataset, to_bio)
 from .corpus import LoadReport, filter_candidate, load_lexicon, load_tweets
 from .embeddings import load_static
-from .evaluate import (EvalCounts, align_spans, metrics, relation_metrics,
-                       replicate)
-from .ner import (CrfConfig, LstmCrfConfig, crf_train, lstm_crf_train, svm_train)
+from .evaluate import EvalCounts, align_spans, metrics, replicate
+from .ner import (CrfConfig, CrfModel, LstmCrfConfig, crf_train, lstm_crf_train, svm_train)
 from .ner.features import featurize
-from .ner.predict import decode_labels, doc_matrix
+from .ner.predict import decode_many, doc_matrix
 from .normalize import UnigramTable, normalize
-from .pipeline import evaluate_pipeline, run_pipeline
-from .relation import CnnReConfig, classify_pairs, cnn_train, encode_instance
+from .pipeline import OracleNer, evaluate_pipeline, run_many
+from .relation import CnnReConfig, cnn_train, encode_instance
 from .serialization import atomic_write_text, load_model, save_model
 from .signals import KnowledgeBase, aggregate, compare_kb, emit_report, parse_report, top_k
 from .synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
+
+# by name: run as ``python -m dsae.cli``, __name__ is "__main__"
+logger = logging.getLogger("dsae.cli")
 
 COMMANDS = ("ingest", "train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
             "replicate", "aggregate", "compare-kb", "report")
@@ -204,8 +206,7 @@ def _train_ner_model(train, dev, config: dict, emb, lexicons, seed: int):
 
 def _ner_metrics(model, docs, emb, lexicons) -> dict:
     per_type: dict[str, EvalCounts] = {}
-    for d in docs:
-        labels = decode_labels(model, d.doc, emb, lexicons)
+    for d, labels in zip(docs, decode_many(model, [d.doc for d in docs], emb, lexicons)):
         for etype, counts in align_spans(list(d.entities), from_bio(d.doc, labels)).items():
             per_type.setdefault(etype, EvalCounts()).add(counts)
     return {etype: metrics(counts) for etype, counts in per_type.items()}
@@ -225,6 +226,15 @@ def _metrics_tsv(path, rows: list[tuple]) -> None:
 
 def _out(config: dict, name: str) -> str:
     return os.path.join(config["output_dir"], name)
+
+
+def _load_ner(config: dict):
+    """The configured NER bundle; a CRF that did not converge is used, with a warning."""
+    path = _out(config, f"ner_{config['model']}.json")
+    model = load_model(path)
+    if isinstance(model, CrfModel) and not model.converged:
+        logger.warning("%s: this CRF stopped training without converging", path)
+    return model
 
 
 def cmd_ingest(config: dict) -> list[str]:
@@ -266,7 +276,7 @@ def cmd_eval_ner(config: dict) -> list[str]:
     emb, ds_lex, event_lex = _resolve_resources(config)
     lexicons = [ds_lex, event_lex]
     _, _, test = split_dataset(_resolve_docs(config), seed=config["seed"])
-    model = load_model(_out(config, f"ner_{config['model']}.json"))
+    model = _load_ner(config)
     per_type = _ner_metrics(model, test, emb, lexicons)
     out = _out(config, f"ner_{config['model']}_metrics.tsv")
     _metrics_tsv(out, sorted(per_type.items()))
@@ -294,10 +304,7 @@ def cmd_eval_re(config: dict) -> list[str]:
     emb, _, _ = _resolve_resources(config)
     _, _, test = split_dataset(_resolve_docs(config), seed=config["seed"])
     model = load_model(_out(config, "re_cnn.json"))
-    gold = [r for d in test for r in d.relations]
-    predicted = [r for d in test
-                 for r in classify_pairs(d.doc, list(d.entities), model, emb)]
-    per_label = relation_metrics(gold, predicted)
+    per_label, _, _ = evaluate_pipeline(test, OracleNer(test), model, emb)
     out = _out(config, "re_cnn_metrics.tsv")
     _metrics_tsv(out, sorted(per_label.items()))
     for label, m in sorted(per_label.items()):
@@ -309,7 +316,7 @@ def cmd_pipeline(config: dict) -> list[str]:
     emb, ds_lex, event_lex = _resolve_resources(config)
     lexicons = [ds_lex, event_lex]
     _, _, test = split_dataset(_resolve_docs(config), seed=config["seed"])
-    ner = load_model(_out(config, f"ner_{config['model']}.json"))
+    ner = _load_ner(config)
     re_model = load_model(_out(config, "re_cnn.json"))
     per_label, breakdown, outputs = evaluate_pipeline(test, ner, re_model, emb, lexicons)
 
@@ -367,9 +374,9 @@ def cmd_aggregate(config: dict) -> list[str]:
     emb, ds_lex, event_lex = _resolve_resources(config)
     lexicons = [ds_lex, event_lex]
     docs = _resolve_docs(config)
-    ner = load_model(_out(config, f"ner_{config['model']}.json"))
+    ner = _load_ner(config)
     re_model = load_model(_out(config, "re_cnn.json"))
-    outputs = [run_pipeline(d.doc, ner, re_model, emb, lexicons) for d in docs]
+    outputs = run_many([d.doc for d in docs], ner, re_model, emb, lexicons)
     records = top_k(aggregate(outputs, {d.doc.doc_id: d.doc for d in docs}, ds_lex))
     out = _out(config, "signals.tsv")
     emit_report(records, out, format="tsv",

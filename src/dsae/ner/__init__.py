@@ -1,8 +1,7 @@
 from .features import FeatureRegistry, TokenFeatures, featurize
 from .crf import CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train, viterbi
-from .lstm_crf import LstmCrfConfig, LstmCrfModel, lstm_crf_decode, lstm_crf_train
-from .svm import SvmModel, svm_predict, svm_train
-from .predict import predict_entities
+from .lstm_crf import LstmCrfConfig, LstmCrfModel, lstm_crf_train
+from .svm import SvmModel, svm_train
 
 __all__ = [
     "FeatureRegistry",
@@ -15,10 +14,7 @@ __all__ = [
     "viterbi",
     "LstmCrfConfig",
     "LstmCrfModel",
-    "lstm_crf_decode",
     "lstm_crf_train",
     "SvmModel",
-    "svm_predict",
     "svm_train",
-    "predict_entities",
 ]

@@ -12,7 +12,7 @@ the BiLSTM-CRF shares. The transition matrix is shared across positions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -169,7 +169,5 @@ def crf_train(train_docs, config: CrfConfig | None = None,
     T = result.x[nW:].reshape(K, K)
     return CrfModel(
         labels=tuple(labels), registry=registry, W=W, T=T,
-        converged=result.converged,
-        hyperparameters={"c1": cfg.c1, "c2": cfg.c2, "max_iter": cfg.max_iter,
-                         "tol": cfg.tol, "memory": cfg.memory},
+        converged=result.converged, hyperparameters=asdict(cfg),
     )

@@ -238,9 +238,10 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
         return nll_and_grad(model.params, [packed[i][0] for i in batch],
                             [packed[i][1] for i in batch], cfg.hidden, grad)
 
+    dev_X = [np.asarray(X, dtype=np.float64) for X, _ in dev or []]
+
     def dev_score():
-        preds = _decode_all(model, [np.asarray(X, dtype=np.float64) for X, _ in dev])
-        return exact_bio_f1([y for _, y in dev], preds)
+        return exact_bio_f1([y for _, y in dev], lstm_crf_decode(model, dev_X))
 
     adam_train(model.params, len(packed), loss_and_grad, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
@@ -250,11 +251,7 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
     return model
 
 
-def lstm_crf_decode(model: LstmCrfModel, X: np.ndarray) -> list[str]:
-    return _decode_all(model, [X])[0]
-
-
-def _decode_all(model: LstmCrfModel, Xs: list[np.ndarray]) -> list[list[str]]:
+def lstm_crf_decode(model: LstmCrfModel, Xs: list[np.ndarray]) -> list[list[str]]:
     """Best label sequence of each input, scored and decoded _DECODE_BATCH at a time."""
     out: list[list[str]] = [[] for _ in Xs]
     live = [k for k, X in enumerate(Xs) if len(X)]

@@ -1,17 +1,16 @@
-"""Composition of featurization, decoding, and BIO-to-span conversion."""
+"""NER decoding: the one place that knows which input each model reads."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..annotation import EntitySpan, from_bio
 from ..corpus import Lexicon
 from ..embeddings import EmbeddingTable
 from ..normalize import NormalizedDoc
 from .crf import CrfModel
 from .features import featurize
 from .lstm_crf import LstmCrfModel, lstm_crf_decode
-from .svm import SvmModel, svm_predict
+from .svm import SvmModel
 
 
 def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> np.ndarray:
@@ -19,19 +18,17 @@ def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> np.ndarray:
     return embeddings.rows(doc.surfaces())
 
 
-def decode_labels(model, doc: NormalizedDoc, embeddings: EmbeddingTable,
-                  lexicons: list[Lexicon] | None = None) -> list[str]:
+def decode_many(model, docs: list[NormalizedDoc], embeddings: EmbeddingTable,
+                lexicons: list[Lexicon] | None = None) -> list[list[str]]:
+    """BIO labels of each document; the BiLSTM-CRF decodes all of them in one call."""
     if isinstance(model, LstmCrfModel):
-        return lstm_crf_decode(model, doc_matrix(doc, embeddings))
-    features = featurize(doc, embeddings, lexicons)
-    if isinstance(model, SvmModel):
-        return svm_predict(model, features)
-    if isinstance(model, CrfModel):
-        return model.decode(features)
+        return lstm_crf_decode(model, [doc_matrix(doc, embeddings) for doc in docs])
+    if isinstance(model, (CrfModel, SvmModel)):
+        return [model.decode(featurize(doc, embeddings, lexicons)) for doc in docs]
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def predict_entities(model, doc: NormalizedDoc, embeddings: EmbeddingTable,
-                     lexicons: list[Lexicon] | None = None) -> list[EntitySpan]:
-    labels = decode_labels(model, doc, embeddings, lexicons)
-    return from_bio(doc, labels)
+def decode_labels(model, doc: NormalizedDoc, embeddings: EmbeddingTable,
+                  lexicons: list[Lexicon] | None = None) -> list[str]:
+    """``decode_many`` of one document."""
+    return decode_many(model, [doc], embeddings, lexicons)[0]

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annotation import AnnotatedDoc, EntitySpan, RelationInstance
+from .annotation import AnnotatedDoc, EntitySpan, RelationInstance, from_bio
 from .corpus import Lexicon
 from .embeddings import EmbeddingTable
 from .evaluate import Metrics, relation_metrics, _relation_key
-from .ner.predict import predict_entities
+from .ner.predict import decode_many
 from .normalize import NormalizedDoc
 from .relation import CnnReModel, classify_pairs
 
@@ -49,15 +49,23 @@ class ErrorBreakdown:
                 + self.fn_missed_entity.get(label, 0))
 
 
-def run_pipeline(doc: NormalizedDoc, ner_model, re_model: CnnReModel,
-                 embeddings: EmbeddingTable,
-                 lexicons: list[Lexicon] | None = None) -> PipelineOutput:
+def run_many(docs: list[NormalizedDoc], ner_model, re_model: CnnReModel,
+             embeddings: EmbeddingTable,
+             lexicons: list[Lexicon] | None = None) -> list[PipelineOutput]:
+    """Entities of every document from one ``decode_many`` call, then their relations."""
     if isinstance(ner_model, OracleNer):
-        entities = ner_model.predict(doc)
+        entities = [ner_model.predict(doc) for doc in docs]
     else:
-        entities = predict_entities(ner_model, doc, embeddings, lexicons)
-    relations = classify_pairs(doc, entities, re_model, embeddings)
-    return PipelineOutput(doc_id=doc.doc_id, entities=entities, relations=relations)
+        entities = [from_bio(doc, labels) for doc, labels in
+                    zip(docs, decode_many(ner_model, docs, embeddings, lexicons))]
+    return [PipelineOutput(doc.doc_id, ents, classify_pairs(doc, ents, re_model, embeddings))
+            for doc, ents in zip(docs, entities)]
+
+
+def run_pipeline(doc: NormalizedDoc, ner_model, re_model: CnnReModel, embeddings: EmbeddingTable,
+                 lexicons: list[Lexicon] | None = None) -> PipelineOutput:
+    """``run_many`` of one document."""
+    return run_many([doc], ner_model, re_model, embeddings, lexicons)[0]
 
 
 class OracleNer:
@@ -84,8 +92,7 @@ def evaluate_pipeline(gold_docs: list[AnnotatedDoc], ner_model, re_model: CnnReM
                       embeddings: EmbeddingTable,
                       lexicons: list[Lexicon] | None = None
                       ) -> tuple[dict[str, Metrics], ErrorBreakdown, list[PipelineOutput]]:
-    outputs = [run_pipeline(d.doc, ner_model, re_model, embeddings, lexicons)
-               for d in gold_docs]
+    outputs = run_many([d.doc for d in gold_docs], ner_model, re_model, embeddings, lexicons)
     gold_relations = [r for d in gold_docs for r in d.relations]
     predicted = [r for out in outputs for r in out.relations]
     per_label = relation_metrics(gold_relations, predicted)

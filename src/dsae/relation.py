@@ -32,7 +32,7 @@ import functools
 import logging
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -449,11 +449,7 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
     adam_train(model.params, len(instances), loss_and_grad, epochs=cfg.epochs,
                batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
                rng=Rng(cfg.seed, stream=37), dev_score=dev_score if dev else None)
-    model.hyperparameters = {
-        "max_len": cfg.max_len, "dropout": cfg.dropout, "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size, "lr": cfg.lr, "weight_decay": cfg.weight_decay,
-        "seed": cfg.seed,
-    }
+    model.hyperparameters = asdict(cfg)
     return model
 
 

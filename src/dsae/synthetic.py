@@ -42,7 +42,6 @@ def _make_doc(doc_id: str, words: list[str]) -> NormalizedDoc:
     tokens = []
     cursor = 0
     for w in words:
-        start = cursor if not tokens else cursor + 1
         if tokens:
             cursor += 1
         tokens.append(Token(w, cursor, cursor + len(w)))

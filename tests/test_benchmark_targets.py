@@ -1,11 +1,15 @@
 """The benchmark's tracer finds its targets by name, so a rename in the
 package would silently zero the per-layer metrics that read them. Every
 ``module:attribute`` target of ``perfbench/tracing.py`` must resolve,
-apart from the kernels the batched CRF layer replaced."""
+apart from the kernels the batched CRF layer replaced. Every name the
+benchmark imports from ``dsae`` must resolve too, or its runs fail."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # deleted when the CRF layer became one batched call; the tracer reports
 # them as absent
@@ -14,8 +18,8 @@ REPLACED = {f"dsae.numeric.kernels:{name}"
 
 
 def _tracing():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,3 +38,14 @@ def test_every_traced_entry_point_resolves():
     module_name, _, name = cls_target.partition(":")
     cls = getattr(importlib.import_module(module_name), name)
     assert [m for m in methods if not hasattr(cls, m)] == []
+
+
+def test_every_name_the_benchmark_imports_from_dsae_resolves():
+    imported = [f"{node.module}:{alias.name}"
+                for path in sorted(PERFBENCH.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "dsae"
+                for alias in node.names]
+    assert "dsae.ner.predict:decode_labels" in imported
+    assert [name for name in imported if not _resolves(name)] == []

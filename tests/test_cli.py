@@ -294,6 +294,18 @@ def test_log_level_flags_show_or_hide_the_crf_warning(tmp_path, flag, shown):
     assert (CRF_WARNING in done.stderr) == shown
 
 
+def test_unconverged_crf_bundle_warns_when_loaded(tmp_path, caplog):
+    """A command that loads a CRF bundle saved with converged false warns,
+    naming the bundle."""
+    config = write_config(tmp_path, crf={"c1": 0.05, "c2": 0.05, "max_iter": 1})
+    out = tmp_path / "out"
+    assert run("train-ner", "--config", config, "--out", str(out)) == 0
+    caplog.clear()
+    assert run("eval-ner", "--config", config, "--out", str(out)) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "dsae.cli"] == [
+        f"{out / 'ner_crf.json'}: this CRF stopped training without converging"]
+
+
 def test_verbose_and_quiet_exclude_each_other(capsys):
     with pytest.raises(SystemExit):
         run("train-ner", "--verbose", "--quiet")

@@ -175,15 +175,15 @@ def test_batched_gradient_equals_sum_of_sequences(lengths, seed, order):
         assert nll_and_grad(params, Xs, ys, H, noisy) == nll_and_grad(params, Xs, ys, H)
     assert np.array_equal(noisy.data, grad.data)
     # the padded forward pass decodes every sequence as it does alone
-    decoded = lstm_crf._decode_all(model, Xs)
-    assert decoded == [lstm_crf_decode(model, X) for X in Xs]
+    decoded = lstm_crf_decode(model, Xs)
+    assert decoded == [lstm_crf_decode(model, [X])[0] for X in Xs]
 
 
 def test_decode_deterministic_and_empty():
     model = LstmCrfModel.init(4, 3, LABELS, seed=0)
     X = Rng(1, stream=14).normal((6, 4))
-    assert lstm_crf_decode(model, X) == lstm_crf_decode(model, X)
-    assert lstm_crf_decode(model, np.zeros((0, 4))) == []
+    assert lstm_crf_decode(model, [X]) == lstm_crf_decode(model, [X])
+    assert lstm_crf_decode(model, [np.zeros((0, 4))]) == [[]]
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_train_memorizes_small_set(memorizable):
     cfg = LstmCrfConfig(hidden=8, epochs=60, batch_size=4, lr=0.02,
                         weight_decay=0.0, seed=0)
     model = lstm_crf_train(memorizable, cfg, dev=memorizable[:4])
-    preds = [lstm_crf_decode(model, X) for X, _ in memorizable]
+    preds = lstm_crf_decode(model, [X for X, _ in memorizable])
     assert exact_bio_f1([y for _, y in memorizable], preds) == 1.0
 
 
