@@ -229,11 +229,13 @@ def _out(config: dict, name: str) -> str:
 
 
 def _load_ner(config: dict):
-    """The configured NER bundle; a CRF that did not converge is used, with a warning."""
+    """The configured NER bundle; a CRF that did not converge is used, with
+    a warning naming why L-BFGS stopped."""
     path = _out(config, f"ner_{config['model']}.json")
     model = load_model(path)
     if isinstance(model, CrfModel) and not model.converged:
-        logger.warning("%s: this CRF stopped training without converging", path)
+        logger.warning("%s: this CRF stopped training without converging: %s", path,
+                       model.training["stop"])
     return model
 
 

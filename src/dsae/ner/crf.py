@@ -18,7 +18,7 @@ import numpy as np
 
 from ..annotation import BIO_LABELS, label_ids
 from ..numeric import kernels
-from ..numeric.optim import LbfgsConfig, lbfgs_minimize
+from ..numeric.optim import CONVERGED, LbfgsConfig, lbfgs_minimize
 from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
 
 logger = logging.getLogger(__name__)
@@ -80,8 +80,13 @@ class CrfModel:
     registry: FeatureRegistry
     W: np.ndarray  # labels x feature dims
     T: np.ndarray  # labels x labels
-    converged: bool = True
     hyperparameters: dict = field(default_factory=dict)
+    # LbfgsResult.record() of the training run; None for a model built otherwise
+    training: dict | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.training is None or self.training["stop"] == CONVERGED
 
     def decode(self, features: list[TokenFeatures]) -> list[str]:
         if not features:
@@ -169,5 +174,5 @@ def crf_train(train_docs, config: CrfConfig | None = None,
     T = result.x[nW:].reshape(K, K)
     return CrfModel(
         labels=tuple(labels), registry=registry, W=W, T=T,
-        converged=result.converged, hyperparameters=asdict(cfg),
+        hyperparameters=asdict(cfg), training=result.record(),
     )

@@ -4,7 +4,9 @@ Dense part: the word vector plus an OOV flag. Sparse part: indicator
 features (window word identities within +-2, POS of the token and its
 neighbors, 3/4-char affixes, digit/punctuation flags, lexicon-hit
 category). The indicator index space is frozen after the training pass;
-unseen indicators at inference map to nothing.
+unseen indicators at inference map to nothing. The name strings of a word
+or a POS tag are built once, in bounded caches, and shared by every token
+that has them.
 
 Training indexes its tokens with ``index_features``, which resolves all
 indicator names in bulk and returns the two blocks the trainers multiply
@@ -16,6 +18,7 @@ and builds no matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 
 import numpy as np
@@ -26,6 +29,9 @@ from ..embeddings import EmbeddingTable
 from ..normalize import NormalizedDoc
 
 BOUNDARY = "<s>"
+# distinct words whose indicator names are kept for reuse; a word beyond
+# them gets the same names, built afresh
+_NAMED_WORDS = 4096
 
 
 @dataclass
@@ -57,12 +63,42 @@ class FeatureRegistry:
         self.frozen = True
 
 
+@lru_cache(maxsize=_NAMED_WORDS)
+def _window_names(word: str) -> tuple[str, ...]:
+    """The names of word at window offsets -2 to 2."""
+    return tuple(f"w[{k}]={word}" for k in range(-2, 3))
+
+
+@lru_cache(maxsize=64)
+def _pos_names(tag: str) -> tuple[str, ...]:
+    """The names of POS tag at offsets -1 to 1."""
+    return tuple(f"pos[{k}]={tag}" for k in range(-1, 2))
+
+
+@lru_cache(maxsize=_NAMED_WORDS)
+def _shape_names(surface: str) -> tuple[str, ...]:
+    """The affix, digit and punctuation names of a token."""
+    names = []
+    if len(surface) >= 3:
+        names.append(f"pre3={surface[:3]}")
+        names.append(f"suf3={surface[-3:]}")
+    if len(surface) >= 4:
+        names.append(f"pre4={surface[:4]}")
+        names.append(f"suf4={surface[-4:]}")
+    if any(ch.isdigit() for ch in surface):
+        names.append("has_digit")
+    if not any(ch.isalnum() for ch in surface):
+        names.append("is_punct")
+    return tuple(names)
+
+
 def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
               lexicons: list[Lexicon] | None = None) -> list[TokenFeatures]:
     surfaces = doc.surfaces()
-    # window names read the neighbours from lists padded with the boundary
-    words = [BOUNDARY] * 2 + surfaces + [BOUNDARY] * 2
-    poss = [BOUNDARY] + [t.pos or "X" for t in doc.tokens] + [BOUNDARY]
+    # window names read the neighbours from lists padded with the boundary;
+    # the name strings of a word or tag are built once and shared
+    words = list(map(_window_names, [BOUNDARY] * 2 + surfaces + [BOUNDARY] * 2))
+    poss = list(map(_pos_names, [BOUNDARY] + [t.pos or "X" for t in doc.tokens] + [BOUNDARY]))
 
     hit_category = [None] * len(surfaces)
     for lex in lexicons or []:
@@ -73,22 +109,12 @@ def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
 
     out: list[TokenFeatures] = []
     for i, (surface, dense) in enumerate(zip(surfaces, embeddings.rows(surfaces))):
-        names = [f"w[-2]={words[i]}", f"w[-1]={words[i + 1]}", f"w[0]={surface}",
-                 f"w[1]={words[i + 3]}", f"w[2]={words[i + 4]}",
-                 f"pos[-1]={poss[i]}", f"pos[0]={poss[i + 1]}", f"pos[1]={poss[i + 2]}"]
-        if len(surface) >= 3:
-            names.append(f"pre3={surface[:3]}")
-            names.append(f"suf3={surface[-3:]}")
-        if len(surface) >= 4:
-            names.append(f"pre4={surface[:4]}")
-            names.append(f"suf4={surface[-4:]}")
-        if any(ch.isdigit() for ch in surface):
-            names.append("has_digit")
-        if not any(ch.isalnum() for ch in surface):
-            names.append("is_punct")
+        names = (words[i][0], words[i + 1][1], words[i + 2][2], words[i + 3][3],
+                 words[i + 4][4], poss[i][0], poss[i + 1][1], poss[i + 2][2])
+        names += _shape_names(surface)
         if hit_category[i] is not None:
-            names.append(f"lex={hit_category[i]}")
-        out.append(TokenFeatures(dense=dense, names=tuple(names)))
+            names += (f"lex={hit_category[i]}",)
+        out.append(TokenFeatures(dense=dense, names=names))
     return out
 
 

@@ -66,6 +66,7 @@ class LstmCrfModel:
     hidden: int
     params: ParamVector
     hyperparameters: dict = field(default_factory=dict)
+    training: dict | None = None  # the record adam_train returns
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, labels, seed: int) -> "LstmCrfModel":
@@ -243,10 +244,11 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
     def dev_score():
         return exact_bio_f1([y for _, y in dev], lstm_crf_decode(model, dev_X))
 
-    adam_train(model.params, len(packed), loss_and_grad, epochs=cfg.epochs,
-               batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
-               rng=Rng(cfg.seed, stream=29), clip_norm=cfg.clip_norm,
-               dev_score=dev_score if dev else None)
+    model.training = adam_train(
+        model.params, len(packed), loss_and_grad, epochs=cfg.epochs,
+        batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
+        rng=Rng(cfg.seed, stream=29), clip_norm=cfg.clip_norm,
+        dev_score=dev_score if dev else None)
     model.hyperparameters = asdict(cfg)
     return model
 

@@ -89,7 +89,7 @@ def adam_train(params: ParamVector, n: int,
                loss_and_grad: Callable[[np.ndarray, ParamVector], float], *,
                epochs: int, batch_size: int, lr: float, weight_decay: float,
                rng: Rng, clip_norm: float = math.inf,
-               dev_score: Callable[[], float] | None = None) -> None:
+               dev_score: Callable[[], float] | None = None) -> dict:
     """Minibatch Adam over instances ``0..n-1``, training ``params`` in place.
 
     Each epoch visits one ``rng.permutation(n)`` in batches.
@@ -99,33 +99,52 @@ def adam_train(params: ParamVector, n: int,
     uses its mean, rescaled to norm ``clip_norm`` when longer. With
     ``dev_score``, the parameters after the epoch with the highest score
     (the first, on ties) are restored at the end.
+
+    Returns the training record, which holds no timings: per epoch, the
+    summed loss (``loss``), the mean over its batches of the gradient norm
+    before clipping (``grad_norm``) and the dev score (``dev_score``, None
+    without ``dev_score``); and ``chosen_epoch``, the epoch whose parameters
+    are kept (None when none is).
     """
     state = AdamState(lr=lr, weight_decay=weight_decay)
     names = params.slice_names()
     grad = params.zeros_like()
     best_score = -math.inf
     best = None
+    record = {"loss": [], "grad_norm": [], "dev_score": None if dev_score is None else [],
+              "chosen_epoch": None}
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for lo in range(0, len(order), batch_size):
+        starts = range(0, len(order), batch_size)
+        total = norms = 0.0
+        for lo in starts:
             batch = order[lo:lo + batch_size]
             grad.data.fill(0.0)
             loss = loss_and_grad(batch, grad)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {lo // batch_size}")
+            total += float(loss)
             grad.data /= len(batch)
             norm = float(np.linalg.norm(grad.data))
+            norms += norm
             if norm > clip_norm:
                 grad.data *= clip_norm / norm
             adam_step(params.data, grad.data, state, names)
-        if dev_score is not None:
-            score = dev_score()
+        record["loss"].append(total)
+        record["grad_norm"].append(norms / len(starts) if starts else 0.0)
+        if dev_score is None:
+            record["chosen_epoch"] = epoch
+        else:
+            score = float(dev_score())
+            record["dev_score"].append(score)
             if score > best_score:
                 best_score = score
                 best = params.copy()
+                record["chosen_epoch"] = epoch
     if best is not None:
         params.set_data(best.data)
+    return record
 
 
 # backtracking line search: sufficient-decrease constant, step shrink
@@ -149,6 +168,7 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 LINE_SEARCH_FAILED = "line search failed"
 NO_DESCENT = "no descent direction"
+STOP_REASONS = (CONVERGED, MAX_ITER, LINE_SEARCH_FAILED, NO_DESCENT)
 
 
 @dataclass
@@ -166,6 +186,12 @@ class LbfgsResult:
     @property
     def converged(self) -> bool:
         return self.stop == CONVERGED
+
+    def record(self) -> dict:
+        """The training record of a model fitted by this run: everything
+        but the point, which the model holds."""
+        return {"stop": self.stop, "steps": self.iterations,
+                "evaluations": self.evaluations, "objective": float(self.value)}
 
 
 def _pseudo_gradient(x, g, c1):

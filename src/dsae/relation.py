@@ -162,6 +162,7 @@ class CnnReModel:
     dropout: float = 0.2
     labels: tuple[str, ...] = RELATION_LABELS
     hyperparameters: dict = field(default_factory=dict)
+    training: dict | None = None  # the record adam_train returns
 
     @classmethod
     def init(cls, input_dim: int, cfg: CnnReConfig) -> "CnnReModel":
@@ -446,9 +447,10 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
     def dev_score():
         return macro_f1([enc.label for enc in dev], _probabilities(model, dev, work))
 
-    adam_train(model.params, len(instances), loss_and_grad, epochs=cfg.epochs,
-               batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
-               rng=Rng(cfg.seed, stream=37), dev_score=dev_score if dev else None)
+    model.training = adam_train(
+        model.params, len(instances), loss_and_grad, epochs=cfg.epochs,
+        batch_size=cfg.batch_size, lr=cfg.lr, weight_decay=cfg.weight_decay,
+        rng=Rng(cfg.seed, stream=37), dev_score=dev_score if dev else None)
     model.hyperparameters = asdict(cfg)
     return model
 

@@ -1,16 +1,24 @@
-"""JSON model bundles.
+"""JSON model bundles, format 2.
 
 Every trained model saves to a single JSON document with the keys
 {model_type, version, label_alphabet, feature_registry, hyperparameters,
-weights}; a CRF bundle also has ``converged``, whether L-BFGS converged.
-Floats are written with Python's shortest-repr decimal encoding, so float64
-values round-trip exactly and identical models serialize to byte-identical
-files.
+weights}, written canonically (sorted keys, no spaces), so identical
+models serialize to byte-identical files. Each entry of ``weights`` is one
+array in the layout of the ``.npy`` format (NumPy NEP 1):
+``{"dtype": "<f8", "shape": [...], "data": ...}``, ``data`` being the
+base64 of the array's little-endian float64 bytes in C order, which
+round-trip every value bit for bit. A CRF, BiLSTM-CRF or CNN bundle also
+has ``training``, the record of the run that fitted it: L-BFGS's stop
+reason, steps, objective evaluations and final objective for the CRF; the
+per-epoch loss, gradient norm and dev score and the chosen epoch of
+``adam_train`` for the other two.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import tempfile
 
@@ -20,10 +28,15 @@ from .ner.crf import CrfModel
 from .ner.features import FeatureRegistry
 from .ner.lstm_crf import LstmCrfModel, _param_shapes
 from .ner.svm import SvmModel
+from .numeric.optim import STOP_REASONS
 from .numeric.params import ParamVector
 from .relation import CnnReModel, _cnn_shapes
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+DTYPE = "<f8"
+_ARRAY_KEYS = {"data", "dtype", "shape"}
+_LBFGS_KEYS = {"stop", "steps", "evaluations", "objective"}
+_ADAM_KEYS = {"loss", "grad_norm", "dev_score", "chosen_epoch"}
 
 
 def _encode_registry(registry: FeatureRegistry | None):
@@ -55,25 +68,95 @@ def _decode_registry(blob) -> FeatureRegistry | None:
     return registry
 
 
-def _array(model_type: str, weights: dict, name: str) -> np.ndarray:
+def encode_array(value: np.ndarray) -> dict:
+    """The bundle entry of a float64 array."""
+    data = np.ascontiguousarray(value, dtype=DTYPE)
+    return {"dtype": DTYPE, "shape": list(value.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(model_type: str, weights: dict, name: str, shape: tuple) -> np.ndarray:
+    """The array of entry ``name`` of weights, which must hold finite
+    float64 values in the given shape."""
+    where = f"{model_type} bundle: weights {name}"
     if name not in weights:
-        raise ValueError(f"{model_type} bundle: weights {name} is missing")
-    try:
-        value = np.asarray(weights[name])
-    except ValueError:  # ragged nesting
-        value = None
-    if value is None or value.dtype.kind not in "iuf" or not np.isfinite(value).all():
-        raise ValueError(f"{model_type} bundle: weights {name} must be a rectangular "
-                         "array of finite numbers")
-    return np.asarray(value, dtype=np.float64)
-
-
-def _checked(model_type: str, weights: dict, name: str, shape: tuple) -> np.ndarray:
-    value = _array(model_type, weights, name)
-    if value.shape != shape:
-        raise ValueError(f"{model_type} bundle: weights {name} has shape "
-                         f"{value.shape}, expected {shape}")
+        raise ValueError(f"{where} is missing")
+    entry = weights[name]
+    if not isinstance(entry, dict) or entry.keys() != _ARRAY_KEYS:
+        raise ValueError(f"{where} must be an object with the keys data, dtype and shape")
+    if entry["dtype"] != DTYPE:
+        raise ValueError(f"{where} dtype must be {DTYPE!r}, got {entry['dtype']!r}")
+    stored = entry["shape"]
+    if not (isinstance(stored, list) and all(type(n) is int and n >= 0 for n in stored)):
+        raise ValueError(f"{where} shape must be a list of non-negative integers, "
+                         f"got {stored!r}")
+    if tuple(stored) != shape:
+        raise ValueError(f"{where} has shape {tuple(stored)}, expected {shape}")
+    data, raw = entry["data"], None
+    if isinstance(data, str):
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            pass
+    if raw is None:
+        raise ValueError(f"{where} data must be a base64 string")
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{where} data holds {len(raw)} bytes, expected "
+                         f"{8 * math.prod(shape)} (8 per value)")
+    value = np.frombuffer(raw, dtype=DTYPE).reshape(shape).astype(np.float64)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{where} must hold finite numbers")
     return value
+
+
+def _params(model_type: str, weights: dict, shapes: dict) -> ParamVector:
+    """A parameter vector of the given shapes, filled from weights."""
+    arrays = {name: _decode_array(model_type, weights, name, shape)
+              for name, shape in shapes.items()}
+    params = ParamVector(shapes)
+    for name, value in arrays.items():
+        params[name] = value
+    return params
+
+
+def _finite(value) -> bool:
+    # every number of a record is written as a float
+    return type(value) is float and math.isfinite(value)
+
+
+def _training(model_type: str, bundle: dict) -> dict:
+    """The bundle's training record, checked against the keys and types
+    its optimizer writes."""
+    record = bundle.get("training")
+    keys = _LBFGS_KEYS if model_type == "crf" else _ADAM_KEYS
+    where = f"{model_type} bundle: training"
+    if not isinstance(record, dict) or record.keys() != keys:
+        raise ValueError(f"{where} must be an object with the keys {', '.join(sorted(keys))}")
+    if model_type == "crf":
+        if record["stop"] not in STOP_REASONS:
+            raise ValueError(f"{where} stop must be one of {', '.join(STOP_REASONS)}, "
+                             f"got {record['stop']!r}")
+        for key in ("steps", "evaluations"):
+            if type(record[key]) is not int or record[key] < 0:
+                raise ValueError(f"{where} {key} must be a non-negative integer, "
+                                 f"got {record[key]!r}")
+        if not _finite(record["objective"]):
+            raise ValueError(f"{where} objective must be a finite number, "
+                             f"got {record['objective']!r}")
+        return dict(record)
+    epochs = record["loss"]
+    for key in ("loss", "grad_norm", "dev_score"):
+        value = record[key]
+        if key == "dev_score" and value is None:
+            continue
+        if not (isinstance(value, list) and len(value) == len(epochs)
+                and all(map(_finite, value))):
+            raise ValueError(f"{where} {key} must be a list of finite numbers, one per epoch")
+    chosen = record["chosen_epoch"]
+    if chosen is not None and not (type(chosen) is int and 0 <= chosen < len(epochs)):
+        raise ValueError(f"{where} chosen_epoch must be null or an epoch from 0 to "
+                         f"{len(epochs) - 1}, got {chosen!r}")
+    return dict(record)
 
 
 def _size(model_type: str, hyper: dict, key: str) -> int:
@@ -99,15 +182,15 @@ def model_to_bundle(model) -> dict:
     if isinstance(model, CrfModel):
         model_type = "crf"
         registry = model.registry
-        weights = {"W": model.W.tolist(), "T": model.T.tolist()}
+        weights = {"W": model.W, "T": model.T}
     elif isinstance(model, SvmModel):
         model_type = "svm"
         registry = model.registry
-        weights = {"W": model.W.tolist(), "b": model.b.tolist()}
+        weights = {"W": model.W, "b": model.b}
     elif isinstance(model, (LstmCrfModel, CnnReModel)):
         model_type = "lstm_crf" if isinstance(model, LstmCrfModel) else "cnn_re"
         registry = None
-        weights = {name: model.params[name].tolist() for name in model.params.shapes}
+        weights = {name: model.params[name] for name in model.params.shapes}
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -125,10 +208,10 @@ def model_to_bundle(model) -> dict:
         "label_alphabet": list(model.labels),
         "feature_registry": _encode_registry(registry),
         "hyperparameters": hyper,
-        "weights": weights,
+        "weights": {name: encode_array(value) for name, value in weights.items()},
     }
-    if isinstance(model, CrfModel):
-        bundle["converged"] = bool(model.converged)
+    if not isinstance(model, SvmModel):
+        bundle["training"] = model.training
     return bundle
 
 
@@ -137,7 +220,7 @@ def model_from_bundle(bundle: dict):
     if not isinstance(bundle, dict):
         raise ValueError(f"bundle must be a JSON object, got {type(bundle).__name__}")
     version = bundle.get("version")
-    # by type as well: true and 1.0 compare equal to 1
+    # by type as well: true and 2.0 compare equal to integers
     if type(version) is not int or version != BUNDLE_VERSION:
         raise ValueError(f"bundle: unsupported version {version!r}, "
                          f"expected the integer {BUNDLE_VERSION}")
@@ -156,33 +239,29 @@ def model_from_bundle(bundle: dict):
             raise ValueError(f"{model_type} bundle: feature_registry is missing")
         D = registry.total_dim
     if model_type == "crf":
-        converged = bundle.get("converged")
-        if not isinstance(converged, bool):
-            raise ValueError("crf bundle: converged must be true or false")
         return CrfModel(
             labels=labels,
             registry=registry,
-            W=_checked("crf", weights, "W", (K, D)),
-            T=_checked("crf", weights, "T", (K, K)),
-            converged=converged,
+            W=_decode_array("crf", weights, "W", (K, D)),
+            T=_decode_array("crf", weights, "T", (K, K)),
             hyperparameters=hyper,
+            training=_training("crf", bundle),
         )
     if model_type == "svm":
         return SvmModel(
             labels=labels,
             registry=registry,
-            W=_checked("svm", weights, "W", (K, D)),
-            b=_checked("svm", weights, "b", (K,)),
+            W=_decode_array("svm", weights, "W", (K, D)),
+            b=_decode_array("svm", weights, "b", (K,)),
             hyperparameters=hyper,
         )
     if model_type == "lstm_crf":
         input_dim = _size(model_type, hyper, "input_dim")
         hidden = _size(model_type, hyper, "hidden")
-        params = ParamVector(_param_shapes(input_dim, hidden, len(labels)))
-        for name in params.shapes:
-            params[name] = _array(model_type, weights, name)
+        params = _params(model_type, weights, _param_shapes(input_dim, hidden, K))
         return LstmCrfModel(labels=labels, input_dim=input_dim, hidden=hidden,
-                            params=params, hyperparameters=hyper)
+                            params=params, hyperparameters=hyper,
+                            training=_training(model_type, bundle))
     if model_type == "cnn_re":
         input_dim = _size(model_type, hyper, "input_dim")
         max_len = _size(model_type, hyper, "max_len")
@@ -196,11 +275,10 @@ def model_from_bundle(bundle: dict):
             if hyper.pop(key, True) is not True:
                 raise ValueError(f"cnn_re bundle: hyperparameter {key} must be true; "
                                  "models without it are not supported")
-        params = ParamVector(_cnn_shapes(input_dim, max_len))
-        for name in params.shapes:
-            params[name] = _array(model_type, weights, name)
+        params = _params(model_type, weights, _cnn_shapes(input_dim, max_len))
         return CnnReModel(input_dim=input_dim, max_len=max_len, params=params,
-                          dropout=float(dropout), labels=labels, hyperparameters=hyper)
+                          dropout=float(dropout), labels=labels, hyperparameters=hyper,
+                          training=_training(model_type, bundle))
     raise ValueError(f"unknown model_type {model_type!r}")
 
 

@@ -198,12 +198,13 @@ def test_aggregate_writes_example_tweets(trained):
 def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):
     _, config, out = trained
     bundle = json.loads((out / "ner_crf.json").read_text())
-    bundle["weights"]["T"] = 0.0
+    # the transition array loses its last value
+    bundle["weights"]["T"]["data"] = bundle["weights"]["T"]["data"][:-12]
     bad = tmp_path / "out"
     bad.mkdir()
     (bad / "ner_crf.json").write_text(json.dumps(bundle))
     assert run("eval-ner", "--config", config, "--out", str(bad)) == 1
-    assert "weights T" in capsys.readouterr().err
+    assert "crf bundle: weights T data holds 384 bytes, expected 392" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -295,15 +296,15 @@ def test_log_level_flags_show_or_hide_the_crf_warning(tmp_path, flag, shown):
 
 
 def test_unconverged_crf_bundle_warns_when_loaded(tmp_path, caplog):
-    """A command that loads a CRF bundle saved with converged false warns,
-    naming the bundle."""
+    """A command that loads a CRF bundle whose training record says L-BFGS
+    did not converge warns, naming the bundle and the stop reason."""
     config = write_config(tmp_path, crf={"c1": 0.05, "c2": 0.05, "max_iter": 1})
     out = tmp_path / "out"
     assert run("train-ner", "--config", config, "--out", str(out)) == 0
     caplog.clear()
     assert run("eval-ner", "--config", config, "--out", str(out)) == 0
     assert [r.getMessage() for r in caplog.records if r.name == "dsae.cli"] == [
-        f"{out / 'ner_crf.json'}: this CRF stopped training without converging"]
+        f"{out / 'ner_crf.json'}: this CRF stopped training without converging: max_iter"]
 
 
 def test_verbose_and_quiet_exclude_each_other(capsys):

@@ -120,3 +120,56 @@ def test_featurize_dense_rows_and_windows_on_a_synthetic_corpus():
                 + tuple(f"pos[{off}]={window(tags, i + off)}" for off in (-1, 0, 1)))
         assert np.array_equal(doc_matrix(doc, emb),
                               np.array([f.dense for f in features]).reshape(-1, 7))
+
+
+def names_built_afresh(doc, lexicons):
+    """Reference: each token's indicator names as fresh strings, in order."""
+    from dsae.corpus import match_terms
+    from dsae.ner.features import BOUNDARY
+
+    surfaces = doc.surfaces()
+    words = [BOUNDARY] * 2 + surfaces + [BOUNDARY] * 2
+    poss = [BOUNDARY] + [t.pos or "X" for t in doc.tokens] + [BOUNDARY]
+    hit_category = [None] * len(surfaces)
+    for lex in lexicons:
+        for hit in match_terms(doc.normalized_text, lex):
+            for k, tok in enumerate(doc.tokens):
+                if tok.start >= hit.char_start and tok.end <= hit.char_end:
+                    hit_category[k] = hit.category
+    out = []
+    for i, surface in enumerate(surfaces):
+        names = [f"w[-2]={words[i]}", f"w[-1]={words[i + 1]}", f"w[0]={surface}",
+                 f"w[1]={words[i + 3]}", f"w[2]={words[i + 4]}",
+                 f"pos[-1]={poss[i]}", f"pos[0]={poss[i + 1]}", f"pos[1]={poss[i + 2]}"]
+        if len(surface) >= 3:
+            names += [f"pre3={surface[:3]}", f"suf3={surface[-3:]}"]
+        if len(surface) >= 4:
+            names += [f"pre4={surface[:4]}", f"suf4={surface[-4:]}"]
+        if any(ch.isdigit() for ch in surface):
+            names.append("has_digit")
+        if not any(ch.isalnum() for ch in surface):
+            names.append("is_punct")
+        if hit_category[i] is not None:
+            names.append(f"lex={hit_category[i]}")
+        out.append(tuple(names))
+    return out
+
+
+def test_featurize_names_equal_names_built_afresh_and_are_shared():
+    """featurize gives every token the names, in the order, that building
+    each afresh gives, and two tokens of one word share the strings."""
+    from dataclasses import replace
+
+    from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
+
+    emb = synthetic_embeddings(dim=6, seed=3)
+    lexicons = list(synthetic_lexicons())
+    odd = make_doc("odd", ["b12", "!", "vitamin", "c", "4mg", "gave", "me", "nausea", "..."])
+    tags = ["N", "P", "N", "N", "$", "V", "O", None, ""]
+    odd = replace(odd, tokens=tuple(replace(t, pos=tag) for t, tag in zip(odd.tokens, tags)))
+    docs = [annotated.doc for annotated in generate_corpus(40, seed=9)] + [odd]
+    for doc in docs:
+        assert [f.names for f in featurize(doc, emb, lexicons)] == names_built_afresh(
+            doc, lexicons)
+    first, again = featurize(odd, emb), featurize(odd, emb)
+    assert all(a is b for x, y in zip(first, again) for a, b in zip(x.names, y.names))

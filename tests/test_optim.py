@@ -149,6 +149,44 @@ def test_adam_train_restores_best_epoch():
     assert np.array_equal(params.data, seen[1])
 
 
+def test_adam_train_records_each_epoch_and_the_chosen_one():
+    """The record holds each epoch's summed loss, its mean gradient norm
+    before clipping and its dev score, and the epoch whose parameters are
+    kept."""
+    params = ParamVector({"x": (2,)})
+    params["x"] = np.array([50.0, -50.0])
+    loss = quadratic_loss(params)
+    losses, norms = [], []
+
+    def recording(batch, grad):
+        value = loss(batch, grad)
+        losses.append(value)
+        norms.append(float(np.linalg.norm(grad.data)) / len(batch))
+        return value
+
+    scores = iter([0.2, 0.9, 0.5])
+    record = adam_train(params, len(TARGETS), recording, epochs=3, batch_size=3, lr=0.1,
+                        weight_decay=0.0, rng=Rng(0, stream=3), clip_norm=0.5,
+                        dev_score=lambda: next(scores))
+    per_epoch = len(losses) // 3
+    assert record["loss"] == [sum(losses[k:k + per_epoch], 0.0)
+                              for k in range(0, len(losses), per_epoch)]
+    assert record["grad_norm"] == pytest.approx(
+        [sum(norms[k:k + per_epoch]) / per_epoch for k in range(0, len(norms), per_epoch)])
+    assert min(record["grad_norm"]) > 0.5  # measured before clipping to 0.5
+    assert record["dev_score"] == [0.2, 0.9, 0.5]
+    assert record["chosen_epoch"] == 1
+
+
+@pytest.mark.parametrize("epochs, chosen", [(0, None), (2, 1)])
+def test_adam_train_without_dev_keeps_the_last_epoch(epochs, chosen):
+    params = ParamVector({"x": (2,)})
+    record = adam_train(params, len(TARGETS), quadratic_loss(params), epochs=epochs,
+                        batch_size=3, lr=0.1, weight_decay=0.0, rng=Rng(0, stream=3))
+    assert record["dev_score"] is None and record["chosen_epoch"] == chosen
+    assert len(record["loss"]) == len(record["grad_norm"]) == epochs
+
+
 def test_adam_train_clip_norm_bounds_step_gradient(monkeypatch):
     norms = []
 
