@@ -24,7 +24,6 @@ _TYPE_TO_BIO = {"Supplement": "SUPP", "Symptom": "SYMP", "BodyOrgan": "ORG"}
 _BIO_TO_TYPE = {v: k for k, v in _TYPE_TO_BIO.items()}
 
 BIO_LABELS = ("O", "B-SUPP", "I-SUPP", "B-SYMP", "I-SYMP", "B-ORG", "I-ORG")
-BIO_INDEX = {label: i for i, label in enumerate(BIO_LABELS)}
 
 
 def label_ids(gold, labels: tuple[str, ...] = BIO_LABELS) -> list[int]:
@@ -238,20 +237,20 @@ def from_bio(doc: NormalizedDoc, labels) -> list[EntitySpan]:
             for k, (start, end, suffix) in enumerate(bio_spans(labels), 1)]
 
 
+def candidate_pairs(entities) -> list[tuple[EntitySpan, EntitySpan]]:
+    """The (Supplement, event) pairs a relation may hold between: each
+    supplement in the order of entities, with each event in that order."""
+    return [(head, tail) for head in entities if head.etype == "Supplement"
+            for tail in entities if tail.etype in EVENT_TYPES]
+
+
 def generate_relation_instances(annotated: AnnotatedDoc) -> list[RelationInstance]:
-    """All (Supplement, event) ordered pairs; gold label when present,
+    """The instance of every candidate pair; gold label when present,
     NoRelation otherwise."""
     gold = {(r.head.id, r.tail.id): r.label for r in annotated.relations}
-    out = []
-    for head in annotated.entities:
-        if head.etype != "Supplement":
-            continue
-        for tail in annotated.entities:
-            if tail.etype not in EVENT_TYPES:
-                continue
-            label = gold.get((head.id, tail.id), "NoRelation")
-            out.append(RelationInstance(annotated.doc.doc_id, head, tail, label))
-    return out
+    return [RelationInstance(annotated.doc.doc_id, head, tail,
+                             gold.get((head.id, tail.id), "NoRelation"))
+            for head, tail in candidate_pairs(annotated.entities)]
 
 
 def split_dataset(docs, seed: int):

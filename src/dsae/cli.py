@@ -9,9 +9,11 @@ artifacts). Exit status: 0 success, 1 runtime failure, 2 invalid config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -24,7 +26,7 @@ from .ner import (CrfConfig, CrfModel, LstmCrfConfig, crf_train, lstm_crf_train,
 from .ner.features import featurize
 from .ner.predict import decode_many, doc_matrix
 from .normalize import UnigramTable, normalize
-from .pipeline import OracleNer, evaluate_pipeline, run_many
+from .pipeline import ErrorBreakdown, OracleNer, evaluate_pipeline, run_many
 from .relation import CnnReConfig, cnn_train, encode_instance
 from .serialization import atomic_write_text, load_model, save_model
 from .signals import KnowledgeBase, aggregate, compare_kb, emit_report, parse_report, top_k
@@ -54,6 +56,31 @@ DEFAULTS = {
     "svm": {"epochs": 5, "lr": 0.1, "l2": 1e-4},
     "lstm_crf": {"epochs": 40, "batch_size": 32, "lr": 1e-3, "weight_decay": 1e-4},
     "cnn": {"epochs": 40, "batch_size": 32, "lr": 1e-4, "weight_decay": 1e-5},
+}
+
+# the top-level keys a config may hold besides those of DEFAULTS
+_INPUT_KEYS = _PATH_KEYS + ("signals",)
+# the model sections of DEFAULTS; a config's holds only the default's keys
+_MODEL_SECTIONS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, dict))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
+# (test, what it requires) of each model setting
+_SETTING_RULES = {
+    "max_iter": _POSITIVE_INT, "epochs": _POSITIVE_INT, "batch_size": _POSITIVE_INT,
+    "lr": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "c1": _NON_NEGATIVE, "c2": _NON_NEGATIVE, "l2": _NON_NEGATIVE,
+    "weight_decay": _NON_NEGATIVE,
 }
 
 
@@ -104,18 +131,40 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def _validate(config: dict, command: str) -> None:
     errors = []
-    for key in _PATH_KEYS:
+    for key in _INPUT_KEYS:
         path = config.get(key)
-        if path is not None and not os.path.isfile(path):
+        if path is not None and not isinstance(path, str):
+            # os.path.isfile and open take an integer, or true, as a file descriptor
+            errors.append(f"{key}: must be a path, got {path!r}")
+        elif key in _PATH_KEYS and path is not None and not os.path.isfile(path):
             errors.append(f"{key}: file not found: {path}")
-    if not isinstance(config.get("seed"), int):
-        errors.append("seed: must be an integer")
-    if not isinstance(config.get("n_runs"), int) or config["n_runs"] < 1:
+    for key in sorted(set(config) - set(DEFAULTS) - set(_INPUT_KEYS)):
+        errors.append(f"{key}: unknown setting")
+    if not isinstance(config.get("output_dir"), str) or not config["output_dir"]:
+        errors.append("output_dir: must be a non-empty string")
+    if not _is_int(config.get("seed")) or config["seed"] < 0:
+        errors.append("seed: must be an integer >= 0")
+    if not _is_int(config.get("n_runs")) or config["n_runs"] < 1:
         errors.append("n_runs: must be a positive integer")
     if config.get("model") not in ("crf", "svm", "lstm_crf"):
         errors.append(f"model: unknown model {config.get('model')!r}")
-    if not isinstance(config.get("synthetic_docs"), int) or config["synthetic_docs"] < 3:
+    if not _is_int(config.get("synthetic_docs")) or config["synthetic_docs"] < 3:
         errors.append("synthetic_docs: must be an integer >= 3")
+    if not _is_int(config.get("max_len")) or config["max_len"] <= 4:
+        # room for the four entity markers and at least one token
+        errors.append("max_len: must be an integer > 4")
+    for section in _MODEL_SECTIONS:
+        settings = config.get(section)
+        if not isinstance(settings, dict):
+            errors.append(f"{section}: must be an object of settings")
+            continue
+        for key, value in settings.items():
+            if key not in DEFAULTS[section]:
+                errors.append(f"{section}.{key}: unknown setting")
+                continue
+            valid, what = _SETTING_RULES[key]
+            if not valid(value):
+                errors.append(f"{section}.{key}: must be {what}, got {value!r}")
     if command == "ingest":
         for key in ("corpus", "ds_lexicon", "event_lexicon"):
             if config.get(key) is None:
@@ -192,16 +241,12 @@ def _train_ner_model(train, dev, config: dict, emb, lexicons, seed: int):
     name = config["model"]
     feats = [(featurize(d.doc, emb, lexicons), to_bio(d.doc, d.entities)) for d in train]
     if name == "crf":
-        c = config["crf"]
-        return crf_train(feats, CrfConfig(c1=c["c1"], c2=c["c2"], max_iter=c["max_iter"]))
+        return crf_train(feats, CrfConfig(**config["crf"]))
     if name == "svm":
-        c = config["svm"]
-        return svm_train(feats, epochs=c["epochs"], lr=c["lr"], l2=c["l2"], seed=seed)
-    c = config["lstm_crf"]
+        return svm_train(feats, **config["svm"], seed=seed)
     pack = lambda ds: [(doc_matrix(d.doc, emb), to_bio(d.doc, d.entities)) for d in ds]
-    return lstm_crf_train(pack(train), LstmCrfConfig(
-        epochs=c["epochs"], batch_size=c["batch_size"], lr=c["lr"],
-        weight_decay=c["weight_decay"], seed=seed), dev=pack(dev))
+    return lstm_crf_train(pack(train), LstmCrfConfig(**config["lstm_crf"], seed=seed),
+                          dev=pack(dev))
 
 
 def _ner_metrics(model, docs, emb, lexicons) -> dict:
@@ -289,12 +334,9 @@ def cmd_eval_ner(config: dict) -> list[str]:
 def cmd_train_re(config: dict) -> list[str]:
     emb, _, _ = _resolve_resources(config)
     train, dev, _ = split_dataset(_resolve_docs(config), seed=config["seed"])
-    c = config["cnn"]
     model = cnn_train(
         _encode_all(train, emb, config["max_len"]),
-        CnnReConfig(max_len=config["max_len"], epochs=c["epochs"],
-                    batch_size=c["batch_size"], lr=c["lr"],
-                    weight_decay=c["weight_decay"], seed=config["seed"]),
+        CnnReConfig(max_len=config["max_len"], **config["cnn"], seed=config["seed"]),
         dev=_encode_all(dev, emb, config["max_len"]))
     out = _out(config, "re_cnn.json")
     save_model(model, out)
@@ -338,10 +380,9 @@ def cmd_pipeline(config: dict) -> list[str]:
     _metrics_tsv(out_metrics, sorted(per_label.items()))
     out_errors = _out(config, "pipeline_errors.tsv")
     rows = ["\t".join(("label", "category", "count"))]
-    for category in ("fp_spurious_relation", "fp_wrong_entities", "fn_mislabeled",
-                     "fn_missed_label", "fn_missed_entity"):
-        for label, count in sorted(getattr(breakdown, category).items()):
-            rows.append(f"{label}\t{category}\t{count}")
+    for category in dataclasses.fields(ErrorBreakdown):
+        for label, count in sorted(getattr(breakdown, category.name).items()):
+            rows.append(f"{label}\t{category.name}\t{count}")
     atomic_write_text(out_errors, "\n".join(rows) + "\n")
     for label, m in sorted(per_label.items()):
         print(f"pipeline: {label} F1 {m.f1:.4f}")

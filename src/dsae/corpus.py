@@ -13,12 +13,12 @@ import logging
 import re
 from dataclasses import dataclass, field
 
+from .annotation import ENTITY_TYPES
+
 logger = logging.getLogger(__name__)
 
 # a maximal run of str.isalnum characters: \w without the underscore
 _WORD = re.compile(r"[^\W_]+")
-
-CATEGORIES = ("Supplement", "Symptom", "BodyOrgan")
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def load_tweets(path, report: LoadReport | None = None):
 def load_lexicon(path, category: str) -> Lexicon:
     """Load a TSV lexicon: surface<TAB>canonical (canonical optional). A bad
     record raises ValueError naming the file and line."""
-    if category not in CATEGORIES:
+    if category not in ENTITY_TYPES:
         raise ValueError(f"unknown category {category!r}")
     entries: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .annotation import ENTITY_TYPES, RELATION_LABELS, bio_spans
+from .annotation import ENTITY_TYPES, RELATION_LABELS, _check_same_type_overlaps, bio_spans
 
 
 @dataclass
@@ -65,12 +65,7 @@ def align_spans(gold, predicted) -> dict[str, EvalCounts]:
     """
     gold = list(gold)
     predicted = list(predicted)
-    by_type = sorted(gold, key=lambda e: e.token_start)
-    for etype in ENTITY_TYPES:
-        spans = [e for e in by_type if e.etype == etype]
-        for a, b in zip(spans, spans[1:]):
-            if b.token_start < a.token_end:
-                raise ValueError(f"overlapping same-type gold spans {a.id} and {b.id}")
+    _check_same_type_overlaps(gold)
 
     counts = {name: EvalCounts() for name in ENTITY_TYPES}
     counts["micro"] = EvalCounts()

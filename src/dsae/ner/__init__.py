@@ -1,5 +1,5 @@
 from .features import FeatureRegistry, TokenFeatures, featurize
-from .crf import CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train, viterbi
+from .crf import CrfConfig, CrfModel, crf_train, viterbi
 from .lstm_crf import LstmCrfConfig, LstmCrfModel, lstm_crf_train
 from .svm import SvmModel, svm_train
 
@@ -9,7 +9,6 @@ __all__ = [
     "featurize",
     "CrfConfig",
     "CrfModel",
-    "crf_neg_log_likelihood",
     "crf_train",
     "viterbi",
     "LstmCrfConfig",

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..annotation import BIO_LABELS, label_ids
+from ..annotation import BIO_LABELS
 from ..numeric import kernels
 from ..numeric.optim import CONVERGED, LbfgsConfig, lbfgs_minimize
-from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
+from .features import FeatureRegistry, TokenFeatures, index_training_set, token_scores
 
 logger = logging.getLogger(__name__)
 
@@ -96,19 +96,16 @@ class CrfModel:
         return [self.labels[i] for i in path]
 
 
-def _nll_objective(features: list[TokenFeatures], registry: FeatureRegistry,
-                   y: np.ndarray, mask: np.ndarray, K: int):
+def _nll_objective(dense: np.ndarray, indicators, y: np.ndarray, mask: np.ndarray,
+                   K: int):
     """The training objective: the function of the flat weights (W then T)
-    that gives the NLL of the gold paths y and its flat gradient. The tokens
-    of features are the True positions of mask, in row-major order; indexing
-    them adds their indicators to the registry. Everything that does not
-    depend on the weights is built here, once: the dense block, the 0/1
-    indicator matrix and its transpose, and the CRF batch."""
-    dim = registry.dense_dim
-    dense, indicators = index_features(features, registry)
+    that gives the NLL of the gold paths y and its flat gradient. The rows
+    of the two blocks are the True positions of mask, in row-major order.
+    What does not depend on the weights is built once, here."""
+    dim = dense.shape[1]
     by_column = indicators.T.tocsr()
     batch = kernels.CrfBatch(y, mask, K)
-    F = registry.total_dim
+    F = dim + indicators.shape[1]
     nW = K * F
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -126,40 +123,17 @@ def _nll_objective(features: list[TokenFeatures], registry: FeatureRegistry,
     return objective
 
 
-def crf_neg_log_likelihood(model: CrfModel, features: list[TokenFeatures],
-                           gold_labels: list[str]) -> tuple[float, np.ndarray]:
-    """Value and flat gradient (over W then T) for one instance."""
-    if len(features) != len(gold_labels) or not features:
-        raise ValueError("need equally many features and labels, at least one")
-    dense, indicators = index_features(features, model.registry)
-    W, dim = model.W, model.registry.dense_dim
-    y = np.asarray([label_ids(gold_labels, model.labels)], dtype=np.int64)
-    value, (dscores,), dT = kernels.crf_layer(
-        (dense @ W[:, :dim].T + indicators @ W[:, dim:].T)[None], model.T, y,
-        np.ones_like(y, dtype=bool))
-    dW = np.hstack([dscores.T @ dense, (indicators.T @ dscores).T])
-    return value, np.concatenate([dW.ravel(), dT.ravel()])
-
-
 def crf_train(train_docs, config: CrfConfig | None = None,
               labels: tuple[str, ...] = BIO_LABELS) -> CrfModel:
     """train_docs: list of (features, gold label strings) pairs."""
     cfg = config or CrfConfig()
-    docs = [(features, gold) for features, gold in train_docs if features]
-    if not docs:
-        raise ValueError("empty training set")
-    if any(len(features) != len(gold) for features, gold in docs):
-        raise ValueError("every document needs one gold label per token")
-    lengths = np.array([len(features) for features, _ in docs], dtype=np.int64)
+    dense, indicators, lengths, tokens_y, registry = index_training_set(train_docs, labels)
     mask = np.arange(lengths.max()) < lengths[:, None]
     y = np.zeros(mask.shape, dtype=np.int64)
-    y[mask] = label_ids((lab for _, gold in docs for lab in gold), labels)
+    y[mask] = tokens_y
     K = len(labels)
-    registry = FeatureRegistry(docs[0][0][0].dense.shape[0])
     # one objective over the whole training set, a row per token
-    objective = _nll_objective([tok for features, _ in docs for tok in features],
-                               registry, y, mask, K)
-    registry.freeze()
+    objective = _nll_objective(dense, indicators, y, mask, K)
     F = registry.total_dim
     nW = K * F
     result = lbfgs_minimize(

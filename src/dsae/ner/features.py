@@ -10,9 +10,10 @@ that has them.
 
 Training indexes its tokens with ``index_features``, which resolves all
 indicator names in bulk and returns the two blocks the trainers multiply
-by: the dense rows and a 0/1 indicator matrix. Decoding scores tokens with
-``token_scores``, a dense product plus a gather of the indicator weights,
-and builds no matrix.
+by: the dense rows and a 0/1 indicator matrix; ``index_training_set``
+builds them, and the checked gold labels, for the CRF and the SVM alike.
+Decoding scores tokens with ``token_scores``, a dense product plus a
+gather of the indicator weights, and builds no matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import chain, repeat
 import numpy as np
 import scipy.sparse as sp
 
+from ..annotation import label_ids
 from ..corpus import Lexicon, match_terms
 from ..embeddings import EmbeddingTable
 from ..normalize import NormalizedDoc
@@ -136,6 +138,26 @@ def index_features(features: list[TokenFeatures], registry: FeatureRegistry
                                np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))),
                               shape=(n, len(registry.index)))
     return np.array([f.dense for f in features]).reshape(n, registry.dense_dim), indicators
+
+
+def index_training_set(train_docs, labels: tuple[str, ...]):
+    """The (features, gold labels) documents of a linear tagger's training
+    set as the ``index_features`` blocks of their tokens under a new
+    registry, then frozen: returns the blocks, the tokens per document, the
+    index in labels of each gold label, and the registry. Documents without
+    tokens are dropped; every other one needs one gold label per token."""
+    docs = [(features, gold) for features, gold in train_docs if features]
+    if not docs:
+        raise ValueError("empty training set")
+    if any(len(features) != len(gold) for features, gold in docs):
+        raise ValueError("every document needs one gold label per token")
+    y = np.array(label_ids((lab for _, gold in docs for lab in gold), labels))
+    registry = FeatureRegistry(docs[0][0][0].dense.shape[0])
+    dense, indicators = index_features([tok for features, _ in docs for tok in features],
+                                       registry)
+    registry.freeze()
+    lengths = np.array([len(features) for features, _ in docs])
+    return dense, indicators, lengths, y, registry
 
 
 def token_scores(features: list[TokenFeatures], registry: FeatureRegistry,

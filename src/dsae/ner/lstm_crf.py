@@ -208,18 +208,6 @@ def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray]
     return value
 
 
-def lstm_crf_objective(model: LstmCrfModel, X: np.ndarray, y: np.ndarray):
-    """Flat-parameter objective for one instance, for gradient checking."""
-
-    def objective(flat: np.ndarray):
-        p = ParamVector(model.params.shapes)
-        p.set_data(flat)
-        g = p.zeros_like()
-        return nll_and_grad(p, [X], [y], model.hidden, g), g.data
-
-    return objective
-
-
 def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
                    labels: tuple[str, ...] = BIO_LABELS) -> LstmCrfModel:
     """train/dev: lists of (X: L x d float array, gold label strings).

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..annotation import BIO_LABELS, label_ids
+from ..annotation import BIO_LABELS
 from ..numeric.rng import Rng
-from .features import FeatureRegistry, TokenFeatures, index_features, token_scores
+from .features import FeatureRegistry, TokenFeatures, index_training_set, token_scores
 
 
 @dataclass
@@ -35,20 +35,10 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
               seed: int = 0, labels: tuple[str, ...] = BIO_LABELS) -> SvmModel:
     """train_docs: list of (features, gold label strings) pairs; documents
     without tokens are skipped."""
-    docs = [(features, gold) for features, gold in train_docs if features]
-    if not docs:
-        raise ValueError("empty training set")
-    if any(len(features) != len(gold) for features, gold in docs):
-        raise ValueError("every document needs one gold label per token")
-    y = np.array(label_ids((lab for _, gold in docs for lab in gold), labels))
-    dim = docs[0][0][0].dense.shape[0]
-    registry = FeatureRegistry(dim)
-    tokens = [tok for features, _ in docs for tok in features]
-    # one dense block and indicator matrix for the whole training set, a row per token
-    Xd, indicators = index_features(tokens, registry)
-    registry.freeze()
+    Xd, indicators, _, y, registry = index_training_set(train_docs, labels)
+    dim = registry.dense_dim
     F = registry.total_dim
-    n = len(tokens)
+    n = len(y)
     # indicator columns of each token, padded with F, a row of V kept at zero
     n_ind = np.diff(indicators.indptr)
     cols = np.full((n, n_ind.max(initial=0)), F, dtype=np.int64)

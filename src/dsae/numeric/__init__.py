@@ -1,21 +1,3 @@
-from .optim import (
-    AdamState,
-    LbfgsConfig,
-    LbfgsResult,
-    adam_step,
-    adam_train,
-    grad_check,
-    lbfgs_minimize,
-)
-from .rng import Rng
-
-__all__ = [
-    "AdamState",
-    "LbfgsConfig",
-    "LbfgsResult",
-    "adam_step",
-    "adam_train",
-    "grad_check",
-    "lbfgs_minimize",
-    "Rng",
-]
+"""Numeric building blocks of the models: the batched CRF layer
+(``kernels``), Adam and L-BFGS (``optim``), flat parameter vectors
+(``params``) and the seeded random stream (``rng``)."""

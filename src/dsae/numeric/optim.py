@@ -1,5 +1,5 @@
-"""Optimization kernels: Adam and the minibatch Adam trainer, L-BFGS with
-elastic net (orthant-wise L1), and finite-difference gradient checking.
+"""Optimization kernels: Adam and the minibatch Adam trainer, and L-BFGS
+with elastic net (orthant-wise L1).
 
 Everything is float64 and deterministic; objectives are callables
 returning ``(value, gradient)``. ``adam_train`` hands its loss callback one
@@ -296,29 +296,3 @@ def lbfgs_minimize(objective: Objective, x0: np.ndarray,
             best_f, best_x = f, x.copy()
     return LbfgsResult(x=best_x, value=best_f, iterations=steps, evaluations=evaluations,
                        stop=stop)
-
-
-def grad_check(objective: Objective, x: np.ndarray, eps: float = 1e-5,
-               value_fn=None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``value_fn``, when given, evaluates the objective value without computing
-    the analytic gradient; it makes the sweep much cheaper for objectives
-    whose gradient costs more than the value.
-    """
-    x = np.array(x, dtype=np.float64)  # private copy, perturbed in place
-    _, g = objective(x)
-    if value_fn is None:
-        value_fn = lambda z: objective(z)[0]
-    worst = 0.0
-    for i in range(x.size):
-        xi = x[i]
-        x[i] = xi + eps
-        fp = value_fn(x)
-        x[i] = xi - eps
-        fm = value_fn(x)
-        x[i] = xi
-        fd = (fp - fm) / (2.0 * eps)
-        err = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
-        worst = max(worst, err)
-    return worst

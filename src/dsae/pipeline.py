@@ -39,15 +39,6 @@ class ErrorBreakdown:
     fn_missed_label: dict[str, int] = field(default_factory=dict)
     fn_missed_entity: dict[str, int] = field(default_factory=dict)
 
-    def fp_total(self, label: str) -> int:
-        return (self.fp_spurious_relation.get(label, 0)
-                + self.fp_wrong_entities.get(label, 0))
-
-    def fn_total(self, label: str) -> int:
-        return (self.fn_mislabeled.get(label, 0)
-                + self.fn_missed_label.get(label, 0)
-                + self.fn_missed_entity.get(label, 0))
-
 
 def run_many(docs: list[NormalizedDoc], ner_model, re_model: CnnReModel,
              embeddings: EmbeddingTable,
@@ -73,12 +64,6 @@ class OracleNer:
 
     def __init__(self, gold_docs: list[AnnotatedDoc]):
         self._by_id = {d.doc.doc_id: list(d.entities) for d in gold_docs}
-
-    @classmethod
-    def from_mapping(cls, entities_by_doc: dict[str, list[EntitySpan]]) -> "OracleNer":
-        oracle = cls([])
-        oracle._by_id = {k: list(v) for k, v in entities_by_doc.items()}
-        return oracle
 
     def predict(self, doc: NormalizedDoc) -> list[EntitySpan]:
         return list(self._by_id.get(doc.doc_id, []))

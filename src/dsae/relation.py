@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
+from .annotation import RELATION_LABELS, RelationInstance, candidate_pairs
 from .embeddings import EmbeddingTable
 from .evaluate import macro_f1
 from .ner.predict import doc_matrix
@@ -62,9 +62,6 @@ class EncodedInstance:
     pos_head: np.ndarray      # L ints in [0, 2*max_len]
     pos_tail: np.ndarray      # L ints in [0, 2*max_len]
     label: int | None = None
-    doc_id: str = ""
-    head_span: tuple[int, int] = (0, 0)
-    tail_span: tuple[int, int] = (0, 0)
 
 
 def _relative(index: np.ndarray, spans, max_len: int) -> np.ndarray:
@@ -83,7 +80,8 @@ def encode_instance(instance: RelationInstance, doc: NormalizedDoc,
 
 def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> EncodedInstance:
     """Encode one instance of a document whose token rows (word vector plus
-    OOV flag) are ``rows``."""
+    OOV flag) are ``rows``, in at most ``max_len`` rows: up to
+    ``max_len - 4`` tokens and the four markers, each once."""
     n = len(rows)
     hs, he = instance.head.token_start, instance.head.token_end
     ts, te = instance.tail.token_start, instance.tail.token_end
@@ -92,10 +90,24 @@ def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> Encod
 
     lo, hi = 0, n
     budget = max_len - 4  # room for the four markers
-    if n > budget:
+    kept = None  # every token of lo..hi - 1
+    span_lo = min(hs, ts)
+    span_hi = max(he, te)
+    if span_hi - span_lo > budget:
+        # no window holds both entities: keep the tokens of both, their
+        # edges first, then the tokens between them nearest an entity
+        lo, hi = span_lo, span_hi
+        spans = ((hs, he), (ts, te))
+
+        def rank(idx: int) -> tuple[int, int, int]:
+            inside = [min(idx - s, e - 1 - idx) for s, e in spans if s <= idx < e]
+            if inside:
+                return 0, min(inside), idx
+            return 1, min(max(s - idx, idx - e + 1) for s, e in spans), idx
+
+        kept = set(sorted(range(lo, hi), key=rank)[:budget])
+    elif n > budget:
         # truncation window centered on the two entities
-        span_lo = min(hs, ts)
-        span_hi = max(he, te)
         mid = (span_lo + span_hi) // 2
         lo = max(0, min(mid - budget // 2, n - budget))
         hi = lo + budget
@@ -111,7 +123,8 @@ def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> Encod
             items.append((0, hs))
         if idx == ts:
             items.append((2, ts))
-        items.append((-1, idx))
+        if kept is None or idx in kept:
+            items.append((-1, idx))
         if idx == he - 1:
             items.append((1, he - 1))
         if idx == te - 1:
@@ -125,9 +138,7 @@ def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> Encod
     pos_head, pos_tail = _relative(index, [(hs, he), (ts, te)], max_len)
     return EncodedInstance(
         tokens=tokens, marker_ids=marker_ids, pos_head=pos_head, pos_tail=pos_tail,
-        label=RELATION_LABELS.index(instance.label) if instance.label else None,
-        doc_id=instance.doc_id, head_span=(hs, he), tail_span=(ts, te),
-    )
+        label=RELATION_LABELS.index(instance.label) if instance.label else None)
 
 
 def _cnn_shapes(d: int, max_len: int) -> dict[str, tuple[int, ...]]:
@@ -459,8 +470,7 @@ def classify_pairs(doc: NormalizedDoc, entities, model: CnnReModel,
                    embeddings: EmbeddingTable) -> list[RelationInstance]:
     """Classify every (Supplement, event) pair in one batch; NoRelation
     predictions are dropped from the result."""
-    pairs = [(head, tail) for head in entities if head.etype == "Supplement"
-             for tail in entities if tail.etype in EVENT_TYPES]
+    pairs = candidate_pairs(entities)
     if not pairs:
         return []
     rows = doc_matrix(doc, embeddings)
@@ -470,19 +480,3 @@ def classify_pairs(doc: NormalizedDoc, entities, model: CnnReModel,
     preds = np.argmax(_probabilities(model, encs), axis=1)
     return [RelationInstance(doc.doc_id, head, tail, model.labels[k])
             for (head, tail), k in zip(pairs, preds) if model.labels[k] != "NoRelation"]
-
-
-def cnn_objective(model: CnnReModel, enc: EncodedInstance, weight: float = 1.0):
-    """Flat-parameter objective (dropout off) for gradient checking."""
-    template = model.params
-
-    def objective(flat: np.ndarray):
-        p = ParamVector(template.shapes)
-        p.set_data(flat)
-        m = CnnReModel(input_dim=model.input_dim, max_len=model.max_len, params=p,
-                       dropout=0.0)
-        g = p.zeros_like()
-        value = cnn_loss_and_grad(m, [enc], [weight], g)
-        return value, g.data.copy()
-
-    return objective

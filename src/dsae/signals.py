@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 
+from .annotation import RELATION_LABELS
 from .corpus import Lexicon
 from .normalize import NormalizedDoc
 from .pipeline import PipelineOutput
@@ -141,22 +142,41 @@ def emit_report(records: list[SignalRecord], path, format: str = "tsv",
                 fh.write("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |\n")
 
 
+_BOOLEANS = {"true": True, "false": False}
+# (test, what it requires) of each checked report field
+_REPORT_FIELDS = {
+    "deficiency": (lambda v: v in _BOOLEANS, "true or false"),
+    "relation": (lambda v: v in RELATION_LABELS[1:], "Indication or AdverseEvent"),
+    "frequency": (lambda v: v.isdecimal() and int(v) > 0, "a positive integer"),
+    "in_kb": (lambda v: v == "" or v in _BOOLEANS, "true, false or empty"),
+}
+
+
 def parse_report(path) -> list[SignalRecord]:
-    """Read back a TSV report (round-trip check and downstream reuse)."""
+    """Read back a TSV report (round-trip check and downstream reuse). A
+    bad row raises ValueError naming the file, the line and the field."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != _COLUMNS:
             raise ValueError(f"{path}: unexpected report header")
-        for line in fh:
-            supp, deficiency, event, relation, freq, in_kb, _examples = line.rstrip("\n").split("\t")
+        for lineno, line in enumerate(fh, 2):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != len(_COLUMNS):
+                raise ValueError(f"{path}:{lineno}: expected {len(_COLUMNS)} tab-separated "
+                                 f"fields, got {len(fields)}")
+            row = dict(zip(_COLUMNS, fields))
+            for name, (valid, what) in _REPORT_FIELDS.items():
+                if not valid(row[name]):
+                    raise ValueError(f"{path}:{lineno}: {name} must be {what}, "
+                                     f"got {row[name]!r}")
             records.append(SignalRecord(
-                supplement_canonical=supp,
-                deficiency=deficiency == "true",
-                event_term=event,
-                relation=relation,
-                frequency=int(freq),
+                supplement_canonical=row["supplement"],
+                deficiency=_BOOLEANS[row["deficiency"]],
+                event_term=row["event"],
+                relation=row["relation"],
+                frequency=int(row["frequency"]),
                 example_doc_ids=(),
-                in_kb=None if in_kb == "" else in_kb == "true",
+                in_kb=_BOOLEANS.get(row["in_kb"]),
             ))
     return records

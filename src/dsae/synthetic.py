@@ -167,13 +167,3 @@ def synthetic_lexicons() -> tuple[Lexicon, Lexicon]:
     events = {term: (term, "Symptom") for term in SYMPTOMS}
     events.update({term: (term, "BodyOrgan") for term in ORGANS})
     return ds, Lexicon(events)
-
-
-def drop_entities(docs: list[AnnotatedDoc], fraction: float, seed: int) -> dict[str, list[EntitySpan]]:
-    """Per-document entity lists with a random fraction removed; used to
-    measure error propagation under degraded concept extraction."""
-    rng = Rng(seed, stream=61)
-    out = {}
-    for d in docs:
-        out[d.doc.doc_id] = [e for e in d.entities if rng.uniform() >= fraction]
-    return out

@@ -15,26 +15,23 @@ from dsae.annotation import (RELATION_LABELS, generate_relation_instances,
 from dsae.cli import main as cli_main
 from dsae.evaluate import (EvalCounts, align_spans, cohen_kappa, metrics,
                            paired_t_test, replicate)
-from dsae.ner.crf import CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train, viterbi
-from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_objective,
-                               lstm_crf_train)
+from dsae.ner.crf import CrfConfig, crf_train, viterbi
+from dsae.ner.lstm_crf import LstmCrfConfig, LstmCrfModel, lstm_crf_train
 from dsae.ner.features import featurize
 from dsae.ner.predict import decode_labels, doc_matrix
 from dsae.ner.svm import svm_train
 from dsae.numeric import kernels
-from dsae.numeric.optim import (AdamState, LbfgsConfig, adam_step, grad_check,
-                                lbfgs_minimize)
+from dsae.numeric.optim import AdamState, LbfgsConfig, adam_step, lbfgs_minimize
 from dsae.numeric.rng import Rng
 from dsae.pipeline import OracleNer, error_propagation_check, evaluate_pipeline
-from dsae.relation import (CnnReConfig, CnnReModel, cnn_forward, cnn_objective,
-                           encode_instance)
+from dsae.relation import CnnReConfig, CnnReModel, cnn_forward, encode_instance
 from dsae.relation import cnn_train
 from dsae.signals import KnowledgeBase, SignalRecord, aggregate, compare_kb
-from dsae.synthetic import (drop_entities, generate_corpus, synthetic_embeddings,
-                            synthetic_lexicons)
+from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 from dsae.annotation import from_bio
 
-from util import brute_force_paths, make_doc, span
+from util import (brute_force_paths, crf_objective, drop_entities, flat_objective,
+                  grad_check, make_doc, span)
 from test_signals import DS_LEXICON, KB_CASES, output_for
 
 
@@ -220,14 +217,10 @@ def test_criterion_04_gradient_checks():
         feats.append((featurize(doc, emb), gold))
     crf = crf_train(feats, CrfConfig(max_iter=2))
     for features, gold in feats:
-        def crf_obj(x, features=features, gold=gold):
-            probe = CrfModel(labels=crf.labels, registry=crf.registry,
-                             W=x[:crf.W.size].reshape(crf.W.shape),
-                             T=x[crf.W.size:].reshape(crf.T.shape))
-            return crf_neg_log_likelihood(probe, features, gold)
+        # the objective crf_train minimises, on this one document
         x0 = rng.normal((crf.W.size + crf.T.size,), scale=0.1)
         assert x0.dtype == np.float64
-        worst["crf"] = max(worst["crf"], grad_check(crf_obj, x0))
+        worst["crf"] = max(worst["crf"], grad_check(crf_objective(crf, features, gold), x0))
 
     lstm = LstmCrfModel.init(emb.dim + 1, 4, BIO_LABELS, seed=0)
     for i in range(10):
@@ -236,7 +229,7 @@ def test_criterion_04_gradient_checks():
         y = np.asarray([rng.randint(len(BIO_LABELS)) for _ in range(L)])
         x0 = rng.normal((lstm.params.data.size,), scale=0.1)
         worst["lstm_crf"] = max(worst["lstm_crf"],
-                                grad_check(lstm_crf_objective(lstm, X, y), x0))
+                                grad_check(flat_objective(lstm, [X], [y]), x0))
 
     cnn = None
     for i in range(10):
@@ -249,21 +242,12 @@ def test_criterion_04_gradient_checks():
         if cnn is None:
             cnn = CnnReModel.init(enc.tokens.shape[1], CnnReConfig(max_len=8))
         x0 = rng.normal((cnn.params.data.size,), scale=0.1)
-
-        def cnn_value(z, enc=enc):
-            from dsae.numeric.params import ParamVector
-            from dsae.relation import cnn_loss_and_grad
-            p = ParamVector(cnn.params.shapes)
-            p.set_data(z)
-            probe = CnnReModel(input_dim=cnn.input_dim, max_len=cnn.max_len,
-                               params=p, dropout=0.0)
-            return cnn_loss_and_grad(probe, [enc], [1.0], None)
-
         # dropout is off in the gradcheck objective; the small step keeps
-        # the sweep clear of ReLU/argmax kinks, and the forward-only value_fn
+        # the sweep clear of ReLU/argmax kinks, and the forward-only value
         # keeps the ~25k-evaluation sweep inside the time budget
-        worst["cnn"] = max(worst["cnn"], grad_check(
-            cnn_objective(cnn, enc), x0, eps=1e-6, value_fn=cnn_value))
+        objective = flat_objective(cnn, [enc], [1.0])
+        worst["cnn"] = max(worst["cnn"], grad_check(objective, x0, eps=1e-6,
+                                                    value_fn=objective.value))
 
     elapsed = time.perf_counter() - started
     ok = all(err < 1e-4 for err in worst.values()) and elapsed < 60.0
@@ -332,7 +316,7 @@ def test_criterion_08_error_propagation(corpus, resources, ner_models, re_model)
     ok = all(prop.holds.get(label, False) for label in ("Indication", "AdverseEvent"))
 
     dropped = drop_entities(test, 0.5, seed=0)
-    per_label_drop, _, _ = evaluate_pipeline(test, OracleNer.from_mapping(dropped),
+    per_label_drop, _, _ = evaluate_pipeline(test, OracleNer(dropped),
                                              re_model["model"], emb, lexicons)
     drops = {}
     for label in ("Indication", "AdverseEvent"):

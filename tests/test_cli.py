@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import dsae
+from dsae import cli
 from dsae.cli import main
+from dsae.ner import CrfConfig, LstmCrfConfig, svm_train
+from dsae.relation import CnnReConfig
 from dsae.synthetic import generate_corpus
 
 
@@ -48,6 +52,44 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
     assert run("train-ner", "--config", config) == 2
     err = capsys.readouterr().err
     assert "synthetic_docs" in err and "n_runs" in err
+
+
+@pytest.mark.parametrize("overrides, names", [
+    ({"crf": {"max_iters": 3}}, "crf.max_iters: unknown setting"),
+    ({"crf": {"c1": "big"}}, "crf.c1: must be a finite number >= 0, got 'big'"),
+    ({"crf": 5}, "crf: must be an object of settings"),
+    ({"modle": "svm"}, "modle: unknown setting"),
+    ({"seed": True}, "seed: must be an integer >= 0"),
+    ({"seed": -1}, "seed: must be an integer >= 0"),
+    ({"n_runs": True}, "n_runs: must be a positive integer"),
+    ({"max_len": 4}, "max_len: must be an integer > 4"),
+    ({"max_len": 24.0}, "max_len: must be an integer > 4"),
+    ({"output_dir": 3}, "output_dir: must be a non-empty string"),
+    ({"kb": True}, "kb: must be a path, got True"),
+    ({"signals": 1}, "signals: must be a path, got 1"),
+    ({"svm": {"epochs": 0}}, "svm.epochs: must be a positive integer, got 0"),
+    ({"svm": {"l2": -1e-4}}, "svm.l2: must be a finite number >= 0"),
+    ({"lstm_crf": {"batch_size": True}}, "lstm_crf.batch_size: must be a positive integer"),
+    ({"lstm_crf": {"lr": 0}}, "lstm_crf.lr: must be a finite number > 0, got 0"),
+    ({"cnn": {"weight_decay": float("nan")}}, "cnn.weight_decay: must be a finite number"),
+    ({"cnn": {"lr": float("inf")}}, "cnn.lr: must be a finite number > 0, got inf"),
+    ({"cnn": [1]}, "cnn: must be an object of settings"),
+])
+def test_bad_setting_exits_2_naming_it(tmp_path, capsys, overrides, names):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, **{"output_dir": str(out), **overrides})
+    assert run("train-ner", "--config", config) == 2
+    assert f"config error: {names}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_model_setting_is_a_trainer_argument():
+    """The commands pass each model section as keyword arguments, and a
+    section holds only the keys of its defaults."""
+    CrfConfig(**cli.DEFAULTS["crf"])
+    LstmCrfConfig(**cli.DEFAULTS["lstm_crf"])
+    CnnReConfig(**cli.DEFAULTS["cnn"])
+    assert set(cli.DEFAULTS["svm"]) < set(inspect.signature(svm_train).parameters)
 
 
 def test_missing_kb_exits_2(tmp_path, capsys):

@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
 from dsae.ner import crf as crf_module
-from dsae.ner.crf import (CrfConfig, CrfModel, crf_neg_log_likelihood, crf_train,
-                          viterbi)
-from dsae.ner.features import FeatureRegistry, TokenFeatures, featurize, index_features
+from dsae.ner.crf import CrfConfig, CrfModel, crf_train, viterbi
+from dsae.ner.features import (FeatureRegistry, TokenFeatures, featurize, index_features,
+                               token_scores)
 from dsae.numeric import kernels
-from dsae.numeric.optim import CONVERGED, LbfgsResult, grad_check
+from dsae.numeric.optim import CONVERGED, LbfgsResult
 from dsae.numeric.rng import Rng
 from dsae.serialization import save_model
 from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 
-from util import brute_force_paths, make_doc, span
+from util import (brute_force_paths, crf_neg_log_likelihood, crf_objective, grad_check,
+                  make_doc, span)
 
 
 def random_instance(rng, max_len=6, max_labels=4):
@@ -348,34 +349,34 @@ def toy_dataset():
 
 
 def test_crf_nll_gradient_check(toy_dataset):
+    """The training objective's gradient, on one document."""
     features, gold = toy_dataset[0]
     model = crf_train(toy_dataset, CrfConfig(max_iter=3))
     rng = Rng(5, stream=12)
     x0 = rng.normal((model.W.size + model.T.size,), scale=0.2)
-
-    def objective(x):
-        probe = CrfModel(labels=model.labels, registry=model.registry,
-                         W=x[:model.W.size].reshape(model.W.shape),
-                         T=x[model.W.size:].reshape(model.T.shape))
-        return crf_neg_log_likelihood(probe, features, gold)
-
-    assert grad_check(objective, x0) < 1e-7
+    assert grad_check(crf_objective(model, features, gold), x0) < 1e-7
 
 
 def test_crf_nll_value_is_logz_minus_gold(toy_dataset):
     features, gold = toy_dataset[0]
     model = crf_train(toy_dataset, CrfConfig(max_iter=3))
-    value, _ = crf_neg_log_likelihood(model, features, gold)
+    value, _ = crf_objective(model, features, gold)(np.concatenate([model.W.ravel(),
+                                                                    model.T.ravel()]))
+    paths = brute_force_paths(token_scores(features, model.registry, model.W), model.T)
+    scores = np.array([score for _, score in paths])
+    logz = scores.max() + math.log(np.exp(scores - scores.max()).sum())
+    gold_path = [model.labels.index(label) for label in gold]
+    gold_score = next(score for path, score in paths if path == gold_path)
+    assert value == pytest.approx(logz - gold_score, rel=0, abs=1e-9)
     assert value >= 0.0  # NLL of any single path can't beat the partition
 
 
 def test_crf_nll_rejects_mismatch(toy_dataset):
     features, gold = toy_dataset[0]
-    model = crf_train(toy_dataset, CrfConfig(max_iter=3))
-    with pytest.raises(ValueError):
-        crf_neg_log_likelihood(model, features, gold[:-1])
-    with pytest.raises(ValueError):
-        crf_neg_log_likelihood(model, [], [])
+    with pytest.raises(ValueError, match="one gold label per token"):
+        crf_train(toy_dataset[1:] + [(features, gold[:-1])], CrfConfig(max_iter=2))
+    with pytest.raises(ValueError, match="empty training set"):
+        crf_train([([], [])], CrfConfig(max_iter=2))
 
 
 def test_crf_train_memorizes_toy_set(toy_dataset):
@@ -467,4 +468,4 @@ def test_crf_rejects_unknown_gold_label(toy_dataset):
         crf_train(toy_dataset[1:] + [(features, bad)], CrfConfig(max_iter=2))
     model = crf_train(toy_dataset, CrfConfig(max_iter=2))
     with pytest.raises(ValueError, match="'B-DRUG' is not in the label alphabet"):
-        crf_neg_log_likelihood(model, features, bad)
+        crf_objective(model, features, bad)

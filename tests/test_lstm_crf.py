@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from dsae.annotation import BIO_LABELS
 from dsae.evaluate import exact_bio_f1
 from dsae.ner import lstm_crf
-from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_decode,
-                               lstm_crf_objective, lstm_crf_train, nll_and_grad)
-from dsae.numeric.optim import grad_check
-from dsae.numeric.params import ParamVector
+from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_decode, lstm_crf_train,
+                               nll_and_grad)
 from dsae.numeric.rng import Rng
+
+from util import flat_objective, grad_check
 
 
 LABELS = BIO_LABELS
@@ -62,7 +62,7 @@ def test_objective_gradient_check():
         L = 5
         X = rng.normal((L, 4))
         y = np.array([rng.randint(len(LABELS)) for _ in range(L)], dtype=np.int64)
-        objective = lstm_crf_objective(model, X, y)
+        objective = flat_objective(model, [X], [y])
         x0 = model.params.data + rng.normal((model.params.data.size,), scale=0.05)
         assert grad_check(objective, x0) < 1e-6
 
@@ -77,15 +77,8 @@ def test_batch_gradient_check():
     rng = Rng(1, stream=14)
     model = LstmCrfModel.init(input_dim=4, hidden=3, labels=LABELS, seed=1)
     Xs, ys = _batch(rng, (5, 2, 4), 4)
-
-    def objective(flat):
-        p = ParamVector(model.params.shapes)
-        p.set_data(flat)
-        g = p.zeros_like()
-        return nll_and_grad(p, Xs, ys, 3, g), g.data
-
     x0 = model.params.data + rng.normal((model.params.size,), scale=0.05)
-    assert grad_check(objective, x0) < 1e-6
+    assert grad_check(flat_objective(model, Xs, ys), x0) < 1e-6
 
 
 @pytest.mark.parametrize("silent", [0, 1])
@@ -212,11 +205,11 @@ def test_train_loss_decreases(memorizable):
     X, y = memorizable[0]
     yi = np.array([LABELS.index(lab) for lab in y], dtype=np.int64)
     init = LstmCrfModel.init(X.shape[1], 8, LABELS, seed=0)
-    loss_before = lstm_crf_objective(init, X, yi)(init.params.data)[0]
+    loss_before = flat_objective(init, [X], [yi]).value(init.params.data)
     cfg = LstmCrfConfig(hidden=8, epochs=20, batch_size=4, lr=0.02,
                         weight_decay=0.0, seed=0)
     trained = lstm_crf_train(memorizable, cfg)
-    loss_after = lstm_crf_objective(trained, X, yi)(trained.params.data)[0]
+    loss_after = flat_objective(trained, [X], [yi]).value(trained.params.data)
     assert loss_after < loss_before
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dsae.numeric import optim
 from dsae.numeric.optim import (AdamState, LbfgsConfig, adam_step, adam_train,
-                                grad_check, lbfgs_minimize)
+                                lbfgs_minimize)
 from dsae.numeric.params import ParamVector
 from dsae.numeric.rng import Rng
 
@@ -335,19 +335,3 @@ def test_lbfgs_reports_no_descent_direction():
     result = lbfgs_minimize(objective, np.zeros(2), LbfgsConfig(tol=0.0))
     assert result.stop == optim.NO_DESCENT and not result.converged
     assert result.iterations == 0 and result.evaluations == len(calls) == 1
-
-
-# ----------------------------------------------------------------- grad_check
-
-def test_grad_check_accepts_correct_gradient():
-    def f(x):
-        return float(np.sum(x ** 3)), 3.0 * x ** 2
-
-    assert grad_check(f, np.array([0.5, -1.0, 2.0])) < 1e-8
-
-
-def test_grad_check_flags_wrong_gradient():
-    def f(x):
-        return float(np.sum(x ** 2)), 3.0 * x  # wrong: should be 2x
-
-    assert grad_check(f, np.array([1.0, -2.0])) > 1e-2

@@ -11,6 +11,16 @@ from dsae.relation import CnnReConfig, cnn_train, encode_instance
 from util import make_doc, span
 
 
+def fp_total(breakdown, label):
+    return (breakdown.fp_spurious_relation.get(label, 0)
+            + breakdown.fp_wrong_entities.get(label, 0))
+
+
+def fn_total(breakdown, label):
+    return (breakdown.fn_mislabeled.get(label, 0) + breakdown.fn_missed_label.get(label, 0)
+            + breakdown.fn_missed_entity.get(label, 0))
+
+
 @pytest.fixture(scope="module")
 def emb():
     words = [f"w{i}" for i in range(20)] + ["vitamin", "nausea", "sleep"]
@@ -56,11 +66,12 @@ def test_oracle_ner_replays_gold(corpus):
     assert oracle.predict(make_doc("unknown", ["x"])) == []
 
 
-def test_oracle_ner_from_mapping(corpus):
+def test_oracle_ner_replays_kept_entities(corpus):
     docs, _ = corpus
-    mapping = {d.doc.doc_id: list(d.entities) for d in docs[:2]}
-    oracle = OracleNer.from_mapping(mapping)
+    supplement_only = AnnotatedDoc(docs[1].doc, docs[1].entities[:1], ())
+    oracle = OracleNer([docs[0], supplement_only])
     assert oracle.predict(docs[0].doc) == list(docs[0].entities)
+    assert oracle.predict(docs[1].doc) == [docs[1].entities[0]]
     assert oracle.predict(docs[5].doc) == []
 
 
@@ -80,15 +91,13 @@ def test_evaluate_pipeline_perfect_with_oracle(corpus, emb):
     assert len(outputs) == len(docs)
     for label in ("Indication", "AdverseEvent"):
         assert per_label[label].f1 == 1.0
-        assert breakdown.fp_total(label) == 0
-        assert breakdown.fn_total(label) == 0
+        assert fp_total(breakdown, label) == fn_total(breakdown, label) == 0
 
 
 def test_breakdown_buckets_partition_errors(corpus, emb):
     docs, model = corpus
     # drop entities from half the docs: those relations become fn_missed_entity
-    kept = {d.doc.doc_id: list(d.entities) for d in docs[:10]}
-    oracle = OracleNer.from_mapping(kept)
+    oracle = OracleNer(docs[:10])
     per_label, breakdown, outputs = evaluate_pipeline(docs, oracle, model, emb)
     gold_by_label = {"Indication": 10, "AdverseEvent": 10}
     predicted = {lab: 0 for lab in gold_by_label}
@@ -98,9 +107,9 @@ def test_breakdown_buckets_partition_errors(corpus, emb):
     for label, n_gold in gold_by_label.items():
         tp = round(per_label[label].recall * n_gold)
         # every gold relation is either recalled or lands in one FN bucket
-        assert tp + breakdown.fn_total(label) == n_gold
+        assert tp + fn_total(breakdown, label) == n_gold
         # every prediction is either a TP or lands in one FP bucket
-        assert tp + breakdown.fp_total(label) == predicted[label]
+        assert tp + fp_total(breakdown, label) == predicted[label]
         assert breakdown.fn_missed_entity.get(label, 0) > 0
 
 

@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 from dsae import relation
 from dsae.annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
 from dsae.embeddings import EmbeddingTable
-from dsae.numeric.optim import grad_check
+from dsae.ner.predict import doc_matrix
 from dsae.numeric.rng import Rng
 from dsae.relation import (N_FILTERS, POS_DIM, CnnReConfig, CnnReModel, EncodedInstance,
                            class_weights, classify_pairs, cnn_forward, cnn_loss_and_grad,
-                           cnn_objective, cnn_train, encode_instance)
+                           cnn_train, encode_instance)
 from dsae.serialization import save_model
 
-from util import make_doc, span
+from util import flat_objective, grad_check, make_doc, span
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +67,12 @@ def test_encode_position_clamping(emb):
     words = ["vitamin"] + [f"w{i % 30}" for i in range(20)] + ["nausea"]
     doc = make_doc("d", words)
     enc = encode_instance(instance(doc, 0, 1, 21, 22), doc, emb, max_len=8)
-    # the kept window holds the head; the tail sits >max_len away, so every
-    # tail-relative offset saturates at the lower clamp (-8 shifted to 0)
-    assert enc.pos_head.min() == 8 and enc.pos_head.max() <= 16
-    assert np.all(enc.pos_tail == 0)
+    # no window of 4 tokens holds both entities: the encoding keeps tokens
+    # 0, 1, 20 and 21, and every offset beyond 8 saturates at the clamp,
+    # -8 shifted to 0 or 8 shifted to 16
+    assert list(enc.marker_ids) == [0, -1, 1, -1, -1, 2, -1, 3]
+    assert list(enc.pos_head) == [8, 8, 8, 9, 16, 16, 16, 16]
+    assert list(enc.pos_tail) == [0, 0, 0, 0, 7, 8, 8, 8]
 
 
 def test_encode_truncation_centered_and_keeps_entities(emb):
@@ -82,6 +84,26 @@ def test_encode_truncation_centered_and_keeps_entities(emb):
     assert sorted(enc.marker_ids[enc.marker_ids >= 0]) == [0, 1, 2, 3]
     # both entities survive truncation: shifted offset 24 means "inside span"
     assert np.any(enc.pos_head == 24) and np.any(enc.pos_tail == 24)
+
+
+@pytest.mark.parametrize("max_len", [5, 6, 8, 10, 64])
+@pytest.mark.parametrize("head, tail", [((0, 1), (99, 100)), ((99, 100), (0, 1)),
+                                        ((0, 3), (96, 100)), ((96, 100), (0, 3))])
+def test_encode_far_apart_pair_keeps_both_entities(emb, max_len, head, tail):
+    doc = make_doc("d", [f"w{i % 30}" for i in range(100)])
+    enc = encode_instance(instance(doc, *head, *tail), doc, emb, max_len=max_len)
+    assert len(enc.marker_ids) <= max_len
+    assert sorted(enc.marker_ids[enc.marker_ids >= 0]) == [0, 1, 2, 3]
+    # the kept tokens: both entities, their edge tokens first, then the
+    # tokens between them nearest an entity, in document order
+    spans = (range(*head), range(*tail))
+    entity = sorted(set(spans[0]) | set(spans[1]),
+                    key=lambda i: (min(min(i - s.start, s.stop - 1 - i) for s in spans if i in s), i))
+    first, second = sorted(spans, key=lambda s: s.start)
+    gap = sorted(range(first.stop, second.start),
+                 key=lambda i: min(i - first.stop + 1, second.start - i))
+    kept = sorted((entity + gap)[:max_len - 4])
+    assert np.array_equal(enc.tokens[enc.marker_ids < 0], doc_matrix(doc, emb)[kept])
 
 
 def test_encode_rejects_out_of_range(emb):
@@ -119,7 +141,7 @@ def test_cnn_gradient_check(emb):
     enc = encode_instance(instance(doc, 0, 2, 3, 4, label="AdverseEvent"),
                           doc, emb, max_len=12)
     model = CnnReModel.init(emb.dim + 1, CnnReConfig(max_len=12, seed=3))
-    objective = cnn_objective(model, enc, weight=1.3)
+    objective = flat_objective(model, [enc], [1.3])
     x0 = model.params.data.copy()
     # eps kept small so the finite-difference sweep stays clear of the
     # ReLU/argmax kinks

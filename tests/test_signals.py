@@ -1,9 +1,11 @@
+import re
+
 import pytest
 
 from dsae.annotation import RelationInstance
 from dsae.corpus import Lexicon
 from dsae.pipeline import PipelineOutput
-from dsae.signals import (KnowledgeBase, SignalRecord, aggregate, compare_kb,
+from dsae.signals import (_COLUMNS, KnowledgeBase, SignalRecord, aggregate, compare_kb,
                           emit_report, parse_report, sample_examples, top_k)
 
 from util import make_doc, span
@@ -241,3 +243,43 @@ def test_parse_report_bad_header(tmp_path):
     path.write_text("a\tb\n")
     with pytest.raises(ValueError, match="header"):
         parse_report(path)
+
+
+GOOD_ROW = ("vitamin c", "false", "nausea", "AdverseEvent", "3", "true", "")
+
+
+@pytest.mark.parametrize("field, value, names", [
+    ("frequency", "three", "frequency must be a positive integer, got 'three'"),
+    ("frequency", "-2", "frequency must be a positive integer, got '-2'"),
+    ("frequency", "0", "frequency must be a positive integer, got '0'"),
+    ("deficiency", "yes", "deficiency must be true or false, got 'yes'"),
+    ("in_kb", "maybe", "in_kb must be true, false or empty, got 'maybe'"),
+    ("relation", "Whatever", "relation must be Indication or AdverseEvent, got 'Whatever'"),
+    ("relation", "NoRelation", "relation must be Indication or AdverseEvent"),
+])
+def test_parse_report_bad_field_names_line_and_field(tmp_path, field, value, names):
+    row = dict(zip(_COLUMNS, GOOD_ROW), **{field: value})
+    path = tmp_path / "r.tsv"
+    path.write_text("\t".join(_COLUMNS) + "\n" + "\t".join(GOOD_ROW) + "\n"
+                    + "\t".join(row.values()) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: {names}")):
+        parse_report(path)
+
+
+@pytest.mark.parametrize("cells", [GOOD_ROW[:5], GOOD_ROW + ("extra",), ("",)])
+def test_parse_report_row_of_wrong_width_names_line(tmp_path, cells):
+    path = tmp_path / "r.tsv"
+    path.write_text("\t".join(_COLUMNS) + "\n" + "\t".join(cells) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{path}:2: expected 7 tab-separated fields, got {len(cells)}") + "$"):
+        parse_report(path)
+
+
+def test_parse_report_reads_every_field(tmp_path):
+    path = tmp_path / "r.tsv"
+    rows = [GOOD_ROW, ("zinc", "true", "skin", "Indication", "12", "", "a | b")]
+    path.write_text("\t".join(_COLUMNS) + "\n"
+                    + "".join("\t".join(row) + "\n" for row in rows))
+    assert parse_report(path) == [
+        SignalRecord("vitamin c", False, "nausea", "AdverseEvent", 3, (), True),
+        SignalRecord("zinc", True, "skin", "Indication", 12, (), None)]

@@ -1,11 +1,22 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: documents and spans, and the
+references the tests check the program against (brute-force paths,
+finite-difference gradients, the per-document CRF likelihood)."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from dsae.annotation import EntitySpan
+from dsae.annotation import AnnotatedDoc, EntitySpan, label_ids
+from dsae.ner import crf
+from dsae.ner.features import index_features
+from dsae.ner.lstm_crf import LstmCrfModel, nll_and_grad
 from dsae.normalize import NormalizedDoc, Token
+from dsae.numeric import kernels
+from dsae.numeric.params import ParamVector
+from dsae.numeric.rng import Rng
+from dsae.relation import cnn_loss_and_grad
 
 
 def make_doc(doc_id: str, words: list[str]) -> NormalizedDoc:
@@ -49,3 +60,85 @@ def brute_force_paths(unary: np.ndarray, transitions: np.ndarray):
                 nxt.append((path + [k], s))
         paths = nxt
     return paths
+
+
+def grad_check(objective, x: np.ndarray, eps: float = 1e-5, value_fn=None) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``value_fn``, when given, evaluates the objective value without computing
+    the analytic gradient; it makes the sweep much cheaper for objectives
+    whose gradient costs more than the value.
+    """
+    x = np.array(x, dtype=np.float64)  # private copy, perturbed in place
+    _, g = objective(x)
+    if value_fn is None:
+        value_fn = lambda z: objective(z)[0]
+    worst = 0.0
+    for i in range(x.size):
+        xi = x[i]
+        x[i] = xi + eps
+        fp = value_fn(x)
+        x[i] = xi - eps
+        fm = value_fn(x)
+        x[i] = xi
+        fd = (fp - fm) / (2.0 * eps)
+        err = abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i]))
+        worst = max(worst, err)
+    return worst
+
+
+def flat_objective(model, *batch):
+    """The loss a neural model's trainer minimises on one batch, as a
+    function of the model's flat parameters returning (value, gradient);
+    its ``value`` attribute computes the value alone. A BiLSTM-CRF's batch
+    is (Xs, ys) for ``nll_and_grad``; a CNN's is (encs, weights) for
+    ``cnn_loss_and_grad``, with dropout off."""
+
+    def loss(flat, grad):
+        params = ParamVector(model.params.shapes)
+        params.set_data(flat)
+        if isinstance(model, LstmCrfModel):
+            return nll_and_grad(params, *batch, model.hidden, grad)
+        return cnn_loss_and_grad(dataclasses.replace(model, params=params, dropout=0.0),
+                                 *batch, grad)
+
+    def objective(flat):
+        grad = ParamVector(model.params.shapes)
+        return loss(flat, grad), grad.data
+
+    objective.value = lambda flat: loss(flat, None)
+    return objective
+
+
+def crf_objective(model, features, gold):
+    """The objective ``crf_train`` hands L-BFGS, on the one document
+    (features, gold) under the model's frozen registry: the NLL of the gold
+    path and its gradient, over the flat weights W then T."""
+    dense, indicators = index_features(features, model.registry)
+    y = np.array([label_ids(gold, model.labels)])
+    return crf._nll_objective(dense, indicators, y, np.ones(y.shape, dtype=bool),
+                              len(model.labels))
+
+
+def crf_neg_log_likelihood(model, features, gold_labels) -> tuple[float, np.ndarray]:
+    """Value and flat gradient (over W then T) of one document's NLL, by one
+    ``kernels.crf_layer`` call: the per-document reference of the batched
+    training objective."""
+    if len(features) != len(gold_labels) or not features:
+        raise ValueError("need equally many features and labels, at least one")
+    dense, indicators = index_features(features, model.registry)
+    W, dim = model.W, model.registry.dense_dim
+    y = np.asarray([label_ids(gold_labels, model.labels)], dtype=np.int64)
+    value, (dscores,), dT = kernels.crf_layer(
+        (dense @ W[:, :dim].T + indicators @ W[:, dim:].T)[None], model.T, y,
+        np.ones_like(y, dtype=bool))
+    dW = np.hstack([dscores.T @ dense, (indicators.T @ dscores).T])
+    return value, np.concatenate([dW.ravel(), dT.ravel()])
+
+
+def drop_entities(docs: list[AnnotatedDoc], fraction: float, seed: int) -> list[AnnotatedDoc]:
+    """The documents with a random fraction of their entities removed, and
+    no relations: degraded concept extraction, for an ``OracleNer``."""
+    rng = Rng(seed, stream=61)
+    return [AnnotatedDoc(d.doc, tuple(e for e in d.entities if rng.uniform() >= fraction), ())
+            for d in docs]
