@@ -18,18 +18,25 @@ class EmbeddingTable:
             raise ValueError("matrix shape does not match vocab/dim")
         self.dim = dim
         self.vocab = vocab
-        # each vector followed by its OOV flag, then one row for unknown words
-        self._rows = np.zeros((len(vocab) + 1, dim + 1))
-        self._rows[:-1, :-1] = matrix
-        self._rows[-1, -1] = 1.0
-        self.matrix = self._rows[:-1, :-1]
+        # each vector followed by its OOV flag, then one row for unknown
+        # words; read-only, since relation instances share it
+        self.row_matrix = np.zeros((len(vocab) + 1, dim + 1))
+        self.row_matrix[:-1, :-1] = matrix
+        self.row_matrix[-1, -1] = 1.0
+        self.row_matrix.flags.writeable = False
+        self.matrix = self.row_matrix[:-1, :-1]
+
+    def ids(self, words: list[str]) -> np.ndarray:
+        """The row of ``row_matrix`` of each word, case-folded, or the
+        unknown-word row."""
+        unknown, get = len(self.vocab), self.vocab.get
+        return np.array([get(w.lower(), unknown) for w in words], dtype=np.intp)
 
     def rows(self, words: list[str]) -> np.ndarray:
         """(n, dim + 1) matrix: the vector of each word, case-folded, or the
         zero vector for an unknown word, followed by its OOV flag (1.0 for
         an unknown word)."""
-        unknown, get = len(self.vocab), self.vocab.get
-        return self._rows[[get(w.lower(), unknown) for w in words]]
+        return self.row_matrix[self.ids(words)]
 
 
 def load_static(path) -> EmbeddingTable:

@@ -102,17 +102,18 @@ def _lstm(inp: np.ndarray, Wx, Wh, b):
     zero start state, and the caches BPTT needs."""
     _, L, B, d = inp.shape
     H = Wh.shape[1]
-    pre = (np.matmul(inp.reshape(2, L * B, d), Wx) + b[:, None]).reshape(2, L, B, 4 * H)
-    gates = np.empty((L, 2, B, 4 * H))
+    pre = np.matmul(inp.reshape(2, L * B, d), Wx)
+    pre += b[:, None]
+    # each step reads its pre-activations, then stores its gates over them
+    gates = pre.reshape(2, L, B, 4 * H).transpose(1, 0, 2, 3)
     cs = np.zeros((L + 1, 2, B, H))
     tanh_cs = np.empty((L, 2, B, H))
     hs = np.zeros((L + 1, 2, B, H))
     for t in range(L):
         a = np.matmul(hs[t], Wh)
-        a += pre[:, t]
-        gate = gates[t]
+        a += gates[t]
         # the sigmoid 1 / (1 + exp(-a)) of the input, forget and output gates
-        np.negative(a, out=gate)
+        gate = np.negative(a)
         np.exp(gate, out=gate)
         gate += 1.0
         np.divide(1.0, gate, out=gate)
@@ -122,6 +123,7 @@ def _lstm(inp: np.ndarray, Wx, Wh, b):
         c += gate[..., :H] * gate[..., 2 * H:3 * H]
         np.tanh(c, out=tanh_cs[t])
         np.multiply(gate[..., 3 * H:], tanh_cs[t], out=hs[t + 1])
+        gates[t] = gate
     return hs, (inp, hs, gates, cs, tanh_cs)
 
 

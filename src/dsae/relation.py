@@ -1,11 +1,15 @@
 """Relation classification between supplement and event mentions.
 
-Instances are encoded as token vectors with sentinel entity markers and
-two relative-position sequences; the classifier is a single convolutional
-layer (256 filters, width 3, ReLU) with max-over-time pooling, dropout,
-and a softmax over {NoRelation, Indication, AdverseEvent}. Label ties
-break toward NoRelation (first index). Entity markers, position
-embeddings and inverse-frequency class weighting are always on.
+An instance is the row number in the embedding table of each of its
+tokens, sentinel entity markers, and two relative-position sequences. It
+holds a reference to the table's row matrix (word vector plus OOV flag),
+which every instance encoded from that table shares, and no copy of its
+rows; the word vectors are frozen, so nothing writes through it. The
+classifier is a single convolutional layer (256 filters, width 3, ReLU)
+with max-over-time pooling, dropout, and a softmax over {NoRelation,
+Indication, AdverseEvent}. Label ties break toward NoRelation (first
+index). Entity markers, position embeddings and inverse-frequency class
+weighting are always on.
 
 The forward and backward passes take a batch of instances padded to its
 longest, after the position-feature CNN of Zeng et al. 2014 (COLING): one
@@ -14,12 +18,14 @@ row (padding holds -1), and one (B, 256) block of dropout draws per batch
 (the draws the B instances would make one after another). Both passes
 write into a workspace of buffers: ``cnn_train`` builds one for all its
 training and dev-scoring batches, and any other call builds one for its
-own batch. The backward pass turns the conv output in place into the
-routed gradient: each filter's pooled gradient goes to the rows that
-equal its max, and only to the first of them when several do, as an
-argmax would route it. Word vectors are frozen, so the gradient is carried
-back onto the input rows only where it reaches parameters: the position
-columns of every row and the word columns of the marker rows.
+own batch. The forward pass fills the workspace's input rows with one
+gather of the table at the batch's row numbers. The backward pass turns
+the conv output in place into the routed gradient: each filter's pooled
+gradient goes to the rows that equal its max, and only to the first of
+them when several do, as an argmax would route it. Word vectors are
+frozen, so the gradient is carried back onto the input rows only where it
+reaches parameters: the position columns of every row and the word
+columns of the marker rows.
 Training runs the shared minibatch Adam loop (``numeric.optim.adam_train``),
 whose batch callback is ``cnn_loss_and_grad``; a dev split selects the
 epoch by macro per-label F1. ``classify_pairs`` scores all of a document's
@@ -39,7 +45,6 @@ import numpy as np
 from .annotation import RELATION_LABELS, RelationInstance, candidate_pairs
 from .embeddings import EmbeddingTable
 from .evaluate import macro_f1
-from .ner.predict import doc_matrix
 from .normalize import NormalizedDoc
 from .numeric.optim import adam_train
 from .numeric.params import ParamVector
@@ -57,7 +62,8 @@ _SCORE_BATCH = 32
 
 @dataclass
 class EncodedInstance:
-    tokens: np.ndarray        # L x d word vectors (markers filled later)
+    word_rows: np.ndarray     # L rows of ``table`` (any row at a marker)
+    table: np.ndarray         # the shared, read-only (V + 1) x d row matrix
     marker_ids: np.ndarray    # L ints, -1 for real tokens, 0..3 for markers
     pos_head: np.ndarray      # L ints in [0, 2*max_len]
     pos_tail: np.ndarray      # L ints in [0, 2*max_len]
@@ -75,14 +81,15 @@ def _relative(index: np.ndarray, spans, max_len: int) -> np.ndarray:
 
 def encode_instance(instance: RelationInstance, doc: NormalizedDoc,
                     embeddings: EmbeddingTable, max_len: int = 64) -> EncodedInstance:
-    return _encode(instance, doc_matrix(doc, embeddings), max_len)
+    return _encode(instance, embeddings.ids(doc.surfaces()), embeddings.row_matrix, max_len)
 
 
-def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> EncodedInstance:
-    """Encode one instance of a document whose token rows (word vector plus
-    OOV flag) are ``rows``, in at most ``max_len`` rows: up to
-    ``max_len - 4`` tokens and the four markers, each once."""
-    n = len(rows)
+def _encode(instance: RelationInstance, ids: np.ndarray, table: np.ndarray,
+            max_len: int) -> EncodedInstance:
+    """Encode one instance of a document whose tokens are the rows ``ids``
+    of ``table``, in at most ``max_len`` rows: up to ``max_len - 4`` tokens
+    and the four markers, each once."""
+    n = len(ids)
     hs, he = instance.head.token_start, instance.head.token_end
     ts, te = instance.tail.token_start, instance.tail.token_end
     if he > n or te > n:
@@ -132,12 +139,11 @@ def _encode(instance: RelationInstance, rows: np.ndarray, max_len: int) -> Encod
 
     marker_ids = np.array([marker for marker, _ in items], dtype=np.int64)
     index = np.array([idx for _, idx in items], dtype=np.int64)
-    real = marker_ids < 0
-    tokens = np.zeros((len(items), rows.shape[1]))
-    tokens[real] = rows[index[real]]
     pos_head, pos_tail = _relative(index, [(hs, he), (ts, te)], max_len)
+    # a marker keeps its pre-marker token's row, which its vector overwrites
     return EncodedInstance(
-        tokens=tokens, marker_ids=marker_ids, pos_head=pos_head, pos_tail=pos_tail,
+        word_rows=ids[index], table=table, marker_ids=marker_ids, pos_head=pos_head,
+        pos_tail=pos_tail,
         label=RELATION_LABELS.index(instance.label) if instance.label else None)
 
 
@@ -295,7 +301,7 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     pos_head = _joined(encs, "pos_head")
     pos_tail = _joined(encs, "pos_tail")
     x = work.x[:len(marker_ids)]
-    np.concatenate([enc.tokens for enc in encs], out=x[:, :d])
+    x[:, :d] = _table(encs)[_joined(encs, "word_rows")]
     is_marker = marker_ids >= 0
     x[is_marker, :d] = p["markers"][marker_ids[is_marker]]
     x[:, d:d + POS_DIM] = p["pos_head"][pos_head]
@@ -325,6 +331,16 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     probs = exp / exp.sum(axis=1, keepdims=True)
     return probs, _Cache(work, (B, L), covering, marker_ids, pos_head, pos_tail, pooled, keep,
                          dropped)
+
+
+def _table(encs: list[EncodedInstance]) -> np.ndarray:
+    """The one row matrix every instance of a batch references."""
+    table = encs[0].table
+    for k, enc in enumerate(encs):
+        if enc.table is not table:
+            raise ValueError(f"instance {k} of the batch references a {enc.table.shape} "
+                             f"embedding table other than instance 0's {table.shape} one")
+    return table
 
 
 def _joined(encs: list[EncodedInstance], field: str) -> np.ndarray:
@@ -442,7 +458,7 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
     cfg = config or CnnReConfig()
     if not instances:
         raise ValueError("empty instance set")
-    d = instances[0].tokens.shape[1]
+    d = instances[0].table.shape[1]
     model = CnnReModel.init(d, cfg)
     weights = class_weights([enc.label for enc in instances])
     drop_rng = Rng(cfg.seed, stream=41)
@@ -473,9 +489,9 @@ def classify_pairs(doc: NormalizedDoc, entities, model: CnnReModel,
     pairs = candidate_pairs(entities)
     if not pairs:
         return []
-    rows = doc_matrix(doc, embeddings)
-    encs = [_encode(RelationInstance(doc.doc_id, head, tail, "NoRelation"), rows,
-                    model.max_len) for head, tail in pairs]
+    ids = embeddings.ids(doc.surfaces())
+    encs = [_encode(RelationInstance(doc.doc_id, head, tail, "NoRelation"), ids,
+                    embeddings.row_matrix, model.max_len) for head, tail in pairs]
     # first max: NoRelation wins ties
     preds = np.argmax(_probabilities(model, encs), axis=1)
     return [RelationInstance(doc.doc_id, head, tail, model.labels[k])

@@ -24,6 +24,7 @@ class SignalRecord:
     example_doc_ids: tuple[str, ...]
     in_kb: bool | None = None
     canonical_unmatched: bool = False
+    examples: str = ""  # a report's examples cell, as ``parse_report`` read it
 
 
 class KnowledgeBase:
@@ -120,11 +121,14 @@ _ONE_LINE = str.maketrans("\t\r\n", "   ")
 
 def emit_report(records: list[SignalRecord], path, format: str = "tsv",
                 corpus_index: dict[str, str] | None = None) -> None:
+    """Write ``records`` as a TSV or Markdown table. The examples cell holds
+    the texts of a record's example documents, looked up in
+    ``corpus_index``, or without one the cell its report was read from."""
     if format not in ("tsv", "markdown"):
         raise ValueError(f"unknown report format {format!r}")
     rows = []
     for r in records:
-        examples = ""
+        examples = r.examples
         if corpus_index is not None:
             examples = " | ".join(sample_examples(r, corpus_index)).translate(_ONE_LINE)
         rows.append((r.supplement_canonical, str(r.deficiency).lower(), r.event_term,
@@ -153,8 +157,9 @@ _REPORT_FIELDS = {
 
 
 def parse_report(path) -> list[SignalRecord]:
-    """Read back a TSV report (round-trip check and downstream reuse). A
-    bad row raises ValueError naming the file, the line and the field."""
+    """Read back a TSV report (round-trip check and downstream reuse), with
+    each examples cell kept verbatim. A bad row raises ValueError naming
+    the file, the line and the field."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -178,5 +183,6 @@ def parse_report(path) -> list[SignalRecord]:
                 frequency=int(row["frequency"]),
                 example_doc_ids=(),
                 in_kb=_BOOLEANS.get(row["in_kb"]),
+                examples=row["examples"],
             ))
     return records

@@ -240,7 +240,7 @@ def test_criterion_04_gradient_checks():
                                 RELATION_LABELS[rng.randint(3)])
         enc = encode_instance(inst, doc, emb, 8)
         if cnn is None:
-            cnn = CnnReModel.init(enc.tokens.shape[1], CnnReConfig(max_len=8))
+            cnn = CnnReModel.init(enc.table.shape[1], CnnReConfig(max_len=8))
         x0 = rng.normal((cnn.params.data.size,), scale=0.1)
         # dropout is off in the gradcheck objective; the small step keeps
         # the sweep clear of ReLU/argmax kinks, and the forward-only value

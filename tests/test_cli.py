@@ -237,6 +237,28 @@ def test_aggregate_writes_example_tweets(trained):
         assert set(examples) <= texts
 
 
+def test_compare_kb_and_report_keep_the_examples(trained, tmp_path):
+    """``compare-kb`` and ``report`` carry each row's examples cell of
+    ``signals.tsv`` through unchanged."""
+    _, config, out = trained
+    assert run("aggregate", "--config", config, "--out", str(out)) == 0
+    rows = [line.split("\t") for line in (out / "signals.tsv").read_text().splitlines()[1:]]
+    assert rows and all(row[6] for row in rows)
+    kb = tmp_path / "kb.csv"
+    kb.write_text(f"supplement,event,relation\n{rows[0][0]},{rows[0][2]},{rows[0][3]}\n")
+    assert run("compare-kb", "--config", config, "--out", str(out), "--kb", str(kb)) == 0
+    flagged = [line.split("\t") for line in (out / "signals_kb.tsv").read_text().splitlines()[1:]]
+    assert [row[6] for row in flagged] == [row[6] for row in rows]
+    known = (rows[0][0].lower(), rows[0][2].lower())
+    assert [row[5] for row in flagged] == [str((row[0].lower(), row[2].lower()) == known).lower()
+                                           for row in rows]
+    assert run("report", "--config", config, "--out", str(out)) == 0
+    table = (out / "report.md").read_text().splitlines()[2:]
+    assert len(table) == len(rows)
+    for line, row in zip(table, rows):
+        assert line.endswith(" | " + row[6].replace("|", "\\|") + " |")
+
+
 def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):
     _, config, out = trained
     bundle = json.loads((out / "ner_crf.json").read_text())

@@ -91,3 +91,9 @@ def test_rows_are_vectors_then_oov_flag():
         else:
             assert np.array_equal(row, np.append(matrix[idx], 0.0))
     assert table.rows([]).shape == (0, 4)
+    # the ids name the same rows of the shared, read-only row matrix
+    assert list(table.ids(words)) == [0, 2, 1, 0, 1, 2]
+    assert np.array_equal(table.row_matrix[table.ids(words)], rows)
+    assert table.ids([]).shape == (0,)
+    with pytest.raises(ValueError, match="read-only"):
+        table.row_matrix[0, 0] = 1.0

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,15 +37,16 @@ def test_encode_markers_wrap_entities(emb):
     doc = make_doc("d", ["w0", "vitamin", "c", "w1", "nausea", "w2"])
     enc = encode_instance(instance(doc, 1, 3, 4, 5), doc, emb, max_len=16)
     # 6 tokens + 4 markers
-    assert enc.tokens.shape == (10, 7)
+    assert enc.table[enc.word_rows].shape == (10, 7)
     assert list(enc.marker_ids) == [-1, 0, -1, -1, 1, -1, 2, -1, 3, -1]
-    # marker rows carry zero token vectors (filled from the model later)
-    assert np.all(enc.tokens[enc.marker_ids >= 0] == 0.0)
+    # marker rows carry no token of their own: any valid row, which the
+    # model's marker vectors overwrite
+    assert np.all((enc.word_rows >= 0) & (enc.word_rows < len(enc.table)))
     # oov flag set only for unknown words
     doc2 = make_doc("d2", ["qqq", "vitamin"])
     enc2 = encode_instance(instance(doc2, 1, 2, 0, 1), doc2, emb, max_len=16)
     real = enc2.marker_ids < 0
-    assert list(enc2.tokens[real, -1]) == [1.0, 0.0]
+    assert list(enc2.table[enc2.word_rows[real], -1]) == [1.0, 0.0]
 
 
 def test_encode_relative_positions(emb):
@@ -80,7 +84,7 @@ def test_encode_truncation_centered_and_keeps_entities(emb):
     words[40], words[50] = "vitamin", "nausea"
     doc = make_doc("d", words)
     enc = encode_instance(instance(doc, 40, 41, 50, 51), doc, emb, max_len=24)
-    assert enc.tokens.shape[0] == 24  # budget 20 tokens + 4 markers
+    assert enc.table[enc.word_rows].shape[0] == 24  # budget 20 tokens + 4 markers
     assert sorted(enc.marker_ids[enc.marker_ids >= 0]) == [0, 1, 2, 3]
     # both entities survive truncation: shifted offset 24 means "inside span"
     assert np.any(enc.pos_head == 24) and np.any(enc.pos_tail == 24)
@@ -103,7 +107,40 @@ def test_encode_far_apart_pair_keeps_both_entities(emb, max_len, head, tail):
     gap = sorted(range(first.stop, second.start),
                  key=lambda i: min(i - first.stop + 1, second.start - i))
     kept = sorted((entity + gap)[:max_len - 4])
-    assert np.array_equal(enc.tokens[enc.marker_ids < 0], doc_matrix(doc, emb)[kept])
+    assert np.array_equal(enc.table[enc.word_rows[enc.marker_ids < 0]],
+                          doc_matrix(doc, emb)[kept])
+
+
+def test_instance_references_the_shared_table(emb):
+    """An instance holds row numbers into the table's one row matrix and no
+    float array of its own."""
+    doc = make_doc("d", ["w0", "vitamin", "c", "w1", "nausea", "w2"])
+    enc = encode_instance(instance(doc, 1, 3, 4, 5), doc, emb, max_len=16)
+    assert enc.table is emb.row_matrix
+    assert np.shares_memory(enc.table, emb.row_matrix)
+    arrays = [getattr(enc, f.name) for f in fields(enc) if f.name != "table"]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 4 and all(a.dtype.kind == "i" for a in arrays)
+    assert not any(np.shares_memory(a, emb.row_matrix) for a in arrays)
+
+
+def test_encoding_copies_no_word_vectors():
+    """500 instances of a 40-token document over a 300-dimensional table
+    allocate under 4 KB each; a copy of their 44 rows would take 106 KB."""
+    words = [f"v{i}" for i in range(50)]
+    table = EmbeddingTable(300, {w: i for i, w in enumerate(words)},
+                           Rng(1, stream=16).normal((len(words), 300)))
+    doc = make_doc("d", [words[i % len(words)] for i in range(40)])
+    probe = instance(doc, 3, 5, 30, 31)
+    encode_instance(probe, doc, table)  # first-call caches
+    tracemalloc.start()
+    try:
+        encs = [encode_instance(probe, doc, table) for _ in range(500)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(encs[0].marker_ids) == 44
+    assert peak / len(encs) < 4096
 
 
 def test_encode_rejects_out_of_range(emb):
@@ -148,9 +185,17 @@ def test_cnn_gradient_check(emb):
     assert grad_check(objective, x0, eps=1e-6) < 1e-4
 
 
-def random_instance(rng, length, d, max_len):
+def random_table(rng, d, rows=12):
+    """A read-only row matrix of ``rows`` random word rows of width ``d``."""
+    table = rng.normal((rows, d))
+    table.flags.writeable = False
+    return table
+
+
+def random_instance(rng, length, table, max_len):
     return EncodedInstance(
-        tokens=rng.normal((length, d)),
+        word_rows=np.array([rng.randint(len(table)) for _ in range(length)]),
+        table=table,
         marker_ids=np.array([rng.randint(6) - 2 for _ in range(length)]).clip(-1),
         pos_head=np.array([rng.randint(2 * max_len + 1) for _ in range(length)]),
         pos_tail=np.array([rng.randint(2 * max_len + 1) for _ in range(length)]),
@@ -181,7 +226,8 @@ def test_batched_gradient_equals_sum_of_instances(lengths, seed, dropout):
     d, max_len = 4, 6
     model = CnnReModel.init(d, CnnReConfig(max_len=max_len, dropout=dropout, seed=seed))
     model.params.data += rng.normal((model.params.size,), scale=0.3)
-    encs = [random_instance(rng, n, d, max_len) for n in lengths]
+    table = random_table(rng, d)
+    encs = [random_instance(rng, n, table, max_len) for n in lengths]
     weights = rng.uniform(len(encs)) + 0.5
 
     expected = model.params.zeros_like()
@@ -204,11 +250,57 @@ def test_batched_gradient_equals_sum_of_instances(lengths, seed, dropout):
         assert np.allclose(row, cnn_forward(model, enc)[0], rtol=1e-12, atol=0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_forward_equals_explicit_row_copies(lengths, seed):
+    """Gathering the batch's rows from the shared table gives, bit for bit,
+    the input rows and probabilities of a reference whose word rows were
+    copied out one at a time, with zero rows at the markers: what a marker
+    position points at never reaches the model."""
+    rng = Rng(seed, stream=23)
+    d, max_len = 4, 6
+    model = random_model(rng, d, max_len, 0.0, seed)
+    table = random_table(rng, d)
+    encs = [random_instance(rng, n, table, max_len) for n in lengths]
+    copied = np.zeros((sum(lengths), d))
+    reference, start = [], 0
+    for enc in encs:
+        for k, (row, marker) in enumerate(zip(enc.word_rows, enc.marker_ids)):
+            if marker < 0:
+                copied[start + k] = table[row]
+        reference.append(replace(enc, word_rows=np.arange(start, start + len(enc.word_rows)),
+                                 table=copied))
+        start += len(enc.word_rows)
+    p = model.params
+    expected_rows = np.hstack([copied, p["pos_head"][np.concatenate([e.pos_head for e in encs])],
+                               p["pos_tail"][np.concatenate([e.pos_tail for e in encs])]])
+    markers = np.concatenate([enc.marker_ids for enc in encs])
+    expected_rows[markers >= 0, :d] = p["markers"][markers[markers >= 0]]
+
+    probs, cache = relation._forward(model, encs)
+    assert np.array_equal(cache.work.x[:start], expected_rows)
+    assert np.array_equal(probs, relation._forward(model, reference)[0])
+
+
+def test_batch_of_two_tables_raises():
+    rng = Rng(4, stream=19)
+    d, max_len = 4, 6
+    model = random_model(rng, d, max_len, 0.0, 4)
+    first, second = random_table(rng, d), random_table(rng, d)
+    encs = [random_instance(rng, 3, first, max_len), random_instance(rng, 2, first, max_len),
+            random_instance(rng, 4, second, max_len)]
+    with pytest.raises(ValueError, match="instance 2 of the batch references a"):
+        relation._forward(model, encs)
+    with pytest.raises(ValueError, match="other than instance 0's"):
+        cnn_loss_and_grad(model, encs, [1.0] * 3, model.params.zeros_like())
+
+
 def input_rows(model, enc):
     """Instance ``enc``'s input rows: token or marker vector, then the head
     and tail position vectors."""
     p, d = model.params, model.input_dim
-    tokens = enc.tokens.copy()
+    tokens = enc.table[enc.word_rows]
     markers = enc.marker_ids >= 0
     tokens[markers] = p["markers"][enc.marker_ids[markers]]
     return np.hstack([tokens, p["pos_head"][enc.pos_head], p["pos_tail"][enc.pos_tail]])
@@ -282,7 +374,8 @@ def test_gradient_equals_argmax_routing_oracle(lengths, seed, dropout):
     rng = Rng(seed, stream=19)
     d, max_len = 4, 6
     model = random_model(rng, d, max_len, dropout, seed)
-    encs = [random_instance(rng, n, d, max_len) for n in lengths]
+    table = random_table(rng, d)
+    encs = [random_instance(rng, n, table, max_len) for n in lengths]
     weights = rng.uniform(len(encs)) + 0.5
     grad = model.params.zeros_like()
     value = cnn_loss_and_grad(model, encs, weights, grad, train_mode=True,
@@ -302,7 +395,8 @@ def test_tied_max_routes_to_each_instance_first_row():
     model = random_model(rng, d, max_len, 0.0, 8)
     model.params["conv_W"][:] = 0.0
     model.params["conv_b"][:] = rng.uniform(N_FILTERS) + 0.1
-    encs = [random_instance(rng, n, d, max_len) for n in (3, 1, 5, 5)]
+    table = random_table(rng, d)
+    encs = [random_instance(rng, n, table, max_len) for n in (3, 1, 5, 5)]
     weights = [1.0, 0.5, 2.0, 1.5]
     grad = model.params.zeros_like()
     cnn_loss_and_grad(model, encs, weights, grad)
@@ -328,8 +422,9 @@ def test_reused_workspace_gives_the_gradient_of_a_fresh_one():
     rng = Rng(6, stream=19)
     d, max_len = 4, 6
     model = random_model(rng, d, max_len, 0.3, 6)
-    long_batch = [random_instance(rng, n, d, max_len) for n in (9, 7, 9, 8)]
-    short_batch = [random_instance(rng, n, d, max_len) for n in (2, 1, 3)]
+    table = random_table(rng, d)
+    long_batch = [random_instance(rng, n, table, max_len) for n in (9, 7, 9, 8)]
+    short_batch = [random_instance(rng, n, table, max_len) for n in (2, 1, 3)]
     work = relation._Workspace(4 * 9, d)
     results = []
     for workspace in (work, None):

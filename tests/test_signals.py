@@ -282,4 +282,4 @@ def test_parse_report_reads_every_field(tmp_path):
                     + "".join("\t".join(row) + "\n" for row in rows))
     assert parse_report(path) == [
         SignalRecord("vitamin c", False, "nausea", "AdverseEvent", 3, (), True),
-        SignalRecord("zinc", True, "skin", "Indication", 12, (), None)]
+        SignalRecord("zinc", True, "skin", "Indication", 12, (), None, examples="a | b")]
