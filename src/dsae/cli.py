@@ -35,9 +35,6 @@ from .synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 # by name: run as ``python -m dsae.cli``, __name__ is "__main__"
 logger = logging.getLogger("dsae.cli")
 
-COMMANDS = ("ingest", "train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
-            "replicate", "aggregate", "compare-kb", "report")
-
 # the commands that read annotated documents through _resolve_docs
 _CORPUS_COMMANDS = ("train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
                     "replicate", "aggregate")
@@ -117,15 +114,10 @@ def _load_config(args: argparse.Namespace) -> dict:
                 config[key].update(value)
             else:
                 config[key] = value
-    for flag in ("seed", "model", "embeddings", "corpus", "annotations",
-                 "ds_lexicon", "event_lexicon", "kb", "synthetic_docs", "signals"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[flag] = value
-    if getattr(args, "out", None) is not None:
-        config["output_dir"] = args.out
-    if getattr(args, "runs", None) is not None:
-        config["n_runs"] = args.runs
+    # every flag given on the command line, under its dest
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "log_level") and value is not None:
+            config[key] = value
     return config
 
 
@@ -463,6 +455,7 @@ _HANDLERS = {
     "compare-kb": cmd_compare_kb,
     "report": cmd_report,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", dest="output_dir", help="output directory (overrides config)")
         p.add_argument("--seed", type=int)
-        p.add_argument("--runs", type=int, help="number of replicate runs")
+        p.add_argument("--runs", dest="n_runs", type=int, help="number of replicate runs")
         p.add_argument("--model", choices=("crf", "svm", "lstm_crf"))
         p.add_argument("--corpus", help="tweet JSONL file")
         p.add_argument("--annotations", help="JSON map doc_id -> standoff text")

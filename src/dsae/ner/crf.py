@@ -19,7 +19,7 @@ import numpy as np
 from ..annotation import BIO_LABELS
 from ..numeric import kernels
 from ..numeric.optim import CONVERGED, LbfgsConfig, lbfgs_minimize
-from .features import FeatureRegistry, TokenFeatures, index_training_set, token_scores
+from .features import DocFeatures, FeatureRegistry, index_training_set, token_scores
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ class CrfModel:
     def converged(self) -> bool:
         return self.training is None or self.training["stop"] == CONVERGED
 
-    def decode(self, features: list[TokenFeatures]) -> list[str]:
+    def decode(self, features: DocFeatures) -> list[str]:
         if not features:
             return []
         (path,), _ = viterbi(token_scores(features, self.registry, self.W)[None], self.T,
@@ -123,15 +123,14 @@ def _nll_objective(dense: np.ndarray, indicators, y: np.ndarray, mask: np.ndarra
     return objective
 
 
-def crf_train(train_docs, config: CrfConfig | None = None,
-              labels: tuple[str, ...] = BIO_LABELS) -> CrfModel:
+def crf_train(train_docs, config: CrfConfig | None = None) -> CrfModel:
     """train_docs: list of (features, gold label strings) pairs."""
     cfg = config or CrfConfig()
-    dense, indicators, lengths, tokens_y, registry = index_training_set(train_docs, labels)
+    dense, indicators, lengths, tokens_y, registry = index_training_set(train_docs)
     mask = np.arange(lengths.max()) < lengths[:, None]
     y = np.zeros(mask.shape, dtype=np.int64)
     y[mask] = tokens_y
-    K = len(labels)
+    K = len(BIO_LABELS)
     # one objective over the whole training set, a row per token
     objective = _nll_objective(dense, indicators, y, mask, K)
     F = registry.total_dim
@@ -147,6 +146,6 @@ def crf_train(train_docs, config: CrfConfig | None = None,
     W = result.x[:nW].reshape(K, F)
     T = result.x[nW:].reshape(K, K)
     return CrfModel(
-        labels=tuple(labels), registry=registry, W=W, T=T,
+        labels=BIO_LABELS, registry=registry, W=W, T=T,
         hyperparameters=asdict(cfg), training=result.record(),
     )

@@ -3,15 +3,16 @@
 Dense part: the word vector plus an OOV flag. Sparse part: indicator
 features (window word identities within +-2, POS of the token and its
 neighbors, 3/4-char affixes, digit/punctuation flags, lexicon-hit
-category). The indicator index space is frozen after the training pass;
-unseen indicators at inference map to nothing. The name strings of a word
-or a POS tag are built once, in bounded caches, and shared by every token
-that has them.
+category). ``featurize`` gives each document one ``DocFeatures``: the
+block of its tokens' dense rows and each token's indicator names. The
+name strings of a word or a POS tag are built once, in bounded caches, and
+shared by every token that has them.
 
-Training indexes its tokens with ``index_features``, which resolves all
-indicator names in bulk and returns the two blocks the trainers multiply
-by: the dense rows and a 0/1 indicator matrix; ``index_training_set``
-builds them, and the checked gold labels, for the CRF and the SVM alike.
+The indicator index is built once, from the training names in the order
+they first appear, and never changes; unseen indicators at inference map
+to nothing. ``index_training_set`` builds it and resolves the training
+set with ``index_features`` into the two blocks the trainers multiply by:
+the dense rows and a 0/1 indicator matrix, with the checked gold labels.
 Decoding scores tokens with ``token_scores``, a dense product plus a
 gather of the indicator weights, and builds no matrix.
 """
@@ -25,7 +26,7 @@ from itertools import chain, repeat
 import numpy as np
 import scipy.sparse as sp
 
-from ..annotation import label_ids
+from ..annotation import BIO_LABELS, label_ids
 from ..corpus import Lexicon, match_terms
 from ..embeddings import EmbeddingTable
 from ..normalize import NormalizedDoc
@@ -37,32 +38,24 @@ _NAMED_WORDS = 4096
 
 
 @dataclass
-class TokenFeatures:
-    dense: np.ndarray  # word vector + oov flag
-    names: tuple[str, ...]  # sparse indicator names
+class DocFeatures:
+    """The features of one document's n tokens."""
+    dense: np.ndarray  # (n, dim + 1): each word vector and its OOV flag
+    names: list[tuple[str, ...]]  # each token's indicator names
+
+    def __len__(self) -> int:
+        return len(self.names)
 
 
+@dataclass(frozen=True)
 class FeatureRegistry:
     """Indicator name -> column index, offset past the dense block."""
-
-    def __init__(self, dense_dim: int):
-        self.dense_dim = dense_dim
-        self.index: dict[str, int] = {}
-        self.frozen = False
+    dense_dim: int
+    index: dict[str, int]
 
     @property
     def total_dim(self) -> int:
         return self.dense_dim + len(self.index)
-
-    def add(self, names) -> None:
-        """Give each name not yet indexed the next index, in the order the
-        names first appear; a frozen registry adds none."""
-        if not self.frozen:
-            fresh = [name for name in dict.fromkeys(names) if name not in self.index]
-            self.index.update(zip(fresh, range(len(self.index), len(self.index) + len(fresh))))
-
-    def freeze(self) -> None:
-        self.frozen = True
 
 
 @lru_cache(maxsize=_NAMED_WORDS)
@@ -95,7 +88,7 @@ def _shape_names(surface: str) -> tuple[str, ...]:
 
 
 def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
-              lexicons: list[Lexicon] | None = None) -> list[TokenFeatures]:
+              lexicons: list[Lexicon] | None = None) -> DocFeatures:
     surfaces = doc.surfaces()
     # window names read the neighbours from lists padded with the boundary;
     # the name strings of a word or tag are built once and shared
@@ -109,27 +102,26 @@ def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
                 if tok.start >= hit.char_start and tok.end <= hit.char_end:
                     hit_category[k] = hit.category
 
-    out: list[TokenFeatures] = []
-    for i, (surface, dense) in enumerate(zip(surfaces, embeddings.rows(surfaces))):
-        names = (words[i][0], words[i + 1][1], words[i + 2][2], words[i + 3][3],
+    names = []
+    for i, surface in enumerate(surfaces):
+        token = (words[i][0], words[i + 1][1], words[i + 2][2], words[i + 3][3],
                  words[i + 4][4], poss[i][0], poss[i + 1][1], poss[i + 2][2])
-        names += _shape_names(surface)
+        token += _shape_names(surface)
         if hit_category[i] is not None:
-            names += (f"lex={hit_category[i]}",)
-        out.append(TokenFeatures(dense=dense, names=names))
-    return out
+            token += (f"lex={hit_category[i]}",)
+        names.append(token)
+    return DocFeatures(embeddings.rows(surfaces), names)
 
 
-def index_features(features: list[TokenFeatures], registry: FeatureRegistry
+def index_features(features: DocFeatures, registry: FeatureRegistry
                    ) -> tuple[np.ndarray, sp.csr_array]:
     """The token matrix of features as two blocks: the (n, dense_dim) dense
     rows, and a 0/1 CSR matrix whose column c is indicator c of the
     registry, a row holding the indicators the registry resolves in name
-    order. An unfrozen registry first indexes the names it lacks."""
+    order."""
     n = len(features)
-    n_names = np.fromiter(map(len, (f.names for f in features)), dtype=np.int64, count=n)
-    names = list(chain.from_iterable(f.names for f in features))
-    registry.add(names)
+    n_names = np.fromiter(map(len, features.names), dtype=np.int64, count=n)
+    names = list(chain.from_iterable(features.names))
     cols = np.fromiter(map(registry.index.get, names, repeat(-1)), dtype=np.int32,
                        count=len(names))
     # the token of each resolved name; token i's row starts after those before i
@@ -137,40 +129,42 @@ def index_features(features: list[TokenFeatures], registry: FeatureRegistry
     indicators = sp.csr_array((np.ones(rows.size), cols[cols >= 0],
                                np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))),
                               shape=(n, len(registry.index)))
-    return np.array([f.dense for f in features]).reshape(n, registry.dense_dim), indicators
+    return features.dense, indicators
 
 
-def index_training_set(train_docs, labels: tuple[str, ...]):
+def index_training_set(train_docs):
     """The (features, gold labels) documents of a linear tagger's training
-    set as the ``index_features`` blocks of their tokens under a new
-    registry, then frozen: returns the blocks, the tokens per document, the
-    index in labels of each gold label, and the registry. Documents without
-    tokens are dropped; every other one needs one gold label per token."""
+    set as the ``index_features`` blocks of their tokens under the registry
+    of their names, each indexed in the order it first appears: returns the
+    blocks, the tokens per document, the index in ``BIO_LABELS`` of each
+    gold label, and the registry. Documents without tokens are dropped;
+    every other one needs one gold label per token."""
     docs = [(features, gold) for features, gold in train_docs if features]
     if not docs:
         raise ValueError("empty training set")
     if any(len(features) != len(gold) for features, gold in docs):
         raise ValueError("every document needs one gold label per token")
-    y = np.array(label_ids((lab for _, gold in docs for lab in gold), labels))
-    registry = FeatureRegistry(docs[0][0][0].dense.shape[0])
-    dense, indicators = index_features([tok for features, _ in docs for tok in features],
-                                       registry)
-    registry.freeze()
+    y = np.array(label_ids((lab for _, gold in docs for lab in gold), BIO_LABELS))
+    names = [token for features, _ in docs for token in features.names]
+    first_seen = dict.fromkeys(chain.from_iterable(names))
+    registry = FeatureRegistry(docs[0][0].dense.shape[1],
+                               dict(zip(first_seen, range(len(first_seen)))))
+    dense = np.concatenate([features.dense for features, _ in docs])
+    dense, indicators = index_features(DocFeatures(dense, names), registry)
     lengths = np.array([len(features) for features, _ in docs])
     return dense, indicators, lengths, y, registry
 
 
-def token_scores(features: list[TokenFeatures], registry: FeatureRegistry,
+def token_scores(features: DocFeatures, registry: FeatureRegistry,
                  W: np.ndarray) -> np.ndarray:
     """(n, K) scores of features under the weights W over the registry's
     columns: the dense rows times W's dense columns, plus the W columns of
-    each token's resolved indicators. Unresolved indicators add nothing, and
-    the registry is not changed."""
+    each token's resolved indicators. Unresolved indicators add nothing."""
     dim, get = registry.dense_dim, registry.index.get
-    scores = np.array([f.dense for f in features]).reshape(len(features), dim) @ W[:, :dim].T
+    scores = features.dense @ W[:, :dim].T
     rows, cols = [], []
-    for i, f in enumerate(features):
-        for c in map(get, f.names):
+    for i, names in enumerate(features.names):
+        for c in map(get, names):
             if c is not None:
                 rows.append(i)
                 cols.append(dim + c)

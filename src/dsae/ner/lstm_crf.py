@@ -210,8 +210,7 @@ def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray]
     return value
 
 
-def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
-                   labels: tuple[str, ...] = BIO_LABELS) -> LstmCrfModel:
+def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None) -> LstmCrfModel:
     """train/dev: lists of (X: L x d float array, gold label strings).
 
     The dev split, when given, selects the best epoch by exact-span F1.
@@ -220,9 +219,9 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None,
     if not train:
         raise ValueError("empty training set")
     d = train[0][0].shape[1]
-    model = LstmCrfModel.init(d, cfg.hidden, labels, cfg.seed)
+    model = LstmCrfModel.init(d, cfg.hidden, BIO_LABELS, cfg.seed)
     packed = [(np.asarray(X, dtype=np.float64),
-               np.asarray(label_ids(y, labels), dtype=np.int64))
+               np.asarray(label_ids(y, BIO_LABELS), dtype=np.int64))
               for X, y in train if len(y) > 0]
 
     def loss_and_grad(batch, grad):

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..annotation import BIO_LABELS
 from ..numeric.rng import Rng
-from .features import FeatureRegistry, TokenFeatures, index_training_set, token_scores
+from .features import DocFeatures, FeatureRegistry, index_training_set, token_scores
 
 
 @dataclass
@@ -22,7 +22,7 @@ class SvmModel:
     b: np.ndarray  # labels
     hyperparameters: dict = field(default_factory=dict)
 
-    def decode(self, features: list[TokenFeatures]) -> list[str]:
+    def decode(self, features: DocFeatures) -> list[str]:
         return svm_predict(self, features)
 
 
@@ -32,10 +32,10 @@ BLOCK = 32
 
 
 def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
-              seed: int = 0, labels: tuple[str, ...] = BIO_LABELS) -> SvmModel:
+              seed: int = 0) -> SvmModel:
     """train_docs: list of (features, gold label strings) pairs; documents
     without tokens are skipped."""
-    Xd, indicators, _, y, registry = index_training_set(train_docs, labels)
+    Xd, indicators, _, y, registry = index_training_set(train_docs)
     dim = registry.dense_dim
     F = registry.total_dim
     n = len(y)
@@ -44,7 +44,7 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
     cols = np.full((n, n_ind.max(initial=0)), F, dtype=np.int64)
     cols[np.arange(cols.shape[1]) < n_ind[:, None]] = indicators.indices + dim
 
-    K = len(labels)
+    K = len(BIO_LABELS)
     signs = np.full((n, K), -1.0)
     signs[np.arange(n), y] = 1.0
     # The weights are scale * V, V stored feature-major: the L2 shrink of
@@ -86,10 +86,10 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
                 b[ks] += step
             pos += j + 1
     W = np.ascontiguousarray(scale * V[:F].T)
-    return SvmModel(labels=tuple(labels), registry=registry, W=W, b=b,
+    return SvmModel(labels=BIO_LABELS, registry=registry, W=W, b=b,
                     hyperparameters={"epochs": epochs, "lr": lr, "l2": l2, "seed": seed})
 
 
-def svm_predict(model: SvmModel, features: list[TokenFeatures]) -> list[str]:
+def svm_predict(model: SvmModel, features: DocFeatures) -> list[str]:
     margins = token_scores(features, model.registry, model.W) + model.b
     return [model.labels[k] for k in margins.argmax(axis=1)]  # first max = lowest index

@@ -20,7 +20,7 @@ import base64
 import json
 import math
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -62,10 +62,7 @@ def _decode_registry(blob) -> FeatureRegistry | None:
     if not all(type(c) is int for c in columns) or set(columns) != set(range(len(index))):
         raise ValueError("bundle: feature_registry index columns must be the "
                          f"integers 0..{len(index) - 1}, each once")
-    registry = FeatureRegistry(dense_dim)
-    registry.index = dict(index)
-    registry.freeze()
-    return registry
+    return FeatureRegistry(dense_dim, dict(index))
 
 
 def encode_array(value: np.ndarray) -> dict:
@@ -287,9 +284,11 @@ def dumps_bundle(bundle: dict) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write to a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write to a new temp file in the target directory, then rename. The
+    file's mode is 0o666 less the umask, as ``open`` would give it."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

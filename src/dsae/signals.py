@@ -12,6 +12,7 @@ from .annotation import RELATION_LABELS
 from .corpus import Lexicon
 from .normalize import NormalizedDoc
 from .pipeline import PipelineOutput
+from .serialization import atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,10 @@ def aggregate(outputs: list[PipelineOutput], docs: dict[str, NormalizedDoc],
     return records
 
 
-def top_k(records: list[SignalRecord], k: int = 200,
-          relation: str | None = None) -> list[SignalRecord]:
+def top_k(records: list[SignalRecord], k: int = 200) -> list[SignalRecord]:
     """Descending frequency; ties by (supplement, event) lexicographic order."""
-    pool = [r for r in records if relation is None or r.relation == relation]
-    return sorted(pool, key=lambda r: (-r.frequency, r.supplement_canonical, r.event_term))[:k]
+    return sorted(records, key=lambda r: (-r.frequency, r.supplement_canonical,
+                                          r.event_term))[:k]
 
 
 def compare_kb(records: list[SignalRecord], kb: KnowledgeBase) -> list[SignalRecord]:
@@ -103,15 +103,12 @@ def compare_kb(records: list[SignalRecord], kb: KnowledgeBase) -> list[SignalRec
             for r in records]
 
 
-def sample_examples(record: SignalRecord, corpus_index: dict[str, str],
-                    n: int = 3) -> list[str]:
-    """Texts of the first n supporting documents, ascending doc id."""
-    out = []
-    for doc_id in sorted(record.example_doc_ids)[:n]:
+def sample_examples(record: SignalRecord, corpus_index: dict[str, str]) -> list[str]:
+    """Texts of the record's example documents, in its order."""
+    for doc_id in record.example_doc_ids:
         if doc_id not in corpus_index:
             raise KeyError(f"signal example references unknown doc {doc_id!r}")
-        out.append(corpus_index[doc_id])
-    return out
+    return [corpus_index[doc_id] for doc_id in record.example_doc_ids]
 
 
 _COLUMNS = ("supplement", "deficiency", "event", "relation", "frequency", "in_kb", "examples")
@@ -134,16 +131,14 @@ def emit_report(records: list[SignalRecord], path, format: str = "tsv",
         rows.append((r.supplement_canonical, str(r.deficiency).lower(), r.event_term,
                      r.relation, str(r.frequency),
                      "" if r.in_kb is None else str(r.in_kb).lower(), examples))
-    with open(path, "w", encoding="utf-8") as fh:
-        if format == "tsv":
-            fh.write("\t".join(_COLUMNS) + "\n")
-            for row in rows:
-                fh.write("\t".join(cell.replace("\t", " ") for cell in row) + "\n")
-        else:
-            fh.write("| " + " | ".join(_COLUMNS) + " |\n")
-            fh.write("|" + "---|" * len(_COLUMNS) + "\n")
-            for row in rows:
-                fh.write("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |\n")
+    if format == "tsv":
+        lines = ["\t".join(_COLUMNS)]
+        lines += ["\t".join(cell.replace("\t", " ") for cell in row) for row in rows]
+    else:
+        lines = ["| " + " | ".join(_COLUMNS) + " |", "|" + "---|" * len(_COLUMNS)]
+        lines += ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |"
+                  for row in rows]
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 _BOOLEANS = {"true": True, "false": False}

@@ -49,3 +49,28 @@ def test_every_name_the_benchmark_imports_from_dsae_resolves():
                 for alias in node.names]
     assert "dsae.ner.predict:decode_labels" in imported
     assert [name for name in imported if not _resolves(name)] == []
+
+
+def test_tracer_hooks_read_featurize_and_index_features():
+    """The hooks that turn ``featurize``'s result into ``features.tokens``
+    and ``index_features``' registry into ``features.columns`` run on the
+    objects the package passes them."""
+    from dsae.annotation import to_bio
+    from dsae.ner import crf, features
+    from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
+
+    emb = synthetic_embeddings(dim=6, seed=2)
+    lexicons = list(synthetic_lexicons())
+    docs = generate_corpus(12, seed=5)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        train = [(features.featurize(d.doc, emb, lexicons), to_bio(d.doc, d.entities))
+                 for d in docs]
+        model = crf.crf_train(train, crf.CrfConfig(max_iter=2))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["features.tokens"] == sum(len(d.doc.tokens) for d in docs) > 0
+    assert metrics["features.columns"] == model.registry.total_dim > emb.dim + 1
+    assert tracer.calls["features.index"] == 1

@@ -92,6 +92,19 @@ def test_every_model_setting_is_a_trainer_argument():
     assert set(cli.DEFAULTS["svm"]) < set(inspect.signature(svm_train).parameters)
 
 
+def test_every_flag_lands_in_the_config_key_of_its_dest():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    flags = [a for a in commands.choices["train-ner"]._actions
+             if a.option_strings and a.dest not in ("help", "config", "log_level")]
+    assert {"output_dir", "n_runs", "seed", "model", "kb"} <= {a.dest for a in flags}
+    for action in flags:
+        value = action.choices[-1] if action.choices else "7" if action.type is int else "x.tsv"
+        config = cli._load_config(parser.parse_args(["train-ner", action.option_strings[0],
+                                                     value]))
+        assert config[action.dest] == (action.type or str)(value), action.dest
+
+
 def test_missing_kb_exits_2(tmp_path, capsys):
     assert run("compare-kb", "--out", str(tmp_path / "out")) == 2
     assert "kb: required" in capsys.readouterr().err
@@ -257,6 +270,26 @@ def test_compare_kb_and_report_keep_the_examples(trained, tmp_path):
     assert len(table) == len(rows)
     for line, row in zip(table, rows):
         assert line.endswith(" | " + row[6].replace("|", "\\|") + " |")
+
+
+def test_artifacts_get_the_mode_the_umask_leaves(tmp_path):
+    """Bundles, metric files, signals and reports are all created 0o666
+    less the umask."""
+    config, out = write_config(tmp_path), tmp_path / "out"
+    kb = tmp_path / "kb.csv"
+    kb.write_text("supplement,event,relation\n")
+    old = os.umask(0o022)
+    try:
+        for command in ("train-ner", "train-re", "eval-ner", "pipeline", "aggregate",
+                        "compare-kb", "report"):
+            assert run(command, "--config", config, "--out", str(out), "--kb", str(kb)) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert set(modes) == {"ner_crf.json", "re_cnn.json", "manifest.json", "ner_crf_metrics.tsv",
+                          "pipeline.jsonl", "pipeline_metrics.tsv", "pipeline_errors.tsv",
+                          "signals.tsv", "signals_kb.tsv", "report.md"}
+    assert set(modes.values()) == {0o644}
 
 
 def test_eval_on_corrupted_bundle_exits_1(trained, tmp_path, capsys):

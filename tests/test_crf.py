@@ -9,7 +9,7 @@ from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
 from dsae.ner import crf as crf_module
 from dsae.ner.crf import CrfConfig, CrfModel, crf_train, viterbi
-from dsae.ner.features import (FeatureRegistry, TokenFeatures, featurize, index_features,
+from dsae.ner.features import (DocFeatures, FeatureRegistry, featurize, index_features,
                                token_scores)
 from dsae.numeric import kernels
 from dsae.numeric.optim import CONVERGED, LbfgsResult
@@ -18,7 +18,7 @@ from dsae.serialization import save_model
 from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 
 from util import (brute_force_paths, crf_neg_log_likelihood, crf_objective, grad_check,
-                  make_doc, span)
+                  make_doc, span, unseen_docs)
 
 
 def random_instance(rng, max_len=6, max_labels=4):
@@ -57,9 +57,9 @@ def test_viterbi_tie_breaks_to_lowest_index():
 
 
 def test_viterbi_empty():
-    model = CrfModel(labels=BIO_LABELS, registry=FeatureRegistry(2),
+    model = CrfModel(labels=BIO_LABELS, registry=FeatureRegistry(2, {}),
                      W=np.zeros((len(BIO_LABELS), 2)), T=np.zeros((len(BIO_LABELS),) * 2))
-    assert model.decode([]) == []
+    assert model.decode(DocFeatures(np.zeros((0, 2)), [])) == []
 
 
 def test_viterbi_invariant_constant_shift():
@@ -376,7 +376,7 @@ def test_crf_nll_rejects_mismatch(toy_dataset):
     with pytest.raises(ValueError, match="one gold label per token"):
         crf_train(toy_dataset[1:] + [(features, gold[:-1])], CrfConfig(max_iter=2))
     with pytest.raises(ValueError, match="empty training set"):
-        crf_train([([], [])], CrfConfig(max_iter=2))
+        crf_train([(DocFeatures(np.zeros((0, 5)), []), [])], CrfConfig(max_iter=2))
 
 
 def test_crf_train_memorizes_toy_set(toy_dataset):
@@ -438,13 +438,6 @@ def test_training_objective_is_the_sum_over_documents(mixed_dataset, monkeypatch
         want_grad += one_grad
     assert value == pytest.approx(want_value, rel=0, abs=1e-9)
     assert np.max(np.abs(grad - want_grad)) <= 1e-9
-
-
-def unseen_docs(features):
-    """The toy document reordered and cut, and with a token whose
-    indicators were all unseen in training."""
-    blank = TokenFeatures(np.zeros_like(features[0].dense), ("w[0]=gave", "pre3=gav"))
-    return [features, features[::-1], features[1:3], [blank] + features[2:], [blank]]
 
 
 def test_crf_decode_equals_sparse_reference(toy_dataset):

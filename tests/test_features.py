@@ -2,24 +2,21 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dsae.embeddings import EmbeddingTable
-from dsae.ner.features import (FeatureRegistry, TokenFeatures, featurize, index_features,
-                               token_scores)
+from dsae.ner.features import (DocFeatures, FeatureRegistry, featurize, index_features,
+                               index_training_set, token_scores)
 from dsae.numeric.rng import Rng
 
-from util import make_doc
+from util import first_seen_registry, make_doc
 
 
 def loop_rows(features, registry):
-    """Reference: a token's non-zero dense values, then 1.0 per resolved
-    indicator in name order; an unfrozen registry indexes each new name as
-    it comes."""
+    """Reference: a token's non-zero dense values, then 1.0 per indicator
+    the registry resolves, in name order."""
     rows = []
-    for feat in features:
-        cols = [int(k) for k in np.nonzero(feat.dense)[0]]
-        vals = [float(feat.dense[k]) for k in cols]
-        for name in feat.names:
-            if name not in registry.index and not registry.frozen:
-                registry.index[name] = len(registry.index)
+    for dense, names in zip(features.dense, features.names):
+        cols = [int(k) for k in np.nonzero(dense)[0]]
+        vals = [float(dense[k]) for k in cols]
+        for name in names:
             if name in registry.index:
                 cols.append(registry.dense_dim + registry.index[name])
                 vals.append(1.0)
@@ -46,18 +43,22 @@ def test_index_features_matches_per_token_loop():
     matrix[1, 2] = 0.0  # an exact zero inside a word vector is left out
     emb = EmbeddingTable(4, {"vitamin": 0, "c": 1, "nausea": 2}, matrix)
     train = featurize(make_doc("a", ["took", "vitamin", "c", "nausea", "!"]), emb)
-    unseen = featurize(make_doc("b", ["c", "gave", "me", "nausea"]), emb)
-    fast, slow = FeatureRegistry(5), FeatureRegistry(5)
+    more = featurize(make_doc("b", ["vitamin", "d", "!"]), emb)
+    unseen = featurize(make_doc("c", ["c", "gave", "me", "nausea"]), emb)
 
-    dense, indicators = index_features(train, fast)
-    assert merged_rows((dense, indicators), 5) == loop_rows(train, slow)
-    assert fast.index == slow.index and indicators.shape == (5, len(fast.index))
-    fast.freeze()
-    slow.freeze()
-    assert merged_rows(index_features(unseen, fast), 5) == loop_rows(unseen, slow)
-    assert fast.index == slow.index
-    dense, indicators = index_features([], fast)
-    assert dense.shape == (0, 5) and indicators.shape == (0, len(fast.index))
+    dense, indicators, lengths, _, registry = index_training_set(
+        [(train, ["O"] * 5), (more, ["O"] * 3)])
+    # one column per distinct name, in the order the names first appear
+    assert list(registry.index.items()) == list(first_seen_registry([train, more]).index.items())
+    assert registry.dense_dim == 5 and lengths.tolist() == [5, 3]
+    both = DocFeatures(np.vstack([train.dense, more.dense]), train.names + more.names)
+    assert merged_rows((dense, indicators), 5) == loop_rows(both, registry)
+    assert indicators.shape == (8, len(registry.index))
+    index = dict(registry.index)
+    assert merged_rows(index_features(unseen, registry), 5) == loop_rows(unseen, registry)
+    assert registry.index == index
+    dense, indicators = index_features(DocFeatures(np.zeros((0, 5)), []), registry)
+    assert dense.shape == (0, 5) and indicators.shape == (0, len(registry.index))
 
 
 _SEEN = [f"w[0]=t{i}" for i in range(8)]
@@ -65,31 +66,27 @@ _UNSEEN = ["w[0]=gave", "pre3=xyz", "lex=Other"]
 
 
 @settings(max_examples=100, deadline=None)
-@given(dim=st.integers(0, 4), K=st.integers(1, 5), frozen=st.booleans(),
+@given(dim=st.integers(0, 4), K=st.integers(1, 5),
        seen=st.lists(st.sampled_from(_SEEN), max_size=8, unique=True),
        tokens=st.lists(st.tuples(st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.25]), min_size=4,
                                           max_size=4),
                                  st.lists(st.sampled_from(_SEEN + _UNSEEN), max_size=6)),
                        max_size=6),
        seed=st.integers(0, 2**16))
-def test_token_scores_equal_sparse_product(dim, K, frozen, seen, tokens, seed):
+def test_token_scores_equal_sparse_product(dim, K, seen, tokens, seed):
     """token_scores is the product of index_features' two blocks with W;
     indicators the registry does not hold add nothing and are not added to
-    it, frozen or not."""
-    registry = FeatureRegistry(dim)
-    registry.add(seen)
-    if frozen:
-        registry.freeze()
-    reference = FeatureRegistry(dim)
-    reference.index = dict(registry.index)
-    reference.freeze()
-    features = [TokenFeatures(np.array(dense[:dim]), tuple(names)) for dense, names in tokens]
-    features.append(TokenFeatures(np.zeros(dim), tuple(_UNSEEN)))  # nothing resolves
+    it."""
+    registry = FeatureRegistry(dim, {name: c for c, name in enumerate(seen)})
+    index = dict(registry.index)
+    tokens = tokens + [([0.0] * 4, _UNSEEN)]  # nothing resolves
+    rows = np.array([dense[:dim] for dense, _ in tokens]).reshape(len(tokens), dim)
+    features = DocFeatures(rows, [tuple(names) for _, names in tokens])
     W = Rng(seed, stream=16).normal((K, registry.total_dim))
 
     got = token_scores(features, registry, W)
-    assert registry.index == reference.index
-    dense, indicators = index_features(features, reference)
+    assert registry.index == index
+    dense, indicators = index_features(features, registry)
     expected = dense @ W[:, :dim].T + indicators @ W[:, dim:].T
     assert got.shape == (len(features), K)
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
@@ -111,15 +108,17 @@ def test_featurize_dense_rows_and_windows_on_a_synthetic_corpus():
         def window(seq, j):
             return seq[j] if 0 <= j < len(seq) else BOUNDARY
 
-        for i, (feat, surface) in enumerate(zip(features, surfaces)):
+        assert len(features) == len(features.names) == len(surfaces)
+        for i, (dense, names, surface) in enumerate(zip(features.dense, features.names,
+                                                         surfaces)):
             idx = emb.vocab.get(surface.lower())
             vec = np.zeros(emb.dim) if idx is None else emb.matrix[idx]
-            assert np.array_equal(feat.dense, np.append(vec, 1.0 if idx is None else 0.0))
-            assert feat.names[:8] == (
+            assert np.array_equal(dense, np.append(vec, 1.0 if idx is None else 0.0))
+            assert names[:8] == (
                 tuple(f"w[{off}]={window(surfaces, i + off)}" for off in (-2, -1, 0, 1, 2))
                 + tuple(f"pos[{off}]={window(tags, i + off)}" for off in (-1, 0, 1)))
-        assert np.array_equal(doc_matrix(doc, emb),
-                              np.array([f.dense for f in features]).reshape(-1, 7))
+        assert features.dense.shape == (len(surfaces), 7)
+        assert np.array_equal(features.dense, doc_matrix(doc, emb))
 
 
 def names_built_afresh(doc, lexicons):
@@ -169,7 +168,6 @@ def test_featurize_names_equal_names_built_afresh_and_are_shared():
     odd = replace(odd, tokens=tuple(replace(t, pos=tag) for t, tag in zip(odd.tokens, tags)))
     docs = [annotated.doc for annotated in generate_corpus(40, seed=9)] + [odd]
     for doc in docs:
-        assert [f.names for f in featurize(doc, emb, lexicons)] == names_built_afresh(
-            doc, lexicons)
+        assert featurize(doc, emb, lexicons).names == names_built_afresh(doc, lexicons)
     first, again = featurize(odd, emb), featurize(odd, emb)
-    assert all(a is b for x, y in zip(first, again) for a, b in zip(x.names, y.names))
+    assert all(a is b for x, y in zip(first.names, again.names) for a, b in zip(x, y))

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from dsae.annotation import BIO_LABELS, to_bio
 from dsae.embeddings import EmbeddingTable
-from dsae.ner.features import FeatureRegistry, TokenFeatures, featurize, index_features
+from dsae.ner.features import DocFeatures, featurize, index_features
 from dsae.ner.svm import BLOCK, SvmModel, svm_predict, svm_train
 from dsae.numeric.rng import Rng
 
-from util import make_doc, span
+from util import first_seen_registry, make_doc, span, unseen_docs
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,8 @@ def test_svm_deterministic(toy_dataset):
 def token_rows(train_docs):
     """(column indices, values, label index) of every training token: its
     non-zero dense values, then its indicators, past the dense block."""
-    dim = train_docs[0][0][0].dense.shape[0]
-    registry = FeatureRegistry(dim)
+    registry = first_seen_registry([features for features, _ in train_docs])
+    dim = registry.dense_dim
     rows = []
     for features, gold in train_docs:
         dense, indicators = index_features(features, registry)
@@ -120,13 +120,13 @@ def _corpus(draw):
     lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2 * BLOCK // 4))
     docs = []
     for L in lengths:
-        features = [TokenFeatures(
-            np.zeros(dim) if zero_rows and draw(st.booleans())
-            else np.array(draw(st.lists(value, min_size=dim, max_size=dim))),
-            tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))))
-            for _ in range(L)]
-        docs.append((features, draw(st.lists(st.sampled_from(BIO_LABELS),
-                                             min_size=L, max_size=L))))
+        dense = np.array([[0.0] * dim if zero_rows and draw(st.booleans())
+                          else draw(st.lists(value, min_size=dim, max_size=dim))
+                          for _ in range(L)])
+        names = [tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True)))
+                 for _ in range(L)]
+        gold = draw(st.lists(st.sampled_from(BIO_LABELS), min_size=L, max_size=L))
+        docs.append((DocFeatures(dense, names), gold))
     return docs
 
 
@@ -147,7 +147,8 @@ def test_block_training_equals_per_token_sgd(docs, epochs, lr_l2, seed):
 
 
 def test_svm_skips_empty_documents(toy_dataset):
-    docs = [([], [])] + toy_dataset[:4] + [([], [])] + toy_dataset[4:]
+    empty = (DocFeatures(np.zeros((0, 5)), []), [])
+    docs = [empty] + toy_dataset[:4] + [empty] + toy_dataset[4:]
     model = svm_train(docs, epochs=2, seed=3)
     plain = svm_train(toy_dataset, epochs=2, seed=3)
     assert model.registry.dense_dim == plain.registry.dense_dim
@@ -181,14 +182,12 @@ def test_svm_rejects_label_count_mismatch(toy_dataset):
 
 def test_svm_predict_empty(toy_dataset):
     model = svm_train(toy_dataset, epochs=1)
-    assert svm_predict(model, []) == []
+    assert svm_predict(model, DocFeatures(np.zeros((0, 5)), [])) == []
 
 
 def test_svm_predict_equals_sparse_reference(toy_dataset):
     model = svm_train(toy_dataset, epochs=1)
-    features = toy_dataset[0][0]
-    blank = TokenFeatures(np.zeros_like(features[0].dense), ("w[0]=gave", "pre3=gav"))
-    for doc in (features, features[::-1], features[1:3], [blank] + features[2:]):
+    for doc in unseen_docs(toy_dataset[0][0]):
         dense, indicators = index_features(doc, model.registry)
         dim = model.registry.dense_dim
         margins = dense @ model.W[:, :dim].T + indicators @ model.W[:, dim:].T + model.b

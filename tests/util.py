@@ -10,7 +10,7 @@ import numpy as np
 
 from dsae.annotation import AnnotatedDoc, EntitySpan, label_ids
 from dsae.ner import crf
-from dsae.ner.features import index_features
+from dsae.ner.features import DocFeatures, FeatureRegistry, index_features
 from dsae.ner.lstm_crf import LstmCrfModel, nll_and_grad
 from dsae.normalize import NormalizedDoc, Token
 from dsae.numeric import kernels
@@ -110,10 +110,34 @@ def flat_objective(model, *batch):
     return objective
 
 
+def first_seen_registry(docs: list[DocFeatures]) -> FeatureRegistry:
+    """Reference: the registry of the indicator names of docs, each name
+    given the next column as a token loop first meets it."""
+    index: dict[str, int] = {}
+    for features in docs:
+        for names in features.names:
+            for name in names:
+                index.setdefault(name, len(index))
+    return FeatureRegistry(docs[0].dense.shape[1], index)
+
+
+def unseen_docs(features: DocFeatures) -> list[DocFeatures]:
+    """A document's features reordered and cut, and with a token whose
+    indicators were all unseen in training."""
+    def pick(order):
+        return DocFeatures(features.dense[list(order)], [features.names[i] for i in order])
+
+    n = len(features)
+    blank = DocFeatures(np.zeros((1, features.dense.shape[1])), [("w[0]=gave", "pre3=gav")])
+    rest = pick(range(2, n))
+    return [features, pick(range(n - 1, -1, -1)), pick([1, 2]),
+            DocFeatures(np.vstack([blank.dense, rest.dense]), blank.names + rest.names), blank]
+
+
 def crf_objective(model, features, gold):
     """The objective ``crf_train`` hands L-BFGS, on the one document
-    (features, gold) under the model's frozen registry: the NLL of the gold
-    path and its gradient, over the flat weights W then T."""
+    (features, gold) under the model's registry: the NLL of the gold path
+    and its gradient, over the flat weights W then T."""
     dense, indicators = index_features(features, model.registry)
     y = np.array([label_ids(gold, model.labels)])
     return crf._nll_objective(dense, indicators, y, np.ones(y.shape, dtype=bool),
