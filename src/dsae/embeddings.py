@@ -1,9 +1,10 @@
-"""Static word-vector tables in the common text format."""
+"""Static word-vector tables, and the token input of every model: row ids."""
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +20,12 @@ class EmbeddingTable:
         self.dim = dim
         self.vocab = vocab
         # each vector followed by its OOV flag, then one row for unknown
-        # words; read-only, since relation instances share it
+        # words; read-only, since every model input shares it
         self.row_matrix = np.zeros((len(vocab) + 1, dim + 1))
         self.row_matrix[:-1, :-1] = matrix
         self.row_matrix[-1, -1] = 1.0
         self.row_matrix.flags.writeable = False
-        self.matrix = self.row_matrix[:-1, :-1]
+        self.duplicates = 0  # repeated words load_static skipped
 
     def ids(self, words: list[str]) -> np.ndarray:
         """The row of ``row_matrix`` of each word, case-folded, or the
@@ -32,11 +33,26 @@ class EmbeddingTable:
         unknown, get = len(self.vocab), self.vocab.get
         return np.array([get(w.lower(), unknown) for w in words], dtype=np.intp)
 
-    def rows(self, words: list[str]) -> np.ndarray:
-        """(n, dim + 1) matrix: the vector of each word, case-folded, or the
-        zero vector for an unknown word, followed by its OOV flag (1.0 for
-        an unknown word)."""
-        return self.row_matrix[self.ids(words)]
+
+@dataclass
+class TokenRows:
+    """Tokens as rows of a shared row matrix, gathered (``table[rows]``) on use."""
+    rows: np.ndarray   # (n,) row of ``table`` of each token
+    table: np.ndarray  # an EmbeddingTable's row_matrix, by reference
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def shared_table(inputs) -> np.ndarray:
+    """The one ``.table`` every input of a batch or training set references;
+    a ``ValueError`` names the first input that references another."""
+    table = inputs[0].table
+    for k, x in enumerate(inputs):
+        if x.table is not table:
+            raise ValueError(f"instance {k} of the batch references a {x.table.shape} "
+                             f"embedding table other than instance 0's {table.shape} one")
+    return table
 
 
 def load_static(path) -> EmbeddingTable:

@@ -3,18 +3,18 @@
 Dense part: the word vector plus an OOV flag. Sparse part: indicator
 features (window word identities within +-2, POS of the token and its
 neighbors, 3/4-char affixes, digit/punctuation flags, lexicon-hit
-category). ``featurize`` gives each document one ``DocFeatures``: the
-block of its tokens' dense rows and each token's indicator names. The
-name strings of a word or a POS tag are built once, in bounded caches, and
-shared by every token that has them.
+category). ``featurize`` gives each document one ``DocFeatures``: its
+tokens' row ids into the embedding table's shared row matrix and each
+token's indicator names. The name strings of a word or a POS tag are built
+once, in bounded caches, and shared by every token that has them.
 
 The indicator index is built once, from the training names in the order
 they first appear, and never changes; unseen indicators at inference map
 to nothing. ``index_training_set`` builds it and resolves the training
 set with ``index_features`` into the two blocks the trainers multiply by:
-the dense rows and a 0/1 indicator matrix, with the checked gold labels.
-Decoding scores tokens with ``token_scores``, a dense product plus a
-gather of the indicator weights, and builds no matrix.
+the dense rows, gathered once, and a 0/1 indicator matrix, with the
+checked gold labels. Decoding scores tokens with ``token_scores``, a dense
+product plus a gather of the indicator weights, and builds no matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from ..annotation import BIO_LABELS, label_ids
 from ..corpus import Lexicon, match_terms
-from ..embeddings import EmbeddingTable
+from ..embeddings import EmbeddingTable, TokenRows, shared_table
 from ..normalize import NormalizedDoc
 
 BOUNDARY = "<s>"
@@ -38,13 +38,9 @@ _NAMED_WORDS = 4096
 
 
 @dataclass
-class DocFeatures:
-    """The features of one document's n tokens."""
-    dense: np.ndarray  # (n, dim + 1): each word vector and its OOV flag
+class DocFeatures(TokenRows):
+    """The features of one document's tokens: row ids and indicator names."""
     names: list[tuple[str, ...]]  # each token's indicator names
-
-    def __len__(self) -> int:
-        return len(self.names)
 
 
 @dataclass(frozen=True)
@@ -110,26 +106,33 @@ def featurize(doc: NormalizedDoc, embeddings: EmbeddingTable,
         if hit_category[i] is not None:
             token += (f"lex={hit_category[i]}",)
         names.append(token)
-    return DocFeatures(embeddings.rows(surfaces), names)
+    return DocFeatures(embeddings.ids(surfaces), embeddings.row_matrix, names)
+
+
+def _resolved(names: list[tuple[str, ...]], registry: FeatureRegistry
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The token and the registry column of every indicator name the
+    registry resolves, by token and then in name order."""
+    n_names = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+    cols = np.fromiter(map(registry.index.get, chain.from_iterable(names), repeat(-1)),
+                       dtype=np.int32, count=int(n_names.sum()))
+    found = cols >= 0
+    return np.repeat(np.arange(len(names), dtype=np.int32), n_names)[found], cols[found]
 
 
 def index_features(features: DocFeatures, registry: FeatureRegistry
                    ) -> tuple[np.ndarray, sp.csr_array]:
     """The token matrix of features as two blocks: the (n, dense_dim) dense
-    rows, and a 0/1 CSR matrix whose column c is indicator c of the
-    registry, a row holding the indicators the registry resolves in name
-    order."""
+    rows, gathered from the table, and a 0/1 CSR matrix whose column c is
+    indicator c of the registry, a row holding the indicators the registry
+    resolves in name order."""
     n = len(features)
-    n_names = np.fromiter(map(len, features.names), dtype=np.int64, count=n)
-    names = list(chain.from_iterable(features.names))
-    cols = np.fromiter(map(registry.index.get, names, repeat(-1)), dtype=np.int32,
-                       count=len(names))
-    # the token of each resolved name; token i's row starts after those before i
-    rows = np.repeat(np.arange(n, dtype=np.int32), n_names)[cols >= 0]
-    indicators = sp.csr_array((np.ones(rows.size), cols[cols >= 0],
+    rows, cols = _resolved(features.names, registry)
+    # token i's row starts after the indicators of the tokens before it
+    indicators = sp.csr_array((np.ones(rows.size), cols,
                                np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))),
                               shape=(n, len(registry.index)))
-    return features.dense, indicators
+    return features.table[features.rows], indicators
 
 
 def index_training_set(train_docs):
@@ -138,19 +141,19 @@ def index_training_set(train_docs):
     of their names, each indexed in the order it first appears: returns the
     blocks, the tokens per document, the index in ``BIO_LABELS`` of each
     gold label, and the registry. Documents without tokens are dropped;
-    every other one needs one gold label per token."""
+    every other one needs one gold label per token, and all one table."""
     docs = [(features, gold) for features, gold in train_docs if features]
     if not docs:
         raise ValueError("empty training set")
+    table = shared_table([features for features, _ in train_docs])
     if any(len(features) != len(gold) for features, gold in docs):
         raise ValueError("every document needs one gold label per token")
     y = np.array(label_ids((lab for _, gold in docs for lab in gold), BIO_LABELS))
     names = [token for features, _ in docs for token in features.names]
     first_seen = dict.fromkeys(chain.from_iterable(names))
-    registry = FeatureRegistry(docs[0][0].dense.shape[1],
-                               dict(zip(first_seen, range(len(first_seen)))))
-    dense = np.concatenate([features.dense for features, _ in docs])
-    dense, indicators = index_features(DocFeatures(dense, names), registry)
+    registry = FeatureRegistry(table.shape[1], dict(zip(first_seen, range(len(first_seen)))))
+    rows = np.concatenate([features.rows for features, _ in docs])
+    dense, indicators = index_features(DocFeatures(rows, table, names), registry)
     lengths = np.array([len(features) for features, _ in docs])
     return dense, indicators, lengths, y, registry
 
@@ -160,13 +163,8 @@ def token_scores(features: DocFeatures, registry: FeatureRegistry,
     """(n, K) scores of features under the weights W over the registry's
     columns: the dense rows times W's dense columns, plus the W columns of
     each token's resolved indicators. Unresolved indicators add nothing."""
-    dim, get = registry.dense_dim, registry.index.get
-    scores = features.dense @ W[:, :dim].T
-    rows, cols = [], []
-    for i, names in enumerate(features.names):
-        for c in map(get, names):
-            if c is not None:
-                rows.append(i)
-                cols.append(dim + c)
-    np.add.at(scores, rows, W.T[cols])
+    dim = registry.dense_dim
+    scores = features.table[features.rows] @ W[:, :dim].T
+    rows, cols = _resolved(features.names, registry)
+    np.add.at(scores, rows, W.T[dim + cols])
     return scores

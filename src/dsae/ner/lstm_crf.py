@@ -14,8 +14,9 @@ masked ``kernels.crf_layer`` call scores the batch, and one ``viterbi``
 call decodes it. BPTT computes every factor that does not depend on the
 recursion up front, so the steps carry only ``dh`` and ``dc``; each weight
 gradient is one batched product.
-Training runs ``numeric.optim.adam_train`` with ``nll_and_grad`` as its
-batch callback; a dev split selects the epoch by exact-span F1.
+Inputs are row ids (``TokenRows``), gathered per minibatch and decode
+batch; training runs ``numeric.optim.adam_train`` with ``nll_and_grad``
+as its batch callback, and a dev split selects the epoch by exact-span F1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..annotation import BIO_LABELS, label_ids
+from ..embeddings import TokenRows, shared_table
 from ..evaluate import exact_bio_f1
 from ..numeric import kernels
 from ..numeric.optim import adam_train
@@ -211,27 +213,24 @@ def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray]
 
 
 def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None) -> LstmCrfModel:
-    """train/dev: lists of (X: L x d float array, gold label strings).
+    """train/dev: lists of (TokenRows, gold label strings), all one table.
 
     The dev split, when given, selects the best epoch by exact-span F1.
     """
     cfg = config or LstmCrfConfig()
     if not train:
         raise ValueError("empty training set")
-    d = train[0][0].shape[1]
-    model = LstmCrfModel.init(d, cfg.hidden, BIO_LABELS, cfg.seed)
-    packed = [(np.asarray(X, dtype=np.float64),
-               np.asarray(label_ids(y, BIO_LABELS), dtype=np.int64))
+    table = shared_table([X for X, _ in train + (dev or [])])
+    model = LstmCrfModel.init(table.shape[1], cfg.hidden, BIO_LABELS, cfg.seed)
+    packed = [(X.rows, np.asarray(label_ids(y, BIO_LABELS), dtype=np.int64))
               for X, y in train if len(y) > 0]
 
     def loss_and_grad(batch, grad):
-        return nll_and_grad(model.params, [packed[i][0] for i in batch],
+        return nll_and_grad(model.params, [table[packed[i][0]] for i in batch],
                             [packed[i][1] for i in batch], cfg.hidden, grad)
 
-    dev_X = [np.asarray(X, dtype=np.float64) for X, _ in dev or []]
-
     def dev_score():
-        return exact_bio_f1([y for _, y in dev], lstm_crf_decode(model, dev_X))
+        return exact_bio_f1([y for _, y in dev], lstm_crf_decode(model, [X for X, _ in dev]))
 
     model.training = adam_train(
         model.params, len(packed), loss_and_grad, epochs=cfg.epochs,
@@ -242,14 +241,15 @@ def lstm_crf_train(train, config: LstmCrfConfig | None = None, dev=None) -> Lstm
     return model
 
 
-def lstm_crf_decode(model: LstmCrfModel, Xs: list[np.ndarray]) -> list[list[str]]:
+def lstm_crf_decode(model: LstmCrfModel, inputs: list[TokenRows]) -> list[list[str]]:
     """Best label sequence of each input, scored and decoded _DECODE_BATCH at a time."""
-    out: list[list[str]] = [[] for _ in Xs]
-    live = [k for k, X in enumerate(Xs) if len(X)]
+    out: list[list[str]] = [[] for _ in inputs]
+    live = [k for k, X in enumerate(inputs) if len(X)]
     for lo in range(0, len(live), _DECODE_BATCH):
         chunk = live[lo:lo + _DECODE_BATCH]
-        scores, (lengths, *_) = _forward_scores(model.params, [Xs[k] for k in chunk],
-                                                model.hidden)
+        table = shared_table([inputs[k] for k in chunk])
+        Xs = [table[inputs[k].rows] for k in chunk]
+        scores, (lengths, *_) = _forward_scores(model.params, Xs, model.hidden)
         paths, _ = viterbi(scores, model.params["T"], lengths)
         for k, path in zip(chunk, paths):
             out[k] = [model.labels[i] for i in path]

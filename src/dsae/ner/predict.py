@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..corpus import Lexicon
-from ..embeddings import EmbeddingTable
+from ..embeddings import EmbeddingTable, TokenRows
 from ..normalize import NormalizedDoc
 from .crf import CrfModel
 from .features import featurize
@@ -13,9 +11,9 @@ from .lstm_crf import LstmCrfModel, lstm_crf_decode
 from .svm import SvmModel
 
 
-def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> np.ndarray:
-    """Dense per-token input: word vector plus OOV flag."""
-    return embeddings.rows(doc.surfaces())
+def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> TokenRows:
+    """The BiLSTM-CRF's input: each token's row id into the row matrix."""
+    return TokenRows(embeddings.ids(doc.surfaces()), embeddings.row_matrix)
 
 
 def decode_many(model, docs: list[NormalizedDoc], embeddings: EmbeddingTable,

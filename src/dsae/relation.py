@@ -1,11 +1,9 @@
 """Relation classification between supplement and event mentions.
 
-An instance is the row number in the embedding table of each of its
-tokens, sentinel entity markers, and two relative-position sequences. It
-holds a reference to the table's row matrix (word vector plus OOV flag),
-which every instance encoded from that table shares, and no copy of its
-rows; the word vectors are frozen, so nothing writes through it. The
-classifier is a single convolutional layer (256 filters, width 3, ReLU)
+An instance is, like every model input, its tokens' row ids into the
+embedding table's shared row matrix (word vector plus OOV flag) with a
+reference to that matrix, never a copy of its rows, plus sentinel entity
+markers and two relative-position sequences. The classifier is a single convolutional layer (256 filters, width 3, ReLU)
 with max-over-time pooling, dropout, and a softmax over {NoRelation,
 Indication, AdverseEvent}. Label ties break toward NoRelation (first
 index). Entity markers, position embeddings and inverse-frequency class
@@ -43,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .annotation import RELATION_LABELS, RelationInstance, candidate_pairs
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, shared_table
 from .evaluate import macro_f1
 from .normalize import NormalizedDoc
 from .numeric.optim import adam_train
@@ -301,7 +299,7 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     pos_head = _joined(encs, "pos_head")
     pos_tail = _joined(encs, "pos_tail")
     x = work.x[:len(marker_ids)]
-    x[:, :d] = _table(encs)[_joined(encs, "word_rows")]
+    x[:, :d] = shared_table(encs)[_joined(encs, "word_rows")]
     is_marker = marker_ids >= 0
     x[is_marker, :d] = p["markers"][marker_ids[is_marker]]
     x[:, d:d + POS_DIM] = p["pos_head"][pos_head]
@@ -331,16 +329,6 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     probs = exp / exp.sum(axis=1, keepdims=True)
     return probs, _Cache(work, (B, L), covering, marker_ids, pos_head, pos_tail, pooled, keep,
                          dropped)
-
-
-def _table(encs: list[EncodedInstance]) -> np.ndarray:
-    """The one row matrix every instance of a batch references."""
-    table = encs[0].table
-    for k, enc in enumerate(encs):
-        if enc.table is not table:
-            raise ValueError(f"instance {k} of the batch references a {enc.table.shape} "
-                             f"embedding table other than instance 0's {table.shape} one")
-    return table
 
 
 def _joined(encs: list[EncodedInstance], field: str) -> np.ndarray:

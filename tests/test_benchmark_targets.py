@@ -74,3 +74,34 @@ def test_tracer_hooks_read_featurize_and_index_features():
     assert metrics["features.tokens"] == sum(len(d.doc.tokens) for d in docs) > 0
     assert metrics["features.columns"] == model.registry.total_dim > emb.dim + 1
     assert tracer.calls["features.index"] == 1
+
+
+def test_benchmark_call_shapes_on_a_small_corpus():
+    """The calls the benchmark's workloads make, in their shapes, on 12
+    documents: ``featurize`` pairs into the CRF and the SVM, ``doc_matrix``
+    pairs into the BiLSTM-CRF with a dev split, and ``decode_labels`` for
+    each model. ``doc_matrix`` gives row ids into the table itself."""
+    from dsae.annotation import to_bio
+    from dsae.ner.crf import CrfConfig, crf_train
+    from dsae.ner.features import featurize
+    from dsae.ner.lstm_crf import LstmCrfConfig, lstm_crf_train
+    from dsae.ner.predict import decode_labels, doc_matrix
+    from dsae.ner.svm import svm_train
+    from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
+
+    emb = synthetic_embeddings(dim=6, seed=2)
+    lexicons = list(synthetic_lexicons())
+    docs = generate_corpus(12, seed=7)
+    train, dev, test = docs[:8], docs[8:10], docs[10:]
+    feats = [(featurize(d.doc, emb, lexicons), to_bio(d.doc, d.entities)) for d in train]
+    pack = lambda ds: [(doc_matrix(d.doc, emb), to_bio(d.doc, d.entities)) for d in ds]
+    models = [(crf_train(feats, CrfConfig(c1=0.05, c2=0.05, max_iter=3)), lexicons),
+              (svm_train(feats, seed=1, epochs=1, lr=0.1, l2=1e-4), lexicons),
+              (lstm_crf_train(pack(train), LstmCrfConfig(hidden=4, epochs=1, batch_size=4,
+                                                         seed=1), dev=pack(dev)), None)]
+    for model, lex in models:
+        for d in test:
+            assert len(decode_labels(model, d.doc, emb, lex)) == len(d.doc.tokens)
+    inputs = doc_matrix(test[0].doc, emb)
+    assert inputs.table is emb.row_matrix
+    assert inputs.rows.dtype.kind == "i" and len(inputs) == len(test[0].doc.tokens)

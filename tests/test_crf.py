@@ -59,7 +59,7 @@ def test_viterbi_tie_breaks_to_lowest_index():
 def test_viterbi_empty():
     model = CrfModel(labels=BIO_LABELS, registry=FeatureRegistry(2, {}),
                      W=np.zeros((len(BIO_LABELS), 2)), T=np.zeros((len(BIO_LABELS),) * 2))
-    assert model.decode(DocFeatures(np.zeros((0, 2)), [])) == []
+    assert model.decode(DocFeatures(np.zeros(0, dtype=np.intp), np.zeros((1, 2)), [])) == []
 
 
 def test_viterbi_invariant_constant_shift():
@@ -376,7 +376,8 @@ def test_crf_nll_rejects_mismatch(toy_dataset):
     with pytest.raises(ValueError, match="one gold label per token"):
         crf_train(toy_dataset[1:] + [(features, gold[:-1])], CrfConfig(max_iter=2))
     with pytest.raises(ValueError, match="empty training set"):
-        crf_train([(DocFeatures(np.zeros((0, 5)), []), [])], CrfConfig(max_iter=2))
+        crf_train([(DocFeatures(np.zeros(0, dtype=np.intp), features.table, []), [])],
+                  CrfConfig(max_iter=2))
 
 
 def test_crf_train_memorizes_toy_set(toy_dataset):

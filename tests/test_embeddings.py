@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dsae.embeddings import EmbeddingTable, load_static
+from dsae.embeddings import EmbeddingTable, TokenRows, load_static, shared_table
+from dsae.synthetic import synthetic_embeddings
 
 
 def test_load_static_basic(tmp_path):
@@ -14,9 +15,10 @@ def test_load_static_basic(tmp_path):
     assert table.dim == 3
     # words are stored case-folded, in file order
     assert table.vocab == {"hello": 0, "world": 1}
-    assert np.array_equal(table.matrix, [[1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
-    assert np.array_equal(table.rows(["hello", "WORLD"]),
+    assert np.array_equal(table.row_matrix[:-1, :-1], [[1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
+    assert np.array_equal(table.row_matrix[table.ids(["hello", "WORLD"])],
                           [[1.0, 2.0, 3.0, 0.0], [-1.0, 0.0, 0.5, 0.0]])
+    assert table.duplicates == 0
 
 
 def test_load_static_oov_zero_vector(tmp_path):
@@ -24,7 +26,7 @@ def test_load_static_oov_zero_vector(tmp_path):
     path.write_text("a 1 1\n")
     table = load_static(path)
     assert "missing" not in table.vocab
-    assert np.array_equal(table.rows(["missing"]), [[0.0, 0.0, 1.0]])
+    assert np.array_equal(table.row_matrix[table.ids(["missing"])], [[0.0, 0.0, 1.0]])
 
 
 def test_load_static_inconsistent_dim_names_line(tmp_path):
@@ -62,8 +64,8 @@ def test_load_static_duplicates_first_wins(tmp_path, caplog):
         table = load_static(path)
     assert table.duplicates == 1
     assert table.vocab == {"a": 0, "b": 1}
-    assert np.array_equal(table.matrix[table.vocab["a"]], [1.0, 2.0])
-    assert np.array_equal(table.rows(["A"]), [[1.0, 2.0, 0.0]])
+    assert np.array_equal(table.row_matrix[table.vocab["a"], :-1], [1.0, 2.0])
+    assert np.array_equal(table.row_matrix[table.ids(["A"])], [[1.0, 2.0, 0.0]])
 
 
 def test_load_static_empty_file(tmp_path):
@@ -78,11 +80,28 @@ def test_embedding_table_shape_check():
         EmbeddingTable(3, {"a": 0}, np.zeros((2, 3)))
 
 
+def test_every_table_counts_duplicates():
+    """A table not read from a file has skipped no repeated word."""
+    assert EmbeddingTable(2, {"a": 0}, np.ones((1, 2))).duplicates == 0
+    assert synthetic_embeddings(dim=4, seed=1).duplicates == 0
+
+
+def test_shared_table_names_the_input_that_reads_another():
+    first, second = EmbeddingTable(2, {"a": 0}, np.ones((1, 2))), synthetic_embeddings(dim=2)
+    inputs = [TokenRows(first.ids(["a"]), first.row_matrix),
+              TokenRows(first.ids(["b", "a"]), first.row_matrix)]
+    assert shared_table(inputs) is first.row_matrix
+    inputs.append(TokenRows(second.ids(["a"]), second.row_matrix))
+    with pytest.raises(ValueError, match=r"instance 2 of the batch references a \(\d+, 3\) "
+                                         r"embedding table other than instance 0's \(2, 3\) one"):
+        shared_table(inputs)
+
+
 def test_rows_are_vectors_then_oov_flag():
     matrix = np.arange(6.0).reshape(2, 3) + 1
     table = EmbeddingTable(3, {"zinc": 0, "fish": 1}, matrix)
     words = ["Zinc", "unknown", "FISH", "zinc", "Fish", ""]
-    rows = table.rows(words)
+    rows = table.row_matrix[table.ids(words)]
     assert rows.shape == (len(words), 4)
     for row, word in zip(rows, words):
         idx = table.vocab.get(word.lower())
@@ -90,10 +109,8 @@ def test_rows_are_vectors_then_oov_flag():
             assert np.array_equal(row, [0.0, 0.0, 0.0, 1.0])
         else:
             assert np.array_equal(row, np.append(matrix[idx], 0.0))
-    assert table.rows([]).shape == (0, 4)
-    # the ids name the same rows of the shared, read-only row matrix
     assert list(table.ids(words)) == [0, 2, 1, 0, 1, 2]
-    assert np.array_equal(table.row_matrix[table.ids(words)], rows)
+    assert table.row_matrix[table.ids([])].shape == (0, 4)
     assert table.ids([]).shape == (0,)
     with pytest.raises(ValueError, match="read-only"):
         table.row_matrix[0, 0] = 1.0

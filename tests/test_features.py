@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsae.embeddings import EmbeddingTable
@@ -6,14 +7,14 @@ from dsae.ner.features import (DocFeatures, FeatureRegistry, featurize, index_fe
                                index_training_set, token_scores)
 from dsae.numeric.rng import Rng
 
-from util import first_seen_registry, make_doc
+from util import doc_features, first_seen_registry, make_doc
 
 
 def loop_rows(features, registry):
     """Reference: a token's non-zero dense values, then 1.0 per indicator
     the registry resolves, in name order."""
     rows = []
-    for dense, names in zip(features.dense, features.names):
+    for dense, names in zip(features.table[features.rows], features.names):
         cols = [int(k) for k in np.nonzero(dense)[0]]
         vals = [float(dense[k]) for k in cols]
         for name in names:
@@ -51,14 +52,32 @@ def test_index_features_matches_per_token_loop():
     # one column per distinct name, in the order the names first appear
     assert list(registry.index.items()) == list(first_seen_registry([train, more]).index.items())
     assert registry.dense_dim == 5 and lengths.tolist() == [5, 3]
-    both = DocFeatures(np.vstack([train.dense, more.dense]), train.names + more.names)
+    both = DocFeatures(np.concatenate([train.rows, more.rows]), emb.row_matrix,
+                       train.names + more.names)
     assert merged_rows((dense, indicators), 5) == loop_rows(both, registry)
     assert indicators.shape == (8, len(registry.index))
     index = dict(registry.index)
     assert merged_rows(index_features(unseen, registry), 5) == loop_rows(unseen, registry)
     assert registry.index == index
-    dense, indicators = index_features(DocFeatures(np.zeros((0, 5)), []), registry)
+    dense, indicators = index_features(DocFeatures(np.zeros(0, dtype=np.intp), emb.row_matrix,
+                                                   []), registry)
     assert dense.shape == (0, 5) and indicators.shape == (0, len(registry.index))
+
+
+def test_training_set_of_two_tables_is_refused():
+    """Every document of a training set reads one table, empty ones too;
+    the error names the first that does not."""
+    first = EmbeddingTable(2, {"vitamin": 0}, np.ones((1, 2)))
+    second = EmbeddingTable(2, {"vitamin": 0}, np.ones((1, 2)))
+    doc = make_doc("a", ["vitamin", "c"])
+    docs = [(featurize(doc, first), ["O", "O"]), (featurize(make_doc("e", []), first), []),
+            (featurize(doc, second), ["O", "O"])]
+    with pytest.raises(ValueError, match=r"instance 2 of the batch references a \(2, 3\) "
+                                         r"embedding table other than instance 0's \(2, 3\) one"):
+        index_training_set(docs)
+    with pytest.raises(ValueError, match="instance 1 of the batch references a"):
+        index_training_set([docs[2], docs[1]])
+    assert index_training_set(docs[:2])[0].shape == (2, 3)
 
 
 _SEEN = [f"w[0]=t{i}" for i in range(8)]
@@ -81,11 +100,18 @@ def test_token_scores_equal_sparse_product(dim, K, seen, tokens, seed):
     index = dict(registry.index)
     tokens = tokens + [([0.0] * 4, _UNSEEN)]  # nothing resolves
     rows = np.array([dense[:dim] for dense, _ in tokens]).reshape(len(tokens), dim)
-    features = DocFeatures(rows, [tuple(names) for _, names in tokens])
+    features, = doc_features([rows], [[tuple(names) for _, names in tokens]])
     W = Rng(seed, stream=16).normal((K, registry.total_dim))
 
     got = token_scores(features, registry, W)
     assert registry.index == index
+    # the same values, bit for bit, as a per-name loop adding each column
+    loop = features.table[features.rows] @ W[:, :dim].T
+    for i, names in enumerate(features.names):
+        for name in names:
+            if name in registry.index:
+                loop[i] += W[:, dim + registry.index[name]]
+    assert np.array_equal(got, loop)
     dense, indicators = index_features(features, registry)
     expected = dense @ W[:, :dim].T + indicators @ W[:, dim:].T
     assert got.shape == (len(features), K)
@@ -109,16 +135,19 @@ def test_featurize_dense_rows_and_windows_on_a_synthetic_corpus():
             return seq[j] if 0 <= j < len(seq) else BOUNDARY
 
         assert len(features) == len(features.names) == len(surfaces)
-        for i, (dense, names, surface) in enumerate(zip(features.dense, features.names,
-                                                         surfaces)):
+        dense_rows = features.table[features.rows]
+        for i, (dense, names, surface) in enumerate(zip(dense_rows, features.names, surfaces)):
             idx = emb.vocab.get(surface.lower())
-            vec = np.zeros(emb.dim) if idx is None else emb.matrix[idx]
+            vec = np.zeros(emb.dim) if idx is None else emb.row_matrix[idx, :-1]
             assert np.array_equal(dense, np.append(vec, 1.0 if idx is None else 0.0))
             assert names[:8] == (
                 tuple(f"w[{off}]={window(surfaces, i + off)}" for off in (-2, -1, 0, 1, 2))
                 + tuple(f"pos[{off}]={window(tags, i + off)}" for off in (-1, 0, 1)))
-        assert features.dense.shape == (len(surfaces), 7)
-        assert np.array_equal(features.dense, doc_matrix(doc, emb))
+        # row ids into the table itself, as the BiLSTM-CRF's input is
+        assert features.table is emb.row_matrix and features.rows.dtype.kind == "i"
+        assert dense_rows.shape == (len(surfaces), 7)
+        assert np.array_equal(features.rows, doc_matrix(doc, emb).rows)
+        assert doc_matrix(doc, emb).table is emb.row_matrix
 
 
 def names_built_afresh(doc, lexicons):

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsae.annotation import BIO_LABELS
+from dsae.embeddings import TokenRows
 from dsae.evaluate import exact_bio_f1
 from dsae.ner import lstm_crf
 from dsae.ner.lstm_crf import (LstmCrfConfig, LstmCrfModel, lstm_crf_decode, lstm_crf_train,
                                nll_and_grad)
 from dsae.numeric.rng import Rng
 
-from util import flat_objective, grad_check
+from util import flat_objective, grad_check, token_rows
 
 
 LABELS = BIO_LABELS
@@ -168,29 +169,29 @@ def test_batched_gradient_equals_sum_of_sequences(lengths, seed, order):
         assert nll_and_grad(params, Xs, ys, H, noisy) == nll_and_grad(params, Xs, ys, H)
     assert np.array_equal(noisy.data, grad.data)
     # the padded forward pass decodes every sequence as it does alone
-    decoded = lstm_crf_decode(model, Xs)
-    assert decoded == [lstm_crf_decode(model, [X])[0] for X in Xs]
+    inputs = token_rows(Xs)
+    decoded = lstm_crf_decode(model, inputs)
+    assert decoded == [lstm_crf_decode(model, [x])[0] for x in inputs]
 
 
 def test_decode_deterministic_and_empty():
     model = LstmCrfModel.init(4, 3, LABELS, seed=0)
-    X = Rng(1, stream=14).normal((6, 4))
+    X, = token_rows([Rng(1, stream=14).normal((6, 4))])
     assert lstm_crf_decode(model, [X]) == lstm_crf_decode(model, [X])
-    assert lstm_crf_decode(model, [np.zeros((0, 4))]) == [[]]
+    empty = TokenRows(np.zeros(0, dtype=np.intp), X.table)
+    assert lstm_crf_decode(model, [empty, X, empty]) == [[], lstm_crf_decode(model, [X])[0], []]
 
 
 @pytest.fixture(scope="module")
 def memorizable():
     # one repeated pattern: feature channel identifies the label directly
     rng = Rng(2, stream=14)
-    data = []
+    blocks = []
     for i in range(12):
-        y = ["O", "B-SUPP", "I-SUPP", "O", "B-SYMP"]
-        X = np.stack([rng.normal((3,), scale=0.05)
-                      + np.eye(5, 3)[[0, 1, 2, 0, 1][t]] * (1 if t < 4 else -1)
-                      for t in range(5)])
-        data.append((X, y))
-    return data
+        blocks.append(np.stack([rng.normal((3,), scale=0.05)
+                                + np.eye(5, 3)[[0, 1, 2, 0, 1][t]] * (1 if t < 4 else -1)
+                                for t in range(5)]))
+    return [(X, ["O", "B-SUPP", "I-SUPP", "O", "B-SYMP"]) for X in token_rows(blocks)]
 
 
 def test_train_memorizes_small_set(memorizable):
@@ -202,7 +203,8 @@ def test_train_memorizes_small_set(memorizable):
 
 
 def test_train_loss_decreases(memorizable):
-    X, y = memorizable[0]
+    x, y = memorizable[0]
+    X = x.table[x.rows]
     yi = np.array([LABELS.index(lab) for lab in y], dtype=np.int64)
     init = LstmCrfModel.init(X.shape[1], 8, LABELS, seed=0)
     loss_before = flat_objective(init, [X], [yi]).value(init.params.data)
@@ -215,7 +217,8 @@ def test_train_loss_decreases(memorizable):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_nonfinite_loss_names_epoch_and_batch(memorizable):
-    bad = [(np.full_like(X, np.nan), y) for X, y in memorizable]
+    nan_table = np.full_like(memorizable[0][0].table, np.nan)
+    bad = [(TokenRows(X.rows, nan_table), y) for X, y in memorizable]
     cfg = LstmCrfConfig(hidden=4, epochs=1, batch_size=4, seed=0)
     with pytest.raises(FloatingPointError, match=r"epoch 0, batch 0"):
         lstm_crf_train(bad, cfg)
@@ -231,3 +234,18 @@ def test_train_rejects_unknown_gold_label(memorizable):
     bad = [(X, list(y[:-1]) + ["B-DRUG"])]
     with pytest.raises(ValueError, match=r"'B-DRUG' is not in the label alphabet \('O', "):
         lstm_crf_train(memorizable + bad, LstmCrfConfig(hidden=4, epochs=1, seed=0))
+
+
+def test_train_refuses_sequences_of_two_tables(memorizable):
+    """Every train and dev sequence reads one table; the error names the
+    first that does not, counting the dev split after the train split."""
+    X, y = memorizable[0]
+    other = TokenRows(X.rows, X.table.copy())
+    cfg = LstmCrfConfig(hidden=4, epochs=1, seed=0)
+    with pytest.raises(ValueError, match=r"instance 3 of the batch references a \(60, 3\) "
+                                         r"embedding table other than instance 0's"):
+        lstm_crf_train(memorizable[:3] + [(other, y)], cfg)
+    with pytest.raises(ValueError, match="instance 14 of the batch references a"):
+        lstm_crf_train(memorizable, cfg, dev=memorizable[:2] + [(other, y)])
+    with pytest.raises(ValueError, match="instance 1 of the batch references a"):
+        lstm_crf_decode(LstmCrfModel.init(3, 4, LABELS, seed=0), [X, other])

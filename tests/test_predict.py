@@ -6,7 +6,7 @@ import pytest
 from dsae.annotation import BIO_LABELS, split_dataset, to_bio
 from dsae.ner import CrfConfig, LstmCrfModel, crf_train, svm_train
 from dsae.ner.features import featurize
-from dsae.ner.predict import decode_labels, decode_many, doc_matrix
+from dsae.ner.predict import decode_labels, decode_many
 from dsae.numeric.rng import Rng
 from dsae.synthetic import generate_corpus, synthetic_embeddings, synthetic_lexicons
 
@@ -21,7 +21,7 @@ def split():
     lexicons = list(synthetic_lexicons())
     train, _, test = split_dataset(generate_corpus(200, seed=3), seed=3)
     feats = [(featurize(d.doc, emb, lexicons), to_bio(d.doc, d.entities)) for d in train]
-    lstm = LstmCrfModel.init(doc_matrix(test[0].doc, emb).shape[1], 8, BIO_LABELS, seed=0)
+    lstm = LstmCrfModel.init(emb.dim + 1, 8, BIO_LABELS, seed=0)
     lstm.params.data += Rng(4, stream=14).normal((lstm.params.size,), scale=0.3)
     models = {"crf": crf_train(feats, CrfConfig(max_iter=10)),
               "svm": svm_train(feats, epochs=1), "lstm_crf": lstm}

@@ -18,10 +18,10 @@ TARGET = re.compile(r"dsae(?:\.\w+)*:(\w+)")
 
 # analyses the ROADMAP plans to wire into a command, with the item that will
 ALLOWED = {
-    "dsae.normalize:pos_tag": "ROADMAP item 2, POS tags",
-    "dsae.evaluate:cohen_kappa": "ROADMAP item 5, wire in the analyses",
-    "dsae.evaluate:paired_t_test": "ROADMAP item 5, compare",
-    "dsae.pipeline:error_propagation_check": "ROADMAP item 5, wire in the analyses",
+    "dsae.normalize:pos_tag": "ROADMAP item 3, POS tags",
+    "dsae.evaluate:cohen_kappa": "ROADMAP item 7, wire in the analyses",
+    "dsae.evaluate:paired_t_test": "ROADMAP item 7, compare",
+    "dsae.pipeline:error_propagation_check": "ROADMAP item 7, wire in the analyses",
 }
 
 

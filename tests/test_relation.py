@@ -107,8 +107,7 @@ def test_encode_far_apart_pair_keeps_both_entities(emb, max_len, head, tail):
     gap = sorted(range(first.stop, second.start),
                  key=lambda i: min(i - first.stop + 1, second.start - i))
     kept = sorted((entity + gap)[:max_len - 4])
-    assert np.array_equal(enc.table[enc.word_rows[enc.marker_ids < 0]],
-                          doc_matrix(doc, emb)[kept])
+    assert np.array_equal(enc.word_rows[enc.marker_ids < 0], doc_matrix(doc, emb).rows[kept])
 
 
 def test_instance_references_the_shared_table(emb):

@@ -86,7 +86,7 @@ def test_svm_roundtrip(ner_data):
 
 
 def test_lstm_crf_roundtrip(ner_data):
-    train = [(f.dense, y) for _, f, y in ner_data]
+    train = [(f, y) for _, f, y in ner_data]
     model = lstm_crf_train(train, LstmCrfConfig(hidden=4, epochs=2, seed=0))
     restored = roundtrip(model)
     assert np.array_equal(restored.params.data, model.params.data)
@@ -116,8 +116,7 @@ def train_tiny(model_type, ner_data, emb):
     if model_type == "svm":
         return svm_train(docs, epochs=1)
     if model_type == "lstm_crf":
-        dense = [(f.dense, y) for _, f, y in ner_data]
-        return lstm_crf_train(dense, LstmCrfConfig(hidden=2, epochs=2), dev=dense[:2])
+        return lstm_crf_train(docs, LstmCrfConfig(hidden=2, epochs=2), dev=docs[:2])
     doc = make_doc("d", ["vitamin", "c", "took", "nausea"])
     inst = RelationInstance("d", span(doc, "T1", "Supplement", 0, 2),
                             span(doc, "T2", "Symptom", 3, 4), "Indication")

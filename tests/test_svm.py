@@ -8,7 +8,7 @@ from dsae.ner.features import DocFeatures, featurize, index_features
 from dsae.ner.svm import BLOCK, SvmModel, svm_predict, svm_train
 from dsae.numeric.rng import Rng
 
-from util import first_seen_registry, make_doc, span, unseen_docs
+from util import doc_features, first_seen_registry, make_doc, span, unseen_docs
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +118,15 @@ def _corpus(draw):
     value = st.sampled_from([0.0, 0.0, 1.0, -0.5, 0.25, 1.5, -2.0])
     zero_rows = draw(st.booleans())
     lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2 * BLOCK // 4))
-    docs = []
+    blocks, names, golds = [], [], []
     for L in lengths:
-        dense = np.array([[0.0] * dim if zero_rows and draw(st.booleans())
-                          else draw(st.lists(value, min_size=dim, max_size=dim))
-                          for _ in range(L)])
-        names = [tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True)))
-                 for _ in range(L)]
-        gold = draw(st.lists(st.sampled_from(BIO_LABELS), min_size=L, max_size=L))
-        docs.append((DocFeatures(dense, names), gold))
-    return docs
+        blocks.append(np.array([[0.0] * dim if zero_rows and draw(st.booleans())
+                                else draw(st.lists(value, min_size=dim, max_size=dim))
+                                for _ in range(L)]))
+        names.append([tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True)))
+                      for _ in range(L)])
+        golds.append(draw(st.lists(st.sampled_from(BIO_LABELS), min_size=L, max_size=L)))
+    return list(zip(doc_features(blocks, names), golds))
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +146,7 @@ def test_block_training_equals_per_token_sgd(docs, epochs, lr_l2, seed):
 
 
 def test_svm_skips_empty_documents(toy_dataset):
-    empty = (DocFeatures(np.zeros((0, 5)), []), [])
+    empty = (DocFeatures(np.zeros(0, dtype=np.intp), toy_dataset[0][0].table, []), [])
     docs = [empty] + toy_dataset[:4] + [empty] + toy_dataset[4:]
     model = svm_train(docs, epochs=2, seed=3)
     plain = svm_train(toy_dataset, epochs=2, seed=3)
@@ -182,7 +181,8 @@ def test_svm_rejects_label_count_mismatch(toy_dataset):
 
 def test_svm_predict_empty(toy_dataset):
     model = svm_train(toy_dataset, epochs=1)
-    assert svm_predict(model, DocFeatures(np.zeros((0, 5)), [])) == []
+    empty = DocFeatures(np.zeros(0, dtype=np.intp), toy_dataset[0][0].table, [])
+    assert svm_predict(model, empty) == []
 
 
 def test_svm_predict_equals_sparse_reference(toy_dataset):

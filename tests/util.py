@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 
 from dsae.annotation import AnnotatedDoc, EntitySpan, label_ids
+from dsae.embeddings import TokenRows
 from dsae.ner import crf
 from dsae.ner.features import DocFeatures, FeatureRegistry, index_features
 from dsae.ner.lstm_crf import LstmCrfModel, nll_and_grad
@@ -110,6 +111,24 @@ def flat_objective(model, *batch):
     return objective
 
 
+def token_rows(blocks: list[np.ndarray]) -> list[TokenRows]:
+    """Dense (n, d) blocks as the row-id input the models read: the rows of
+    all blocks stacked into one shared, read-only table, and each block a
+    run of row ids into it."""
+    table = np.concatenate(blocks)
+    table.flags.writeable = False
+    ends = np.cumsum([len(block) for block in blocks], dtype=np.intp)
+    return [TokenRows(np.arange(end - len(block), end), table)
+            for block, end in zip(blocks, ends)]
+
+
+def doc_features(blocks: list[np.ndarray], names: list[list[tuple[str, ...]]]
+                 ) -> list[DocFeatures]:
+    """The DocFeatures of documents with the given dense blocks and
+    indicator names, all reading one table (``token_rows``)."""
+    return [DocFeatures(x.rows, x.table, n) for x, n in zip(token_rows(blocks), names)]
+
+
 def first_seen_registry(docs: list[DocFeatures]) -> FeatureRegistry:
     """Reference: the registry of the indicator names of docs, each name
     given the next column as a token loop first meets it."""
@@ -118,20 +137,24 @@ def first_seen_registry(docs: list[DocFeatures]) -> FeatureRegistry:
         for names in features.names:
             for name in names:
                 index.setdefault(name, len(index))
-    return FeatureRegistry(docs[0].dense.shape[1], index)
+    return FeatureRegistry(docs[0].table.shape[1], index)
 
 
 def unseen_docs(features: DocFeatures) -> list[DocFeatures]:
     """A document's features reordered and cut, and with a token whose
-    indicators were all unseen in training."""
+    indicators were all unseen in training (on the table's last row, an
+    embedding table's unknown word)."""
     def pick(order):
-        return DocFeatures(features.dense[list(order)], [features.names[i] for i in order])
+        return DocFeatures(features.rows[list(order)], features.table,
+                           [features.names[i] for i in order])
 
     n = len(features)
-    blank = DocFeatures(np.zeros((1, features.dense.shape[1])), [("w[0]=gave", "pre3=gav")])
+    blank = DocFeatures(np.array([len(features.table) - 1]), features.table,
+                        [("w[0]=gave", "pre3=gav")])
     rest = pick(range(2, n))
     return [features, pick(range(n - 1, -1, -1)), pick([1, 2]),
-            DocFeatures(np.vstack([blank.dense, rest.dense]), blank.names + rest.names), blank]
+            DocFeatures(np.concatenate([blank.rows, rest.rows]), features.table,
+                        blank.names + rest.names), blank]
 
 
 def crf_objective(model, features, gold):
