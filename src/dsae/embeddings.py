@@ -1,4 +1,11 @@
-"""Static word-vector tables, and the token input of every model: row ids."""
+"""Static word-vector tables, and the token input of every model: row ids.
+
+Every model reads a token sequence as a ``TokenRows``: each token's row id
+into an ``EmbeddingTable``'s one read-only ``row_matrix`` (word vector
+plus OOV flag) and that matrix by reference, never a copy of its rows.
+``EmbeddingTable.tokens`` builds it from a word list; the NER features and
+the relation instances extend it with what else their models read.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +39,10 @@ class EmbeddingTable:
         unknown-word row."""
         unknown, get = len(self.vocab), self.vocab.get
         return np.array([get(w.lower(), unknown) for w in words], dtype=np.intp)
+
+    def tokens(self, words: list[str]) -> "TokenRows":
+        """``words`` as the token input of every model."""
+        return TokenRows(self.ids(words), self.row_matrix)
 
 
 @dataclass

@@ -66,12 +66,10 @@ def viterbi(scores: np.ndarray, T: np.ndarray, lengths) -> tuple[list[list[int]]
 
 
 @dataclass
-class CrfConfig:
+class CrfConfig(LbfgsConfig):
+    """The L-BFGS config of CRF training, with the CRF's elastic net."""
     c1: float = 0.1
     c2: float = 0.1
-    max_iter: int = 200
-    tol: float = 1e-5
-    memory: int = 10
 
 
 @dataclass
@@ -135,10 +133,7 @@ def crf_train(train_docs, config: CrfConfig | None = None) -> CrfModel:
     objective = _nll_objective(dense, indicators, y, mask, K)
     F = registry.total_dim
     nW = K * F
-    result = lbfgs_minimize(
-        objective, np.zeros(nW + K * K),
-        LbfgsConfig(memory=cfg.memory, max_iter=cfg.max_iter, tol=cfg.tol,
-                    c1=cfg.c1, c2=cfg.c2))
+    result = lbfgs_minimize(objective, np.zeros(nW + K * K), cfg)
     if not result.converged:
         logger.warning("crf_train: L-BFGS stopped without converging: %s (steps %d, "
                        "objective evaluations %d, max_iter %d, tol %g)", result.stop,

@@ -13,7 +13,7 @@ from .svm import SvmModel
 
 def doc_matrix(doc: NormalizedDoc, embeddings: EmbeddingTable) -> TokenRows:
     """The BiLSTM-CRF's input: each token's row id into the row matrix."""
-    return TokenRows(embeddings.ids(doc.surfaces()), embeddings.row_matrix)
+    return embeddings.tokens(doc.surfaces())
 
 
 def decode_many(model, docs: list[NormalizedDoc], embeddings: EmbeddingTable,

@@ -1,9 +1,9 @@
 """Relation classification between supplement and event mentions.
 
-An instance is, like every model input, its tokens' row ids into the
-embedding table's shared row matrix (word vector plus OOV flag) with a
-reference to that matrix, never a copy of its rows, plus sentinel entity
-markers and two relative-position sequences. The classifier is a single convolutional layer (256 filters, width 3, ReLU)
+An instance is, like every model input, a ``TokenRows`` (row ids into the
+embedding table's shared row matrix, never a copy of its rows), plus
+sentinel entity markers and two relative-position sequences. The
+classifier is a single convolutional layer (256 filters, width 3, ReLU)
 with max-over-time pooling, dropout, and a softmax over {NoRelation,
 Indication, AdverseEvent}. Label ties break toward NoRelation (first
 index). Entity markers, position embeddings and inverse-frequency class
@@ -14,9 +14,9 @@ longest, after the position-feature CNN of Zeng et al. 2014 (COLING): one
 window matrix product, max-over-time pooling that never picks a padding
 row (padding holds -1), and one (B, 256) block of dropout draws per batch
 (the draws the B instances would make one after another). Both passes
-write into a workspace of buffers: ``cnn_train`` builds one for all its
-training and dev-scoring batches, and any other call builds one for its
-own batch. The forward pass fills the workspace's input rows with one
+write into a workspace of ``np.empty`` buffers: ``cnn_train`` builds one
+for all its training and dev-scoring batches, and any other call builds
+one for its own batch. The forward pass fills the workspace's input rows with one
 gather of the table at the batch's row numbers. The backward pass turns
 the conv output in place into the routed gradient: each filter's pooled
 gradient goes to the rows that equal its max, and only to the first of
@@ -35,13 +35,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import mmap
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .annotation import RELATION_LABELS, RelationInstance, candidate_pairs
-from .embeddings import EmbeddingTable, shared_table
+from .embeddings import EmbeddingTable, TokenRows, shared_table
 from .evaluate import macro_f1
 from .normalize import NormalizedDoc
 from .numeric.optim import adam_train
@@ -59,9 +58,8 @@ _SCORE_BATCH = 32
 
 
 @dataclass
-class EncodedInstance:
-    word_rows: np.ndarray     # L rows of ``table`` (any row at a marker)
-    table: np.ndarray         # the shared, read-only (V + 1) x d row matrix
+class EncodedInstance(TokenRows):
+    """L rows of ``table``: the kept tokens', and any row at a marker."""
     marker_ids: np.ndarray    # L ints, -1 for real tokens, 0..3 for markers
     pos_head: np.ndarray      # L ints in [0, 2*max_len]
     pos_tail: np.ndarray      # L ints in [0, 2*max_len]
@@ -79,15 +77,14 @@ def _relative(index: np.ndarray, spans, max_len: int) -> np.ndarray:
 
 def encode_instance(instance: RelationInstance, doc: NormalizedDoc,
                     embeddings: EmbeddingTable, max_len: int = 64) -> EncodedInstance:
-    return _encode(instance, embeddings.ids(doc.surfaces()), embeddings.row_matrix, max_len)
+    return _encode(instance, embeddings.tokens(doc.surfaces()), max_len)
 
 
-def _encode(instance: RelationInstance, ids: np.ndarray, table: np.ndarray,
-            max_len: int) -> EncodedInstance:
-    """Encode one instance of a document whose tokens are the rows ``ids``
-    of ``table``, in at most ``max_len`` rows: up to ``max_len - 4`` tokens
-    and the four markers, each once."""
-    n = len(ids)
+def _encode(instance: RelationInstance, tokens: TokenRows, max_len: int) -> EncodedInstance:
+    """Encode one instance of the document ``tokens`` in at most
+    ``max_len`` rows: up to ``max_len - 4`` tokens and the four markers,
+    each once."""
+    n = len(tokens)
     hs, he = instance.head.token_start, instance.head.token_end
     ts, te = instance.tail.token_start, instance.tail.token_end
     if he > n or te > n:
@@ -112,14 +109,11 @@ def _encode(instance: RelationInstance, ids: np.ndarray, table: np.ndarray,
 
         kept = set(sorted(range(lo, hi), key=rank)[:budget])
     elif n > budget:
-        # truncation window centered on the two entities
+        # the window of budget tokens centred on the two entities, moved
+        # inside the document; it holds both, as they span at most budget
         mid = (span_lo + span_hi) // 2
         lo = max(0, min(mid - budget // 2, n - budget))
         hi = lo + budget
-        lo = min(lo, span_lo)
-        hi = max(hi, span_hi)
-        hi = min(hi, lo + budget)
-        lo = max(0, hi - budget)
 
     # (index into MARKERS, or -1 for a token; pre-marker token index)
     items: list[tuple[int, int]] = []
@@ -140,7 +134,7 @@ def _encode(instance: RelationInstance, ids: np.ndarray, table: np.ndarray,
     pos_head, pos_tail = _relative(index, [(hs, he), (ts, te)], max_len)
     # a marker keeps its pre-marker token's row, which its vector overwrites
     return EncodedInstance(
-        word_rows=ids[index], table=table, marker_ids=marker_ids, pos_head=pos_head,
+        tokens.rows[index], tokens.table, marker_ids=marker_ids, pos_head=pos_head,
         pos_tail=pos_tail,
         label=RELATION_LABELS.index(instance.label) if instance.label else None)
 
@@ -200,28 +194,19 @@ class _Workspace:
     input dimension ``d``. A batch writes views of their first rows. The
     input rows, the conv output and the position back-product each keep a
     zero row at index ``rows``, which gathers read outside an instance.
-    ``mapped`` buffers each get an anonymous memory mapping of their own,
-    so that their pages go back to the system when the workspace is
-    dropped: for one that lives through a training run, the C heap would
-    keep them, fragmented, for the rest of the process."""
+    The buffers are plain ``np.empty`` arrays, freed with the workspace."""
 
-    def __init__(self, rows: int, d: int, mapped: bool = False):
-        empty = _mapped_empty if mapped else np.empty
+    def __init__(self, rows: int, d: int):
         width = d + 2 * POS_DIM
         self.rows = rows
-        self.x = empty((rows + 1, width))
-        self.windows = empty((rows, KERNEL * width))
+        self.x = np.empty((rows + 1, width))
+        self.windows = np.empty((rows, KERNEL * width))
         # the conv output, overwritten by its gradient in the backward pass
-        self.conv = empty((rows + 1, N_FILTERS))
-        self.dpos = empty((rows + 1, KERNEL * 2 * POS_DIM))
+        self.conv = np.empty((rows + 1, N_FILTERS))
+        self.dpos = np.empty((rows + 1, KERNEL * 2 * POS_DIM))
         for buffer in (self.x, self.conv, self.dpos):
             buffer[rows] = 0.0
-        self.dconv_W = empty((N_FILTERS, KERNEL * width))
-
-
-def _mapped_empty(shape: tuple[int, int]) -> np.ndarray:
-    """A float64 array of ``shape`` in an anonymous memory mapping."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+        self.dconv_W = np.empty((N_FILTERS, KERNEL * width))
 
 
 def _batch_index(lengths: tuple[int, ...], zero: int):
@@ -286,7 +271,7 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     p = model.params
     d = model.input_dim
     width = d + 2 * POS_DIM
-    lengths = tuple(len(enc.marker_ids) for enc in encs)
+    lengths = tuple(map(len, encs))
     B, L = len(encs), max(lengths)
     if work is None:
         work = _Workspace(B * L, d)
@@ -299,7 +284,7 @@ def _forward(model: CnnReModel, encs: list[EncodedInstance], train_mode: bool = 
     pos_head = _joined(encs, "pos_head")
     pos_tail = _joined(encs, "pos_tail")
     x = work.x[:len(marker_ids)]
-    x[:, :d] = shared_table(encs)[_joined(encs, "word_rows")]
+    x[:, :d] = shared_table(encs)[_joined(encs, "rows")]
     is_marker = marker_ids >= 0
     x[is_marker, :d] = p["markers"][marker_ids[is_marker]]
     x[:, d:d + POS_DIM] = p["pos_head"][pos_head]
@@ -451,8 +436,8 @@ def cnn_train(instances: list[EncodedInstance], config: CnnReConfig | None = Non
     weights = class_weights([enc.label for enc in instances])
     drop_rng = Rng(cfg.seed, stream=41)
     # one workspace for every training and dev-scoring batch of this call
-    longest = max(len(enc.marker_ids) for encs in (instances, dev or []) for enc in encs)
-    work = _Workspace(max(cfg.batch_size, _SCORE_BATCH) * longest, d, mapped=True)
+    longest = max(len(enc) for encs in (instances, dev or []) for enc in encs)
+    work = _Workspace(max(cfg.batch_size, _SCORE_BATCH) * longest, d)
 
     def loss_and_grad(batch, grad):
         encs = [instances[i] for i in batch]
@@ -477,9 +462,9 @@ def classify_pairs(doc: NormalizedDoc, entities, model: CnnReModel,
     pairs = candidate_pairs(entities)
     if not pairs:
         return []
-    ids = embeddings.ids(doc.surfaces())
-    encs = [_encode(RelationInstance(doc.doc_id, head, tail, "NoRelation"), ids,
-                    embeddings.row_matrix, model.max_len) for head, tail in pairs]
+    tokens = embeddings.tokens(doc.surfaces())
+    encs = [_encode(RelationInstance(doc.doc_id, head, tail, "NoRelation"), tokens,
+                    model.max_len) for head, tail in pairs]
     # first max: NoRelation wins ties
     preds = np.argmax(_probabilities(model, encs), axis=1)
     return [RelationInstance(doc.doc_id, head, tail, model.labels[k])

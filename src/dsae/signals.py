@@ -29,18 +29,18 @@ class SignalRecord:
 
 
 class KnowledgeBase:
-    """Case-folded (supplement, event) pairs with a relation category."""
+    """Case-folded (supplement, event) pairs. A KB file also names each
+    pair's relation category, which the comparison does not read."""
 
-    def __init__(self, pairs: set[tuple[str, str, str]]):
-        self.pairs = {(s.lower(), e.lower(), r) for s, e, r in pairs}
-        self._no_relation = {(s, e) for s, e, _ in self.pairs}
+    def __init__(self, pairs: set[tuple[str, str]]):
+        self._pairs = {(s.lower(), e.lower()) for s, e in pairs}
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return (pair[0].lower(), pair[1].lower()) in self._no_relation
+        return (pair[0].lower(), pair[1].lower()) in self._pairs
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
-        pairs: set[tuple[str, str, str]] = set()
+        pairs: set[tuple[str, str]] = set()
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             required = {"supplement", "event", "relation"}
@@ -50,9 +50,7 @@ class KnowledgeBase:
                 if None in row or None in row.values():
                     raise ValueError(f"{path}:{reader.line_num}: KB row needs "
                                      f"{len(reader.fieldnames)} fields, got {row!r}")
-                pairs.add((row["supplement"].strip().lower(),
-                           row["event"].strip().lower(),
-                           row["relation"].strip()))
+                pairs.add((row["supplement"].strip(), row["event"].strip()))
         return cls(pairs)
 
 

@@ -88,10 +88,9 @@ def test_every_table_counts_duplicates():
 
 def test_shared_table_names_the_input_that_reads_another():
     first, second = EmbeddingTable(2, {"a": 0}, np.ones((1, 2))), synthetic_embeddings(dim=2)
-    inputs = [TokenRows(first.ids(["a"]), first.row_matrix),
-              TokenRows(first.ids(["b", "a"]), first.row_matrix)]
+    inputs = [first.tokens(["a"]), first.tokens(["b", "a"])]
     assert shared_table(inputs) is first.row_matrix
-    inputs.append(TokenRows(second.ids(["a"]), second.row_matrix))
+    inputs.append(second.tokens(["a"]))
     with pytest.raises(ValueError, match=r"instance 2 of the batch references a \(\d+, 3\) "
                                          r"embedding table other than instance 0's \(2, 3\) one"):
         shared_table(inputs)
@@ -110,6 +109,9 @@ def test_rows_are_vectors_then_oov_flag():
         else:
             assert np.array_equal(row, np.append(matrix[idx], 0.0))
     assert list(table.ids(words)) == [0, 2, 1, 0, 1, 2]
+    tokens = table.tokens(words)
+    assert isinstance(tokens, TokenRows) and tokens.table is table.row_matrix
+    assert np.array_equal(tokens.rows, table.ids(words)) and len(tokens) == len(words)
     assert table.row_matrix[table.ids([])].shape == (0, 4)
     assert table.ids([]).shape == (0,)
     with pytest.raises(ValueError, match="read-only"):

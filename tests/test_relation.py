@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsae import relation
 from dsae.annotation import EVENT_TYPES, RELATION_LABELS, RelationInstance
-from dsae.embeddings import EmbeddingTable
+from dsae.embeddings import EmbeddingTable, TokenRows
 from dsae.ner.predict import doc_matrix
 from dsae.numeric.rng import Rng
 from dsae.relation import (N_FILTERS, POS_DIM, CnnReConfig, CnnReModel, EncodedInstance,
@@ -37,16 +37,16 @@ def test_encode_markers_wrap_entities(emb):
     doc = make_doc("d", ["w0", "vitamin", "c", "w1", "nausea", "w2"])
     enc = encode_instance(instance(doc, 1, 3, 4, 5), doc, emb, max_len=16)
     # 6 tokens + 4 markers
-    assert enc.table[enc.word_rows].shape == (10, 7)
+    assert enc.table[enc.rows].shape == (10, 7)
     assert list(enc.marker_ids) == [-1, 0, -1, -1, 1, -1, 2, -1, 3, -1]
     # marker rows carry no token of their own: any valid row, which the
     # model's marker vectors overwrite
-    assert np.all((enc.word_rows >= 0) & (enc.word_rows < len(enc.table)))
+    assert np.all((enc.rows >= 0) & (enc.rows < len(enc.table)))
     # oov flag set only for unknown words
     doc2 = make_doc("d2", ["qqq", "vitamin"])
     enc2 = encode_instance(instance(doc2, 1, 2, 0, 1), doc2, emb, max_len=16)
     real = enc2.marker_ids < 0
-    assert list(enc2.table[enc2.word_rows[real], -1]) == [1.0, 0.0]
+    assert list(enc2.table[enc2.rows[real], -1]) == [1.0, 0.0]
 
 
 def test_encode_relative_positions(emb):
@@ -84,10 +84,42 @@ def test_encode_truncation_centered_and_keeps_entities(emb):
     words[40], words[50] = "vitamin", "nausea"
     doc = make_doc("d", words)
     enc = encode_instance(instance(doc, 40, 41, 50, 51), doc, emb, max_len=24)
-    assert enc.table[enc.word_rows].shape[0] == 24  # budget 20 tokens + 4 markers
+    assert enc.table[enc.rows].shape[0] == 24  # budget 20 tokens + 4 markers
     assert sorted(enc.marker_ids[enc.marker_ids >= 0]) == [0, 1, 2, 3]
     # both entities survive truncation: shifted offset 24 means "inside span"
     assert np.any(enc.pos_head == 24) and np.any(enc.pos_tail == 24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncation_window_is_the_feasible_start_nearest_the_centre(data):
+    """A document longer than ``max_len - 4`` tokens whose two entities fit
+    in one window keeps a run of exactly ``max_len - 4`` tokens that holds
+    both, starting at the start of such a run nearest the one that centres
+    the entities."""
+    max_len = data.draw(st.integers(6, 24), label="max_len")
+    budget = max_len - 4
+    n = data.draw(st.integers(budget + 1, budget + 30), label="n")
+    # two disjoint entities, span_hi - span_lo <= budget tokens from the
+    # first one's start to the second one's end
+    span_lo = data.draw(st.integers(0, n - 2), label="span_lo")
+    span_hi = data.draw(st.integers(span_lo + 2, min(n, span_lo + budget)), label="span_hi")
+    first_end = data.draw(st.integers(span_lo + 1, span_hi - 1), label="first_end")
+    second_start = data.draw(st.integers(first_end, span_hi - 1), label="second_start")
+    head, tail = data.draw(st.permutations([(span_lo, first_end), (second_start, span_hi)]))
+    words = [f"v{i}" for i in range(n)]
+    table = EmbeddingTable(2, {w: i for i, w in enumerate(words)}, np.zeros((n, 2)))
+    doc = make_doc("d", words)
+    enc = encode_instance(instance(doc, *head, *tail), doc, table, max_len=max_len)
+
+    kept = list(enc.rows[enc.marker_ids < 0])  # row i is token i
+    start = kept[0]
+    assert kept == list(range(start, start + budget))
+    assert start <= span_lo and span_hi <= start + budget
+    centred = (span_lo + span_hi) // 2 - budget // 2
+    feasible = [s for s in range(n - budget + 1) if s <= span_lo and span_hi <= s + budget]
+    assert start == min(feasible, key=lambda s: abs(s - centred))
+    assert sorted(enc.marker_ids[enc.marker_ids >= 0]) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("max_len", [5, 6, 8, 10, 64])
@@ -107,7 +139,7 @@ def test_encode_far_apart_pair_keeps_both_entities(emb, max_len, head, tail):
     gap = sorted(range(first.stop, second.start),
                  key=lambda i: min(i - first.stop + 1, second.start - i))
     kept = sorted((entity + gap)[:max_len - 4])
-    assert np.array_equal(enc.word_rows[enc.marker_ids < 0], doc_matrix(doc, emb).rows[kept])
+    assert np.array_equal(enc.rows[enc.marker_ids < 0], doc_matrix(doc, emb).rows[kept])
 
 
 def test_instance_references_the_shared_table(emb):
@@ -121,6 +153,18 @@ def test_instance_references_the_shared_table(emb):
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert len(arrays) == 4 and all(a.dtype.kind == "i" for a in arrays)
     assert not any(np.shares_memory(a, emb.row_matrix) for a in arrays)
+
+
+def test_instance_is_the_shared_token_input(emb):
+    """An instance is a ``TokenRows`` over the table's row matrix, one row
+    per position: the document's token rows, and a row at each marker."""
+    words = ["w0", "vitamin", "c", "w1", "nausea", "w2"]
+    doc = make_doc("d", words)
+    enc = encode_instance(instance(doc, 1, 3, 4, 5), doc, emb, max_len=16)
+    assert isinstance(enc, TokenRows)
+    assert enc.table is emb.row_matrix
+    assert len(enc) == len(enc.marker_ids) == len(words) + 4
+    assert np.array_equal(enc.rows[enc.marker_ids < 0], emb.tokens(words).rows)
 
 
 def test_encoding_copies_no_word_vectors():
@@ -193,7 +237,7 @@ def random_table(rng, d, rows=12):
 
 def random_instance(rng, length, table, max_len):
     return EncodedInstance(
-        word_rows=np.array([rng.randint(len(table)) for _ in range(length)]),
+        rows=np.array([rng.randint(len(table)) for _ in range(length)]),
         table=table,
         marker_ids=np.array([rng.randint(6) - 2 for _ in range(length)]).clip(-1),
         pos_head=np.array([rng.randint(2 * max_len + 1) for _ in range(length)]),
@@ -265,12 +309,12 @@ def test_forward_equals_explicit_row_copies(lengths, seed):
     copied = np.zeros((sum(lengths), d))
     reference, start = [], 0
     for enc in encs:
-        for k, (row, marker) in enumerate(zip(enc.word_rows, enc.marker_ids)):
+        for k, (row, marker) in enumerate(zip(enc.rows, enc.marker_ids)):
             if marker < 0:
                 copied[start + k] = table[row]
-        reference.append(replace(enc, word_rows=np.arange(start, start + len(enc.word_rows)),
+        reference.append(replace(enc, rows=np.arange(start, start + len(enc.rows)),
                                  table=copied))
-        start += len(enc.word_rows)
+        start += len(enc.rows)
     p = model.params
     expected_rows = np.hstack([copied, p["pos_head"][np.concatenate([e.pos_head for e in encs])],
                                p["pos_tail"][np.concatenate([e.pos_tail for e in encs])]])
@@ -299,7 +343,7 @@ def input_rows(model, enc):
     """Instance ``enc``'s input rows: token or marker vector, then the head
     and tail position vectors."""
     p, d = model.params, model.input_dim
-    tokens = enc.table[enc.word_rows]
+    tokens = enc.table[enc.rows]
     markers = enc.marker_ids >= 0
     tokens[markers] = p["markers"][enc.marker_ids[markers]]
     return np.hstack([tokens, p["pos_head"][enc.pos_head], p["pos_tail"][enc.pos_tail]])
