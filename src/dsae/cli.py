@@ -161,6 +161,9 @@ def _validate(config: dict, command: str) -> None:
         for key in ("corpus", "ds_lexicon", "event_lexicon"):
             if config.get(key) is None:
                 errors.append(f"{key}: required for ingest")
+    if command == "replicate" and _is_int(config.get("n_runs")) and config["n_runs"] == 1:
+        # a mean and a standard deviation need two runs; refuse before training one
+        errors.append("n_runs: replicate needs at least 2 runs")
     if command == "compare-kb" and config.get("kb") is None:
         errors.append("kb: required for compare-kb")
     if command in _CORPUS_COMMANDS:
@@ -414,8 +417,7 @@ def cmd_aggregate(config: dict) -> list[str]:
     outputs = run_many([d.doc for d in docs], ner, re_model, emb, lexicons)
     records = top_k(aggregate(outputs, {d.doc.doc_id: d.doc for d in docs}, ds_lex))
     out = _out(config, "signals.tsv")
-    emit_report(records, out, format="tsv",
-                corpus_index={d.doc.doc_id: d.doc.original_text for d in docs})
+    emit_report(records, out, format="tsv")
     print(f"aggregate: {len(records)} signals from {len(docs)} documents")
     return [out]
 

@@ -44,6 +44,14 @@ class EmbeddingTable:
         """``words`` as the token input of every model."""
         return TokenRows(self.ids(words), self.row_matrix)
 
+    def check_width(self, width: int) -> None:
+        """Raise a ValueError unless a model that reads token rows ``width``
+        wide can read this table's."""
+        if self.row_matrix.shape[1] != width:
+            raise ValueError(f"embeddings: the table's rows are {self.row_matrix.shape[1]} wide "
+                             f"({self.dim}-d vectors plus the OOV flag), but the model "
+                             f"reads rows {width} wide")
+
 
 @dataclass
 class TokenRows:

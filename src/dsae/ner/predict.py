@@ -20,8 +20,10 @@ def decode_many(model, docs: list[NormalizedDoc], embeddings: EmbeddingTable,
                 lexicons: list[Lexicon] | None = None) -> list[list[str]]:
     """BIO labels of each document; the BiLSTM-CRF decodes all of them in one call."""
     if isinstance(model, LstmCrfModel):
+        embeddings.check_width(model.input_dim)
         return lstm_crf_decode(model, [doc_matrix(doc, embeddings) for doc in docs])
     if isinstance(model, (CrfModel, SvmModel)):
+        embeddings.check_width(model.registry.dense_dim)
         return [model.decode(featurize(doc, embeddings, lexicons)) for doc in docs]
     raise TypeError(f"unsupported model type {type(model).__name__}")
 

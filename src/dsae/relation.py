@@ -459,6 +459,7 @@ def classify_pairs(doc: NormalizedDoc, entities, model: CnnReModel,
                    embeddings: EmbeddingTable) -> list[RelationInstance]:
     """Classify every (Supplement, event) pair in one batch; NoRelation
     predictions are dropped from the result."""
+    embeddings.check_width(model.input_dim)
     pairs = candidate_pairs(entities)
     if not pairs:
         return []

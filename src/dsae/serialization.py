@@ -24,6 +24,7 @@ import secrets
 
 import numpy as np
 
+from .annotation import BIO_LABELS, RELATION_LABELS
 from .ner.crf import CrfModel
 from .ner.features import FeatureRegistry
 from .ner.lstm_crf import LstmCrfModel, _param_shapes
@@ -37,6 +38,9 @@ DTYPE = "<f8"
 _ARRAY_KEYS = {"data", "dtype", "shape"}
 _LBFGS_KEYS = {"stop", "steps", "evaluations", "objective"}
 _ADAM_KEYS = {"loss", "grad_norm", "dev_score", "chosen_epoch"}
+# the label alphabet each model type decodes to and scores against
+_LABEL_ALPHABETS = {"crf": BIO_LABELS, "svm": BIO_LABELS, "lstm_crf": BIO_LABELS,
+                    "cnn_re": RELATION_LABELS}
 
 
 def _encode_registry(registry: FeatureRegistry | None):
@@ -222,11 +226,12 @@ def model_from_bundle(bundle: dict):
         raise ValueError(f"bundle: unsupported version {version!r}, "
                          f"expected the integer {BUNDLE_VERSION}")
     model_type = _field(bundle, "model_type", str)
+    if model_type not in _LABEL_ALPHABETS:
+        raise ValueError(f"unknown model_type {model_type!r}")
     labels = tuple(_field(bundle, "label_alphabet", list))
-    if not (labels and all(isinstance(lab, str) for lab in labels)
-            and len(set(labels)) == len(labels)):
-        raise ValueError("bundle: label_alphabet must be distinct strings, at least one, "
-                         f"got {list(labels)!r}")
+    if labels != _LABEL_ALPHABETS[model_type]:
+        raise ValueError(f"{model_type} bundle: label_alphabet must be "
+                         f"{list(_LABEL_ALPHABETS[model_type])!r}, got {list(labels)!r}")
     hyper = dict(_field(bundle, "hyperparameters", dict))
     weights = _field(bundle, "weights", dict)
     K = len(labels)
@@ -259,24 +264,23 @@ def model_from_bundle(bundle: dict):
         return LstmCrfModel(labels=labels, input_dim=input_dim, hidden=hidden,
                             params=params, hyperparameters=hyper,
                             training=_training(model_type, bundle))
-    if model_type == "cnn_re":
-        input_dim = _size(model_type, hyper, "input_dim")
-        max_len = _size(model_type, hyper, "max_len")
-        dropout = hyper.pop("dropout", None)
-        if (isinstance(dropout, bool) or not isinstance(dropout, (int, float))
-                or not 0.0 <= dropout < 1.0):
-            raise ValueError(f"cnn_re bundle: hyperparameter dropout must be a number "
-                             f"in [0, 1), got {dropout!r}")
-        for key in ("use_positions", "use_markers"):
-            # older bundles record these always-on switches
-            if hyper.pop(key, True) is not True:
-                raise ValueError(f"cnn_re bundle: hyperparameter {key} must be true; "
-                                 "models without it are not supported")
-        params = _params(model_type, weights, _cnn_shapes(input_dim, max_len))
-        return CnnReModel(input_dim=input_dim, max_len=max_len, params=params,
-                          dropout=float(dropout), labels=labels, hyperparameters=hyper,
-                          training=_training(model_type, bundle))
-    raise ValueError(f"unknown model_type {model_type!r}")
+    # the one model type left, cnn_re
+    input_dim = _size(model_type, hyper, "input_dim")
+    max_len = _size(model_type, hyper, "max_len")
+    dropout = hyper.pop("dropout", None)
+    if (isinstance(dropout, bool) or not isinstance(dropout, (int, float))
+            or not 0.0 <= dropout < 1.0):
+        raise ValueError(f"cnn_re bundle: hyperparameter dropout must be a number "
+                         f"in [0, 1), got {dropout!r}")
+    for key in ("use_positions", "use_markers"):
+        # older bundles record these always-on switches
+        if hyper.pop(key, True) is not True:
+            raise ValueError(f"cnn_re bundle: hyperparameter {key} must be true; "
+                             "models without it are not supported")
+    params = _params(model_type, weights, _cnn_shapes(input_dim, max_len))
+    return CnnReModel(input_dim=input_dim, max_len=max_len, params=params,
+                      dropout=float(dropout), labels=labels, hyperparameters=hyper,
+                      training=_training(model_type, bundle))
 
 
 def dumps_bundle(bundle: dict) -> str:

@@ -1,12 +1,13 @@
 """Corpus-level signal aggregation: canonicalized (supplement, event)
-pairs with per-document frequencies, knowledge-base comparison, and
-report emission.
+pairs with per-document frequencies and example texts, knowledge-base
+comparison, and report emission. A ``SignalRecord`` is one report row,
+so ``parse_report`` of an emitted TSV gives back the records written.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .annotation import RELATION_LABELS
 from .corpus import Lexicon
@@ -14,18 +15,22 @@ from .normalize import NormalizedDoc
 from .pipeline import PipelineOutput
 from .serialization import atomic_write_text
 
+# example tweets may hold tabs and line breaks; in a report cell they become spaces
+_ONE_LINE = str.maketrans("\t\r\n", "   ")
+
 
 @dataclass(frozen=True)
 class SignalRecord:
+    """One row of a signal report, field for field: ``examples`` holds the
+    original texts of up to three supporting documents, joined by `` | ``
+    on one line, and ``in_kb`` is None until ``compare_kb`` fills it."""
     supplement_canonical: str
     deficiency: bool
     event_term: str
     relation: str
     frequency: int
-    example_doc_ids: tuple[str, ...]
+    examples: str = ""
     in_kb: bool | None = None
-    canonical_unmatched: bool = False
-    examples: str = ""  # a report's examples cell, as ``parse_report`` read it
 
 
 class KnowledgeBase:
@@ -57,34 +62,23 @@ class KnowledgeBase:
 def aggregate(outputs: list[PipelineOutput], docs: dict[str, NormalizedDoc],
               ds_lexicon: Lexicon, max_examples: int = 3) -> list[SignalRecord]:
     """One record per distinct (canonical supplement, deficiency, event,
-    relation); frequency counts distinct supporting documents."""
+    relation); frequency counts distinct supporting documents, and the
+    examples are the original texts of the first ``max_examples`` of them
+    by doc id. A supplement outside ``ds_lexicon`` keeps its surface as
+    its canonical name."""
     support: dict[tuple, set[str]] = {}
-    unmatched: dict[tuple, bool] = {}
     for out in outputs:
         doc = docs[out.doc_id]
         for rel in out.relations:
             surface = rel.head.surface(doc).lower()
-            if surface in ds_lexicon:
-                canonical = ds_lexicon.canonical(surface)
-                miss = False
-            else:
-                canonical = surface
-                miss = True
+            canonical = ds_lexicon.canonical(surface) if surface in ds_lexicon else surface
             key = (canonical, rel.head.deficiency, rel.tail.surface(doc).lower(), rel.label)
             support.setdefault(key, set()).add(out.doc_id)
-            unmatched[key] = unmatched.get(key, False) or miss
     records = []
-    for key, doc_ids in support.items():
-        canonical, deficiency, event, relation = key
-        records.append(SignalRecord(
-            supplement_canonical=canonical,
-            deficiency=deficiency,
-            event_term=event,
-            relation=relation,
-            frequency=len(doc_ids),
-            example_doc_ids=tuple(sorted(doc_ids)[:max_examples]),
-            canonical_unmatched=unmatched[key],
-        ))
+    for (canonical, deficiency, event, relation), doc_ids in support.items():
+        examples = " | ".join(docs[i].original_text for i in sorted(doc_ids)[:max_examples])
+        records.append(SignalRecord(canonical, deficiency, event, relation, len(doc_ids),
+                                    examples.translate(_ONE_LINE)))
     return records
 
 
@@ -101,34 +95,18 @@ def compare_kb(records: list[SignalRecord], kb: KnowledgeBase) -> list[SignalRec
             for r in records]
 
 
-def sample_examples(record: SignalRecord, corpus_index: dict[str, str]) -> list[str]:
-    """Texts of the record's example documents, in its order."""
-    for doc_id in record.example_doc_ids:
-        if doc_id not in corpus_index:
-            raise KeyError(f"signal example references unknown doc {doc_id!r}")
-    return [corpus_index[doc_id] for doc_id in record.example_doc_ids]
-
-
 _COLUMNS = ("supplement", "deficiency", "event", "relation", "frequency", "in_kb", "examples")
-# example tweets may hold tabs and line breaks; in a report cell they become spaces
-_ONE_LINE = str.maketrans("\t\r\n", "   ")
 
 
-def emit_report(records: list[SignalRecord], path, format: str = "tsv",
-                corpus_index: dict[str, str] | None = None) -> None:
-    """Write ``records`` as a TSV or Markdown table. The examples cell holds
-    the texts of a record's example documents, looked up in
-    ``corpus_index``, or without one the cell its report was read from."""
+def emit_report(records: list[SignalRecord], path, format: str = "tsv") -> None:
+    """Write ``records`` as a TSV or Markdown table, one row per record and
+    one cell per field, a TSV cell's tabs made spaces and a Markdown cell's
+    pipes escaped."""
     if format not in ("tsv", "markdown"):
         raise ValueError(f"unknown report format {format!r}")
-    rows = []
-    for r in records:
-        examples = r.examples
-        if corpus_index is not None:
-            examples = " | ".join(sample_examples(r, corpus_index)).translate(_ONE_LINE)
-        rows.append((r.supplement_canonical, str(r.deficiency).lower(), r.event_term,
-                     r.relation, str(r.frequency),
-                     "" if r.in_kb is None else str(r.in_kb).lower(), examples))
+    rows = [(r.supplement_canonical, str(r.deficiency).lower(), r.event_term, r.relation,
+             str(r.frequency), "" if r.in_kb is None else str(r.in_kb).lower(), r.examples)
+            for r in records]
     if format == "tsv":
         lines = ["\t".join(_COLUMNS)]
         lines += ["\t".join(cell.replace("\t", " ") for cell in row) for row in rows]
@@ -174,8 +152,7 @@ def parse_report(path) -> list[SignalRecord]:
                 event_term=row["event"],
                 relation=row["relation"],
                 frequency=int(row["frequency"]),
-                example_doc_ids=(),
-                in_kb=_BOOLEANS.get(row["in_kb"]),
                 examples=row["examples"],
+                in_kb=_BOOLEANS.get(row["in_kb"]),
             ))
     return records

@@ -116,6 +116,13 @@ def test_ingest_requires_inputs(tmp_path, capsys):
     assert "corpus: required" in err and "ds_lexicon: required" in err
 
 
+def test_replicate_of_one_run_exits_2_before_training(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("replicate", "--runs", "1", "--out", str(out)) == 2
+    assert "config error: n_runs: replicate needs at least 2 runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corpus_without_annotations_exits_2(tmp_path, capsys):
     corpus = tmp_path / "tweets.jsonl"
     corpus.write_text(json.dumps({"id": "1", "text": "vitamin c", "lang": "en"}) + "\n")
@@ -341,6 +348,20 @@ def test_eval_on_bundle_with_bad_size_exits_1(tmp_path, capsys, command, model, 
     config = write_config(tmp_path, model="lstm_crf")
     assert run(command, "--config", config, "--out", str(out)) == 1
     assert f"hyperparameter {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval-ner", "eval-re"])
+def test_eval_with_embeddings_of_another_width_exits_1_naming_them(trained, tmp_path, capsys,
+                                                                   command):
+    """Models trained on the synthetic 50-d table, then read with 10-d vectors."""
+    _, config, out = trained
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} " + " ".join(["0.1"] * 10) + "\n"
+                               for w in ("vitamin", "nausea", "the")))
+    assert run(command, "--config", config, "--out", str(out),
+               "--embeddings", str(vectors)) == 1
+    assert ("error: embeddings: the table's rows are 11 wide (10-d vectors plus the OOV flag), "
+            "but the model reads rows 51 wide") in capsys.readouterr().err
 
 
 def test_training_is_deterministic(trained):

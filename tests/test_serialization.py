@@ -365,8 +365,12 @@ def test_bad_top_level_field_is_refused_naming_it(bundles, key, value):
     pytest.param(lambda labels: list(range(len(labels))), id="ints"),
     pytest.param(lambda labels: [labels[0]] * len(labels), id="duplicates"),
     pytest.param(lambda labels: [], id="empty"),
+    pytest.param(lambda labels: labels[:-1] + ["Other"], id="renamed"),
+    pytest.param(lambda labels: labels[:-2] + labels[:-3:-1], id="permuted"),
 ])
 def test_bad_label_alphabet_is_refused_naming_it(bundles, model_type, corrupt):
+    """Only the model type's own alphabet, in its order, loads: the models
+    decode and score against it."""
     bundle = json.loads(dumps_bundle(bundles[model_type]))
     bundle["label_alphabet"] = corrupt(bundle["label_alphabet"])
     with pytest.raises(ValueError, match="bundle: label_alphabet "):

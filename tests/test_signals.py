@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from dsae.annotation import RelationInstance
 from dsae.corpus import Lexicon
 from dsae.pipeline import PipelineOutput
 from dsae.signals import (_COLUMNS, KnowledgeBase, SignalRecord, aggregate, compare_kb,
-                          emit_report, parse_report, sample_examples, top_k)
+                          emit_report, parse_report, top_k)
 
 from util import make_doc, span
 
@@ -71,15 +72,14 @@ def test_aggregate_exact_frequencies(thirty_tweets):
         ("Fish Oil", "sleep", "Indication"): 4,
         ("Biotin", "acne", "Indication"): 3,
     }
-    assert all(not r.canonical_unmatched for r in records)
     assert all(r.in_kb is None for r in records)
 
 
-def test_aggregate_example_doc_ids(thirty_tweets):
+def test_aggregate_examples_are_the_first_documents_texts(thirty_tweets):
     docs, outputs = thirty_tweets
     records = aggregate(outputs, docs, DS_LEXICON, max_examples=2)
     nausea = next(r for r in records if r.event_term == "nausea")
-    assert nausea.example_doc_ids == ("d00", "d01")
+    assert nausea.examples == " | ".join(docs[i].original_text for i in ("d00", "d01"))
 
 
 def test_aggregate_unmatched_supplement_keeps_surface():
@@ -87,7 +87,6 @@ def test_aggregate_unmatched_supplement_keeps_surface():
     records = aggregate([out], {"dx": doc}, DS_LEXICON)
     assert len(records) == 1
     assert records[0].supplement_canonical == "ginkgo"
-    assert records[0].canonical_unmatched
 
 
 def test_aggregate_deficiency_is_a_distinct_key():
@@ -111,9 +110,9 @@ def test_top_k_ordering(thirty_tweets):
 
 
 def test_top_k_tie_is_lexicographic():
-    a = SignalRecord("b-supp", False, "a-event", "Indication", 2, ())
-    b = SignalRecord("a-supp", False, "z-event", "Indication", 2, ())
-    c = SignalRecord("a-supp", False, "a-event", "Indication", 2, ())
+    a = SignalRecord("b-supp", False, "a-event", "Indication", 2)
+    b = SignalRecord("a-supp", False, "z-event", "Indication", 2)
+    c = SignalRecord("a-supp", False, "a-event", "Indication", 2)
     assert top_k([a, b, c]) == [c, b, a]
 
 
@@ -171,7 +170,7 @@ def test_kb_load_names_file_and_line_of_a_short_or_long_row(tmp_path, row):
 
 
 def test_compare_kb_reproduces_all_reference_pairs(kb):
-    records = [SignalRecord(supp, False, event, "AdverseEvent", 1, ())
+    records = [SignalRecord(supp, False, event, "AdverseEvent", 1)
                for supp, event, _ in KB_CASES]
     flagged = compare_kb(records, kb)
     got = [(r.supplement_canonical, r.event_term, r.in_kb) for r in flagged]
@@ -180,15 +179,23 @@ def test_compare_kb_reproduces_all_reference_pairs(kb):
 
 # ----------------------------------------------------------------- reports
 
+def with_texts(docs, text_of):
+    """``docs`` with each original text replaced by ``text_of(doc_id)``."""
+    return {doc_id: dataclasses.replace(doc, original_text=text_of(doc_id))
+            for doc_id, doc in docs.items()}
+
+
 def test_emit_and_parse_report_roundtrip(tmp_path, thirty_tweets, kb):
+    """Tabs, line breaks, pipes and non-ASCII in the original texts: the
+    emitted TSV reads back as the records, before and after ``compare_kb``."""
     docs, outputs = thirty_tweets
-    records = compare_kb(top_k(aggregate(outputs, docs, DS_LEXICON)), kb)
-    path = tmp_path / "report.tsv"
-    emit_report(records, path)
-    parsed = parse_report(path)
-    key = lambda r: (r.supplement_canonical, r.deficiency, r.event_term,
-                     r.relation, r.frequency, r.in_kb)
-    assert [key(r) for r in parsed] == [key(r) for r in records]
+    docs = with_texts(docs, lambda i: f"{i}\tvit c | café\r\nnaïve \u2764\ufe0f\n")
+    records = top_k(aggregate(outputs, docs, DS_LEXICON))
+    for rows in (records, compare_kb(records, kb)):
+        path = tmp_path / "report.tsv"
+        emit_report(rows, path)
+        assert parse_report(path) == rows
+    assert records[0].examples.startswith("d00 vit c | café  naïve \u2764\ufe0f  | d01 ")
 
 
 def test_emit_markdown(tmp_path, thirty_tweets):
@@ -207,32 +214,25 @@ def test_emit_markdown(tmp_path, thirty_tweets):
 def test_report_includes_examples(tmp_path, thirty_tweets):
     docs, outputs = thirty_tweets
     records = top_k(aggregate(outputs, docs, DS_LEXICON), k=1)
-    index = {doc_id: " ".join(t.surface for t in doc.tokens)
-             for doc_id, doc in docs.items()}
     path = tmp_path / "report.tsv"
-    emit_report(records, path, corpus_index=index)
+    emit_report(records, path)
     body = path.read_text().splitlines()[1]
-    assert "vitamin c gave me today nausea" in body
+    assert body.endswith("\tvitamin c gave me today nausea | vitamin c gave me today nausea"
+                         " | vitamin c gave me today nausea")
 
 
 def test_report_cells_stay_on_one_line(tmp_path, thirty_tweets):
     docs, outputs = thirty_tweets
+    docs = with_texts(docs, lambda i: "vitamin c\tgave me\nnausea\r\n")
     records = top_k(aggregate(outputs, docs, DS_LEXICON), k=2)
-    index = {doc_id: "vitamin c\tgave me\nnausea\r\n" for doc_id in docs}
     for format in ("tsv", "markdown"):
         path = tmp_path / f"report.{format}"
-        emit_report(records, path, format=format, corpus_index=index)
+        emit_report(records, path, format=format)
         lines = path.read_text().splitlines()
         assert len(lines) == (1 if format == "tsv" else 2) + len(records)
         assert "vitamin c gave me nausea" in lines[-1]
     assert [r.frequency for r in parse_report(tmp_path / "report.tsv")] == \
         [r.frequency for r in records]
-
-
-def test_sample_examples_dangling_doc():
-    record = SignalRecord("x", False, "y", "Indication", 1, ("missing",))
-    with pytest.raises(KeyError, match="missing"):
-        sample_examples(record, {})
 
 
 def test_parse_report_bad_header(tmp_path):
@@ -278,5 +278,5 @@ def test_parse_report_reads_every_field(tmp_path):
     path.write_text("\t".join(_COLUMNS) + "\n"
                     + "".join("\t".join(row) + "\n" for row in rows))
     assert parse_report(path) == [
-        SignalRecord("vitamin c", False, "nausea", "AdverseEvent", 3, (), True),
-        SignalRecord("zinc", True, "skin", "Indication", 12, (), None, examples="a | b")]
+        SignalRecord("vitamin c", False, "nausea", "AdverseEvent", 3, "", True),
+        SignalRecord("zinc", True, "skin", "Indication", 12, "a | b")]

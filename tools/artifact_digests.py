@@ -1,4 +1,4 @@
-"""sha256 of what the benchmark workloads of a source checkout write.
+"""sha256 of what the benchmark workloads and the CLI of a source checkout write.
 
     python3 tools/artifact_digests.py CHECKOUT
 
@@ -7,7 +7,11 @@ For seeds 1 to 3, runs one round of each workload of CHECKOUT's
 ``generate`` and ``prepare``, which train and save its models) and prints
 one line ``workload seed artifact sha256`` for each bundle of the round,
 for the round's scores and for ``mine``'s ``crf.json``, ``cnn.json`` and
-``signals.tsv``. Two checkouts train the same models and write the same
+``signals.tsv``. Then it runs CHECKOUT's ``dsae.cli.main`` there on a
+small synthetic config (``CLI_CONFIG``, with a two-row KB) through each
+command of ``CLI_COMMANDS`` and prints one line ``cli - artifact sha256``
+for each file they write but ``manifest.json``, which records the
+temporary paths. Two checkouts train the same models and write the same
 outputs when the outputs of
 
     python3 tools/artifact_digests.py A > a.txt
@@ -26,7 +30,9 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -34,6 +40,16 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 MINE_FILES = ("crf.json", "cnn.json", "signals.tsv")
+CLI_CONFIG = {
+    "synthetic_docs": 120,
+    "seed": 3,
+    "crf": {"max_iter": 30},
+    "cnn": {"epochs": 3, "batch_size": 16},
+    "max_len": 24,
+}
+CLI_KB = "supplement,event,relation\nvitamin c,nausea,AdverseEvent\nmelatonin,insomnia,Indication\n"
+CLI_COMMANDS = ("train-ner", "eval-ner", "train-re", "eval-re", "pipeline", "aggregate",
+                "compare-kb", "report")
 
 
 def import_checkout(checkout: Path):
@@ -45,6 +61,22 @@ def import_checkout(checkout: Path):
         raise SystemExit(f"error: dsae imported from {dsae.__file__}, not {src / 'dsae'}")
     import workloads
     return workloads
+
+
+def cli_artifacts(workdir: Path) -> dict[str, bytes]:
+    """Each file the CLI commands write from ``CLI_CONFIG``, by name."""
+    from dsae import cli
+    workdir.mkdir()
+    config, kb, out = workdir / "config.json", workdir / "kb.csv", workdir / "out"
+    config.write_text(json.dumps(CLI_CONFIG))
+    kb.write_text(CLI_KB)
+    for command in CLI_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main([command, "--config", str(config), "--out", str(out),
+                               "--kb", str(kb)])
+        if status != 0:
+            raise SystemExit(f"error: dsae {command} exited {status}")
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
 def main(argv=None) -> int:
@@ -65,6 +97,8 @@ def main(argv=None) -> int:
                     lines.update((file, workload.paths[file].read_bytes()) for file in MINE_FILES)
                 for artifact, data in lines.items():
                     print(name, seed, artifact, hashlib.sha256(data).hexdigest(), flush=True)
+        for artifact, data in cli_artifacts(Path(tmp) / "cli").items():
+            print("cli", "-", artifact, hashlib.sha256(data).hexdigest(), flush=True)
     return 0
 
 
