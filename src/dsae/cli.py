@@ -39,8 +39,9 @@ logger = logging.getLogger("dsae.cli")
 _CORPUS_COMMANDS = ("train-ner", "eval-ner", "train-re", "eval-re", "pipeline",
                     "replicate", "aggregate")
 
+# the input files a config may name: the top-level keys besides those of DEFAULTS
 _PATH_KEYS = ("corpus", "ds_lexicon", "event_lexicon", "embeddings",
-              "annotations", "kb", "unigrams")
+              "annotations", "kb", "unigrams", "signals")
 
 DEFAULTS = {
     "output_dir": "out",
@@ -55,8 +56,6 @@ DEFAULTS = {
     "cnn": {"epochs": 40, "batch_size": 32, "lr": 1e-4, "weight_decay": 1e-5},
 }
 
-# the top-level keys a config may hold besides those of DEFAULTS
-_INPUT_KEYS = _PATH_KEYS + ("signals",)
 # the model sections of DEFAULTS; a config's holds only the default's keys
 _MODEL_SECTIONS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, dict))
 
@@ -123,14 +122,14 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def _validate(config: dict, command: str) -> None:
     errors = []
-    for key in _INPUT_KEYS:
+    for key in _PATH_KEYS:
         path = config.get(key)
         if path is not None and not isinstance(path, str):
             # os.path.isfile and open take an integer, or true, as a file descriptor
             errors.append(f"{key}: must be a path, got {path!r}")
-        elif key in _PATH_KEYS and path is not None and not os.path.isfile(path):
+        elif path is not None and not os.path.isfile(path):
             errors.append(f"{key}: file not found: {path}")
-    for key in sorted(set(config) - set(DEFAULTS) - set(_INPUT_KEYS)):
+    for key in sorted(set(config) - set(DEFAULTS) - set(_PATH_KEYS)):
         errors.append(f"{key}: unknown setting")
     if not isinstance(config.get("output_dir"), str) or not config["output_dir"]:
         errors.append("output_dir: must be a non-empty string")
@@ -220,28 +219,31 @@ def _resolve_docs(config: dict) -> list[AnnotatedDoc]:
         if not (isinstance(ann_by_doc, dict)
                 and all(isinstance(text, str) for text in ann_by_doc.values())):
             raise ValueError(f"{annotations}: need a JSON object of doc id -> standoff text")
-        docs = []
+        docs: dict[str, AnnotatedDoc] = {}  # by id, in corpus order
         for tweet in load_tweets(corpus):
             if tweet.id not in ann_by_doc:
                 continue
+            if tweet.id in docs:
+                # a second copy could land in another split
+                raise ValueError(f"{corpus}: tweet id {tweet.id!r} appears more than once")
             doc = normalize(tweet.id, tweet.text, unigrams)
-            docs.append(parse_standoff(ann_by_doc[tweet.id], doc))
+            docs[tweet.id] = parse_standoff(ann_by_doc[tweet.id], doc)
         if not docs:
             raise RuntimeError("no annotated documents found")
-        return docs
+        return list(docs.values())
     return generate_corpus(config["synthetic_docs"], seed=config["seed"])
 
 
 def _train_ner_model(train, dev, config: dict, emb, lexicons, seed: int):
     name = config["model"]
+    if name == "lstm_crf":
+        pack = lambda ds: [(doc_matrix(d.doc, emb), to_bio(d.doc, d.entities)) for d in ds]
+        return lstm_crf_train(pack(train), LstmCrfConfig(**config["lstm_crf"], seed=seed),
+                              dev=pack(dev))
     feats = [(featurize(d.doc, emb, lexicons), to_bio(d.doc, d.entities)) for d in train]
     if name == "crf":
         return crf_train(feats, CrfConfig(**config["crf"]))
-    if name == "svm":
-        return svm_train(feats, **config["svm"], seed=seed)
-    pack = lambda ds: [(doc_matrix(d.doc, emb), to_bio(d.doc, d.entities)) for d in ds]
-    return lstm_crf_train(pack(train), LstmCrfConfig(**config["lstm_crf"], seed=seed),
-                          dev=pack(dev))
+    return svm_train(feats, **config["svm"], seed=seed)
 
 
 def _ner_metrics(model, docs, emb, lexicons) -> dict:

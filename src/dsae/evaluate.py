@@ -1,6 +1,7 @@
 """Scoring: partial-match entity evaluation (COR/INC/PAR/MIS/SPU),
-exact-span and per-label P/R/F1, Cohen's kappa, paired t-tests, and
-multi-run statistics.
+exact-span and macro per-label F1, P/R/F1 from TP/FP/FN counts, Cohen's
+kappa, paired t-tests, and multi-run statistics. Relations are scored by
+``dsae.pipeline.score_relations``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .annotation import ENTITY_TYPES, RELATION_LABELS, _check_same_type_overlaps, bio_spans
+from .annotation import ENTITY_TYPES, _check_same_type_overlaps, bio_spans
 
 
 @dataclass
@@ -126,7 +127,7 @@ def metrics(counts: EvalCounts) -> Metrics:
     return Metrics(p, r, f1)
 
 
-def _counts_metrics(tp, fp, fn) -> Metrics:
+def counts_metrics(tp, fp, fn) -> Metrics:
     """P/R/F1 from true-positive, false-positive and false-negative counts."""
     p = _ratio(tp, tp + fp)
     r = _ratio(tp, tp + fn)
@@ -142,7 +143,7 @@ def exact_bio_f1(gold_label_seqs, pred_label_seqs) -> float:
         tp += len(g & p)
         fp += len(p - g)
         fn += len(g - p)
-    return _counts_metrics(tp, fp, fn).f1
+    return counts_metrics(tp, fp, fn).f1
 
 
 def macro_f1(gold, scores) -> float:
@@ -152,43 +153,11 @@ def macro_f1(gold, scores) -> float:
     scores = np.asarray(scores)
     gold = np.asarray(gold)
     pred = np.argmax(scores, axis=1)
-    f1s = [_counts_metrics(np.sum((pred == k) & (gold == k)),
-                           np.sum((pred == k) & (gold != k)),
-                           np.sum((pred != k) & (gold == k))).f1
+    f1s = [counts_metrics(np.sum((pred == k) & (gold == k)),
+                          np.sum((pred == k) & (gold != k)),
+                          np.sum((pred != k) & (gold == k))).f1
            for k in range(scores.shape[1])]
     return float(np.mean(f1s))
-
-
-def _relation_key(rel) -> tuple:
-    return (rel.doc_id,
-            rel.head.etype, rel.head.token_start, rel.head.token_end,
-            rel.tail.etype, rel.tail.token_start, rel.tail.token_end)
-
-
-def relation_metrics(gold_relations, predicted_relations) -> dict[str, Metrics]:
-    """Per-label P/R/F1; a prediction counts iff the label matches and both
-    endpoint spans exactly match gold spans."""
-    gold_by_key: dict[tuple, str] = {}
-    for r in gold_relations:
-        gold_by_key[_relation_key(r)] = r.label
-    out: dict[str, Metrics] = {}
-    for label in RELATION_LABELS:
-        if label == "NoRelation":
-            continue
-        tp = fp = 0
-        matched: set[tuple] = set()
-        for r in predicted_relations:
-            if r.label != label:
-                continue
-            key = _relation_key(r)
-            if gold_by_key.get(key) == label and key not in matched:
-                tp += 1
-                matched.add(key)
-            else:
-                fp += 1
-        fn = sum(1 for k, lab in gold_by_key.items() if lab == label and k not in matched)
-        out[label] = _counts_metrics(tp, fp, fn)
-    return out
 
 
 def cohen_kappa(a, b) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -67,6 +68,7 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
     ({"output_dir": 3}, "output_dir: must be a non-empty string"),
     ({"kb": True}, "kb: must be a path, got True"),
     ({"signals": 1}, "signals: must be a path, got 1"),
+    ({"signals": "typo.tsv"}, "signals: file not found: typo.tsv"),
     ({"svm": {"epochs": 0}}, "svm.epochs: must be a positive integer, got 0"),
     ({"svm": {"l2": -1e-4}}, "svm.l2: must be a finite number >= 0"),
     ({"lstm_crf": {"batch_size": True}}, "lstm_crf.batch_size: must be a positive integer"),
@@ -148,6 +150,17 @@ def test_bad_annotations_exit_1_naming_the_input(tmp_path, capsys, text, names):
     assert run("train-ner", "--corpus", str(corpus), "--annotations", str(path),
                "--out", str(tmp_path / "out")) == 1
     assert names in capsys.readouterr().err
+
+
+def test_repeated_annotated_tweet_id_exits_1_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "tweets.jsonl"
+    corpus.write_text("".join(json.dumps({"id": i, "text": "vitamin c", "lang": "en"}) + "\n"
+                              for i in ("a", "b", "a")))
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps({i: "T1\tSupplement 0 9\tvitamin c\n" for i in ("a", "b")}))
+    assert run("train-ner", "--corpus", str(corpus), "--annotations", str(ann),
+               "--out", str(tmp_path / "out")) == 1
+    assert f"error: {corpus}: tweet id 'a' appears more than once" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ ingest
@@ -241,6 +254,27 @@ def test_signal_commands_roundtrip(trained, tmp_path):
     assert all(line.split("\t")[5] == "false" for line in flagged[1:])
     assert run("report", "--config", config, "--out", str(out)) == 0
     assert (out / "report.md").read_text().startswith("| supplement |")
+
+
+def test_report_records_its_signals_file(trained, tmp_path):
+    _, config, out = trained
+    assert run("aggregate", "--config", config, "--out", str(out)) == 0
+    signals, report = out / "signals.tsv", tmp_path / "report"
+    assert run("report", "--out", str(report), "--signals", str(signals)) == 0
+    manifest = json.loads((report / "manifest.json").read_text())
+    assert manifest["inputs"]["signals"] == {
+        "path": str(signals), "sha256": hashlib.sha256(signals.read_bytes()).hexdigest()}
+
+
+def test_train_ner_lstm_crf_builds_no_features(tmp_path, monkeypatch):
+    """The BiLSTM-CRF reads embedding rows only; the CRF's and SVM's
+    features are not built for it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("featurize called for the BiLSTM-CRF")
+    monkeypatch.setattr(cli, "featurize", refuse)
+    config = write_config(tmp_path, lstm_crf={"epochs": 1})
+    assert run("train-ner", "--config", config, "--model", "lstm_crf",
+               "--out", str(tmp_path / "out")) == 0
 
 
 def test_aggregate_writes_example_tweets(trained):

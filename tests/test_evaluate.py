@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dsae.annotation import RelationInstance
 from dsae.evaluate import (EvalCounts, align_spans, cohen_kappa, exact_bio_f1,
-                           macro_f1, metrics, paired_t_test, relation_metrics,
-                           replicate, run_stats)
+                           macro_f1, metrics, paired_t_test, replicate,
+                           run_stats)
 from dsae.numeric.rng import Rng
 
 from util import make_doc, span
@@ -148,33 +147,6 @@ def test_align_spans_matches_exhaustive_oracle_small():
         assert counts.inc_gold == inc_exact + inc
         assert counts.mis == len(gold) - cor - par - inc_exact - inc
         assert counts.spu == len(pred) - cor - par - inc_exact - inc
-
-
-# ----------------------------------------------------------- relation metrics
-
-def test_relation_metrics_exact_match_and_labels():
-    doc = make_doc("d", ["a", "b", "c", "d"])
-    supp = span(doc, "T1", "Supplement", 0, 1)
-    symp = span(doc, "T2", "Symptom", 2, 3)
-    organ = span(doc, "T3", "BodyOrgan", 3, 4)
-    gold = [RelationInstance("d", supp, symp, "Indication"),
-            RelationInstance("d", supp, organ, "AdverseEvent")]
-    pred = [RelationInstance("d", supp, symp, "AdverseEvent"),  # wrong label
-            RelationInstance("d", supp, organ, "AdverseEvent")]  # correct
-    out = relation_metrics(gold, pred)
-    assert out["Indication"].recall == 0.0
-    assert out["AdverseEvent"].precision == 0.5
-    assert out["AdverseEvent"].recall == 1.0
-
-
-def test_relation_metrics_span_mismatch_is_fp():
-    doc = make_doc("d", ["a", "b", "c", "d"])
-    gold = [RelationInstance("d", span(doc, "T1", "Supplement", 0, 1),
-                             span(doc, "T2", "Symptom", 2, 3), "Indication")]
-    pred = [RelationInstance("d", span(doc, "T1", "Supplement", 0, 2),
-                             span(doc, "T2", "Symptom", 2, 3), "Indication")]
-    out = relation_metrics(gold, pred)
-    assert out["Indication"].precision == 0.0 and out["Indication"].recall == 0.0
 
 
 # ------------------------------------------------------------ dev-set scorers

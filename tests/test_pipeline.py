@@ -1,24 +1,26 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from dsae.annotation import AnnotatedDoc, RelationInstance
 from dsae.embeddings import EmbeddingTable
 from dsae.numeric.rng import Rng
-from dsae.pipeline import (OracleNer, PipelineOutput,
+from dsae.pipeline import (ErrorBreakdown, OracleNer, PipelineOutput,
                            error_propagation_check, evaluate_pipeline,
-                           run_pipeline)
+                           run_pipeline, score_relations)
 from dsae.relation import CnnReConfig, cnn_train, encode_instance
 
 from util import make_doc, span
 
 
 def fp_total(breakdown, label):
-    return (breakdown.fp_spurious_relation.get(label, 0)
-            + breakdown.fp_wrong_entities.get(label, 0))
+    return breakdown.fp_spurious_relation[label] + breakdown.fp_wrong_entities[label]
 
 
 def fn_total(breakdown, label):
-    return (breakdown.fn_mislabeled.get(label, 0) + breakdown.fn_missed_label.get(label, 0)
-            + breakdown.fn_missed_entity.get(label, 0))
+    return (breakdown.fn_mislabeled[label] + breakdown.fn_missed_label[label]
+            + breakdown.fn_missed_entity[label])
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +112,73 @@ def test_breakdown_buckets_partition_errors(corpus, emb):
         assert tp + fn_total(breakdown, label) == n_gold
         # every prediction is either a TP or lands in one FP bucket
         assert tp + fp_total(breakdown, label) == predicted[label]
-        assert breakdown.fn_missed_entity.get(label, 0) > 0
+        assert breakdown.fn_missed_entity[label] > 0
+
+
+def test_score_relations_exact_match_and_labels():
+    doc = make_doc("d", ["a", "b", "c", "d"])
+    supp = span(doc, "T1", "Supplement", 0, 1)
+    symp = span(doc, "T2", "Symptom", 2, 3)
+    organ = span(doc, "T3", "BodyOrgan", 3, 4)
+    gold = AnnotatedDoc(doc, (supp, symp, organ),
+                        (RelationInstance("d", supp, symp, "Indication"),
+                         RelationInstance("d", supp, organ, "AdverseEvent")))
+    pred = PipelineOutput("d", [supp, symp, organ],
+                          [RelationInstance("d", supp, symp, "AdverseEvent"),  # wrong label
+                           RelationInstance("d", supp, organ, "AdverseEvent")])  # correct
+    out, _ = score_relations([gold], [pred])
+    assert out["Indication"].recall == 0.0
+    assert out["AdverseEvent"].precision == 0.5
+    assert out["AdverseEvent"].recall == 1.0
+
+
+def test_score_relations_span_mismatch_is_fp():
+    doc = make_doc("d", ["a", "b", "c", "d"])
+    supp, symp = span(doc, "T1", "Supplement", 0, 1), span(doc, "T2", "Symptom", 2, 3)
+    wide = span(doc, "T1", "Supplement", 0, 2)
+    gold = AnnotatedDoc(doc, (supp, symp), (RelationInstance("d", supp, symp, "Indication"),))
+    pred = PipelineOutput("d", [wide, symp], [RelationInstance("d", wide, symp, "Indication")])
+    out, _ = score_relations([gold], [pred])
+    assert out["Indication"].precision == 0.0 and out["Indication"].recall == 0.0
+
+
+def test_score_relations_puts_each_error_in_its_bucket():
+    doc = make_doc("d", ["melatonin", "zinc", "nausea", "sleep", "rash", "dizzy", "iron",
+                         "fatigue"])
+    s1, s2 = span(doc, "S1", "Supplement", 0, 1), span(doc, "S2", "Supplement", 1, 2)
+    e1, e2 = span(doc, "E1", "Symptom", 2, 3), span(doc, "E2", "Symptom", 3, 4)
+    e3 = span(doc, "E3", "Symptom", 4, 5)
+    s3, e5 = span(doc, "S3", "Supplement", 6, 7), span(doc, "E5", "Symptom", 7, 8)
+    p = span(doc, "P", "Symptom", 5, 6)  # predicted only
+    rel = lambda head, tail, label: RelationInstance("d", head, tail, label)
+    gold = AnnotatedDoc(doc, (s1, s2, e1, e2, e3, s3, e5),
+                        (rel(s1, e1, "AdverseEvent"),  # TP
+                         rel(s2, e2, "Indication"),  # TP
+                         rel(s1, e2, "Indication"),  # fn_mislabeled
+                         rel(s2, e3, "AdverseEvent"),  # fn_missed_label
+                         rel(s3, e5, "Indication")))  # fn_missed_entity: s3 not predicted
+    pred = PipelineOutput("d", [s1, s2, e1, e2, e3, e5, p],
+                          [rel(s1, e1, "AdverseEvent"),
+                           rel(s2, e2, "Indication"),
+                           rel(s1, e2, "AdverseEvent"),  # fp_spurious_relation
+                           rel(s1, p, "Indication")])  # fp_wrong_entities
+    per_label, breakdown = score_relations([gold], [pred])
+    assert {f.name: getattr(breakdown, f.name) for f in dataclasses.fields(ErrorBreakdown)} == {
+        "fp_spurious_relation": Counter({"AdverseEvent": 1}),
+        "fp_wrong_entities": Counter({"Indication": 1}),
+        "fn_mislabeled": Counter({"Indication": 1}),
+        "fn_missed_label": Counter({"AdverseEvent": 1}),
+        "fn_missed_entity": Counter({"Indication": 1}),
+    }
+    # AdverseEvent: TP 1, FP 1, FN 1; Indication: TP 1, FP 1, FN 2
+    assert per_label["AdverseEvent"].precision == per_label["AdverseEvent"].recall == 0.5
+    assert per_label["AdverseEvent"].f1 == pytest.approx(0.5)
+    assert per_label["Indication"].precision == 0.5
+    assert per_label["Indication"].recall == pytest.approx(1 / 3)
+    assert per_label["Indication"].f1 == pytest.approx(0.4)
+    # reading an absent label gives 0 and writes no row
+    assert breakdown.fp_wrong_entities["AdverseEvent"] == 0
+    assert dict(breakdown.fp_wrong_entities) == {"Indication": 1}
 
 
 def test_error_propagation_check(corpus, emb):

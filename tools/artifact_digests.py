@@ -9,7 +9,8 @@ one line ``workload seed artifact sha256`` for each bundle of the round,
 for the round's scores and for ``mine``'s ``crf.json``, ``cnn.json`` and
 ``signals.tsv``. Then it runs CHECKOUT's ``dsae.cli.main`` there on a
 small synthetic config (``CLI_CONFIG``, with a two-row KB) through each
-command of ``CLI_COMMANDS`` and prints one line ``cli - artifact sha256``
+command line of ``CLI_COMMANDS``, the BiLSTM-CRF's ``train-ner`` and
+``eval-ner`` among them, and prints one line ``cli - artifact sha256``
 for each file they write but ``manifest.json``, which records the
 temporary paths. Two checkouts train the same models and write the same
 outputs when the outputs of
@@ -45,11 +46,14 @@ CLI_CONFIG = {
     "seed": 3,
     "crf": {"max_iter": 30},
     "cnn": {"epochs": 3, "batch_size": 16},
+    "lstm_crf": {"epochs": 3},
     "max_len": 24,
 }
 CLI_KB = "supplement,event,relation\nvitamin c,nausea,AdverseEvent\nmelatonin,insomnia,Indication\n"
-CLI_COMMANDS = ("train-ner", "eval-ner", "train-re", "eval-re", "pipeline", "aggregate",
-                "compare-kb", "report")
+# each command, with the CRF but where the BiLSTM-CRF is named
+CLI_COMMANDS = (("train-ner",), ("train-ner", "--model", "lstm_crf"), ("eval-ner",),
+                ("eval-ner", "--model", "lstm_crf"), ("train-re",), ("eval-re",),
+                ("pipeline",), ("aggregate",), ("compare-kb",), ("report",))
 
 
 def import_checkout(checkout: Path):
@@ -72,10 +76,10 @@ def cli_artifacts(workdir: Path) -> dict[str, bytes]:
     kb.write_text(CLI_KB)
     for command in CLI_COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()):
-            status = cli.main([command, "--config", str(config), "--out", str(out),
+            status = cli.main([*command, "--config", str(config), "--out", str(out),
                                "--kb", str(kb)])
         if status != 0:
-            raise SystemExit(f"error: dsae {command} exited {status}")
+            raise SystemExit(f"error: dsae {' '.join(command)} exited {status}")
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
