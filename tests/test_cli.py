@@ -68,7 +68,6 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
     ({"output_dir": 3}, "output_dir: must be a non-empty string"),
     ({"kb": True}, "kb: must be a path, got True"),
     ({"signals": 1}, "signals: must be a path, got 1"),
-    ({"signals": "typo.tsv"}, "signals: file not found: typo.tsv"),
     ({"svm": {"epochs": 0}}, "svm.epochs: must be a positive integer, got 0"),
     ({"svm": {"l2": -1e-4}}, "svm.l2: must be a finite number >= 0"),
     ({"lstm_crf": {"batch_size": True}}, "lstm_crf.batch_size: must be a positive integer"),
@@ -76,6 +75,7 @@ def test_bad_field_values_exit_2(tmp_path, capsys):
     ({"cnn": {"weight_decay": float("nan")}}, "cnn.weight_decay: must be a finite number"),
     ({"cnn": {"lr": float("inf")}}, "cnn.lr: must be a finite number > 0, got inf"),
     ({"cnn": [1]}, "cnn: must be an object of settings"),
+    ({"signals": "typo.tsv"}, "signals: file not found: typo.tsv"),
 ])
 def test_bad_setting_exits_2_naming_it(tmp_path, capsys, overrides, names):
     out = tmp_path / "out"
