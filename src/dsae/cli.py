@@ -3,7 +3,8 @@
 One JSON config document per run; command-line flags override config keys.
 Every command writes its artifacts under the output directory together
 with a manifest (config snapshot, seeds, content hashes of inputs and
-artifacts). Exit status: 0 success, 1 runtime failure, 2 invalid config.
+artifacts, and the versions and core count the run used). Exit status: 0
+success, 1 runtime failure, 2 invalid config.
 """
 
 from __future__ import annotations
@@ -11,12 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import logging
 import math
 import os
+import platform
 import sys
 
+import numpy as np
+
+from . import __version__
 from .annotation import (AnnotatedDoc, from_bio, generate_relation_instances,
                          parse_standoff, split_dataset, to_bio)
 from .corpus import LoadReport, filter_candidate, load_lexicon, load_tweets
@@ -175,12 +181,24 @@ def _validate(config: dict, command: str) -> None:
         raise ConfigError(errors)
 
 
+def _environment() -> dict:
+    """The versions and the core count a run used. scipy's version is read
+    from its installed metadata, which does not import it."""
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {"dsae": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy_version, "cpu_count": os.cpu_count()}
+
+
 def _write_manifest(config: dict, command: str, artifacts: list[str]) -> str:
     inputs = {key: {"path": config[key], "sha256": _sha256(config[key])}
               for key in _PATH_KEYS if config.get(key)}
     manifest = {
         "command": command,
         "config": config,
+        "environment": _environment(),
         "seed": config["seed"],
         "inputs": inputs,
         "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},

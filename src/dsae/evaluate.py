@@ -1,7 +1,8 @@
 """Scoring: partial-match entity evaluation (COR/INC/PAR/MIS/SPU),
 exact-span and macro per-label F1, P/R/F1 from TP/FP/FN counts, Cohen's
 kappa, paired t-tests, and multi-run statistics. Relations are scored by
-``dsae.pipeline.score_relations``.
+``dsae.pipeline.score_relations``. Only ``paired_t_test`` needs scipy (the
+incomplete beta function), and it imports it when it runs.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .annotation import ENTITY_TYPES, _check_same_type_overlaps, bio_spans
 
@@ -187,6 +187,8 @@ class TTestResult:
 
 
 def paired_t_test(a, b, alpha: float = 0.001) -> TTestResult:
+    from scipy.special import betainc  # loaded only when a t-test runs
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

@@ -13,8 +13,11 @@ they first appear, and never changes; unseen indicators at inference map
 to nothing. ``index_training_set`` builds it and resolves the training
 set with ``index_features`` into the two blocks the trainers multiply by:
 the dense rows, gathered once, and a 0/1 indicator matrix, with the
-checked gold labels. Decoding scores tokens with ``token_scores``, a dense
-product plus a gather of the indicator weights, and builds no matrix.
+checked gold labels. That matrix is a ``scipy.sparse`` CSR array, which
+``index_features`` imports when it runs, so ``scipy.sparse`` loads with the
+first CRF or SVM training call. Decoding scores tokens with
+``token_scores``, a dense product plus a gather of the indicator weights,
+and builds no matrix.
 """
 
 from __future__ import annotations
@@ -22,14 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..annotation import BIO_LABELS, label_ids
 from ..corpus import Lexicon, match_terms
 from ..embeddings import EmbeddingTable, TokenRows, shared_table
 from ..normalize import NormalizedDoc
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BOUNDARY = "<s>"
 # distinct words whose indicator names are kept for reuse; a word beyond
@@ -126,6 +132,8 @@ def index_features(features: DocFeatures, registry: FeatureRegistry
     rows, gathered from the table, and a 0/1 CSR matrix whose column c is
     indicator c of the registry, a row holding the indicators the registry
     resolves in name order."""
+    import scipy.sparse as sp  # loaded by the first linear training call only
+
     n = len(features)
     rows, cols = _resolved(features.names, registry)
     # token i's row starts after the indicators of the tokens before it

@@ -82,7 +82,7 @@ def svm_train(train_docs, epochs: int = 5, lr: float = 0.1, l2: float = 1e-4,
                 lo, hi = indicators.indptr[row], indicators.indptr[row + 1]
                 step = lr * so[pos + j, ks]
                 V[:dim, ks] += np.outer(Xd[row], step / scale)
-                V[np.ix_(dim + indicators.indices[lo:hi], ks)] += step / scale
+                V[(dim + indicators.indices[lo:hi])[:, None], ks] += step / scale
                 b[ks] += step
             pos += j + 1
     W = np.ascontiguousarray(scale * V[:F].T)

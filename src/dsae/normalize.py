@@ -75,8 +75,9 @@ class UnigramTable:
 
     @classmethod
     def load(cls, path) -> "UnigramTable":
-        """Read word<TAB>count lines; a bad record raises ValueError naming
-        the file and line."""
+        """Read word<TAB>count lines; words are case-folded, and the counts
+        of lines that fold to one word are summed. A bad record, or one
+        without a word, raises ValueError naming the file and line."""
         counts: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -84,10 +85,11 @@ class UnigramTable:
                 if not line.strip():
                     continue
                 word, tab, count = line.partition("\t")
-                if not (tab and count.strip().isdecimal() and int(count) > 0):
+                word = word.strip().lower()
+                if not (word and tab and count.strip().isdecimal() and int(count) > 0):
                     raise ValueError(f"{path}:{lineno}: expected word<TAB>positive "
                                      f"integer count, got {line!r}")
-                counts[word.strip().lower()] = int(count)
+                counts[word] = counts.get(word, 0) + int(count)
         return cls(counts)
 
     def log_prob(self, word: str) -> float:

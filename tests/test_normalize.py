@@ -30,7 +30,7 @@ def test_unigram_floor_probability(unigrams):
 
 
 @pytest.mark.parametrize("record", ["vitamin 5", "vitamin\tfive", "vitamin\t5\t6",
-                                    "vitamin\t0", "vitamin\t-2"])
+                                    "vitamin\t0", "vitamin\t-2", "\t5"])
 def test_unigram_load_names_file_and_line_of_bad_record(tmp_path, record):
     path = tmp_path / "unigrams.tsv"
     path.write_text(f"fish\t3\n\n{record}\n", encoding="utf-8")
@@ -42,6 +42,14 @@ def test_unigram_load_reads_counts(tmp_path):
     path = tmp_path / "unigrams.tsv"
     path.write_text("Fish\t3\n\noil\t2\n", encoding="utf-8")
     assert UnigramTable.load(path).counts == {"fish": 3, "oil": 2}
+
+
+def test_unigram_load_sums_counts_of_one_folded_word(tmp_path):
+    path = tmp_path / "unigrams.tsv"
+    path.write_text("Fish\t3\noil\t2\nfish\t2\n", encoding="utf-8")
+    table = UnigramTable.load(path)
+    assert table.counts == {"fish": 5, "oil": 2}
+    assert table.total == 7
 
 
 def exhaustive_best_split(piece, unigrams):
