@@ -32,7 +32,7 @@ from .ner import (CrfConfig, CrfModel, LstmCrfConfig, crf_train, lstm_crf_train,
 from .ner.features import featurize
 from .ner.predict import decode_many, doc_matrix
 from .normalize import UnigramTable, normalize
-from .pipeline import ErrorBreakdown, OracleNer, evaluate_pipeline, run_many
+from .pipeline import ErrorBreakdown, relate, run_many, score_relations
 from .relation import CnnReConfig, cnn_train, encode_instance
 from .serialization import atomic_write_text, load_model, save_model
 from .signals import KnowledgeBase, aggregate, compare_kb, emit_report, parse_report, top_k
@@ -181,15 +181,29 @@ def _validate(config: dict, command: str) -> None:
         raise ConfigError(errors)
 
 
+def _blas() -> dict | None:
+    """The name and version of the BLAS numpy was built with; None where
+    numpy cannot say (an older numpy's ``show_config`` has no ``mode``)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _environment() -> dict:
-    """The versions and the core count a run used. scipy's version is read
-    from its installed metadata, which does not import it."""
+    """The versions, the BLAS and its thread settings, and the core count a
+    run used. scipy's version is read from its installed metadata, which
+    does not import it."""
     try:
         scipy_version = importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
         scipy_version = None
     return {"dsae": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy_version, "cpu_count": os.cpu_count()}
+            "numpy": np.__version__, "scipy": scipy_version, "blas": _blas(),
+            "blas_threads": {var: os.environ.get(var) for var in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
 
 
 def _write_manifest(config: dict, command: str, artifacts: list[str]) -> str:
@@ -363,7 +377,8 @@ def cmd_eval_re(config: dict) -> list[str]:
     emb, _, _ = _resolve_resources(config)
     _, _, test = split_dataset(_resolve_docs(config), seed=config["seed"])
     model = load_model(_out(config, "re_cnn.json"))
-    per_label, _, _ = evaluate_pipeline(test, OracleNer(test), model, emb)
+    outputs = relate([d.doc for d in test], [list(d.entities) for d in test], model, emb)
+    per_label, _ = score_relations(test, outputs)
     out = _out(config, "re_cnn_metrics.tsv")
     _metrics_tsv(out, sorted(per_label.items()))
     for label, m in sorted(per_label.items()):
@@ -377,7 +392,8 @@ def cmd_pipeline(config: dict) -> list[str]:
     _, _, test = split_dataset(_resolve_docs(config), seed=config["seed"])
     ner = _load_ner(config)
     re_model = load_model(_out(config, "re_cnn.json"))
-    per_label, breakdown, outputs = evaluate_pipeline(test, ner, re_model, emb, lexicons)
+    outputs = run_many([d.doc for d in test], ner, re_model, emb, lexicons)
+    per_label, breakdown = score_relations(test, outputs)
 
     out_jsonl = _out(config, "pipeline.jsonl")
     lines = []

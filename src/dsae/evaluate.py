@@ -62,14 +62,14 @@ def align_spans(gold, predicted) -> dict[str, EvalCounts]:
     Tiers: exact+same-type (COR), exact+other-type (INC), overlap+same-type
     (PAR), overlap+other-type (INC). Unmatched gold spans are MIS,
     unmatched predictions SPU. Matching within a tier is greedy by
-    descending overlap, ties by leftmost gold span.
+    descending overlap, ties by leftmost gold span. Returns the counts of
+    each entity type and, last, their sum under "micro".
     """
     gold = list(gold)
     predicted = list(predicted)
     _check_same_type_overlaps(gold)
 
     counts = {name: EvalCounts() for name in ENTITY_TYPES}
-    counts["micro"] = EvalCounts()
     free_gold = set(range(len(gold)))
     free_pred = set(range(len(predicted)))
 
@@ -88,17 +88,13 @@ def align_spans(gold, predicted) -> dict[str, EvalCounts]:
 
     def as_cor(g, p):
         counts[g.etype].cor += 1
-        counts["micro"].cor += 1
 
     def as_inc(g, p):
         counts[g.etype].inc_gold += 1
         counts[p.etype].inc_pred += 1
-        counts["micro"].inc_gold += 1
-        counts["micro"].inc_pred += 1
 
     def as_par(g, p):
         counts[g.etype].par += 1
-        counts["micro"].par += 1
 
     tier(lambda g, p: _exact(g, p) and g.etype == p.etype, as_cor)
     tier(lambda g, p: _exact(g, p) and g.etype != p.etype, as_inc)
@@ -107,10 +103,12 @@ def align_spans(gold, predicted) -> dict[str, EvalCounts]:
 
     for gi in free_gold:
         counts[gold[gi].etype].mis += 1
-        counts["micro"].mis += 1
     for pi in free_pred:
         counts[predicted[pi].etype].spu += 1
-        counts["micro"].spu += 1
+    micro = EvalCounts()
+    for per_type in counts.values():
+        micro.add(per_type)
+    counts["micro"] = micro
     return counts
 
 

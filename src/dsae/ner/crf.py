@@ -3,10 +3,11 @@
 Unary scores are linear in the token features. Training indexes the
 training set into a dense block of word vectors and a 0/1 indicator matrix
 (kept with its transpose for the gradient), and builds one
-``kernels.CrfBatch`` of the whole training set; each L-BFGS evaluation only
-multiplies and runs the batch's forward-backward. Decoding scores tokens
-with ``token_scores`` and runs ``viterbi``, the batched max-product decoder
-the BiLSTM-CRF shares. The transition matrix is shared across positions.
+``kernels.CrfBatch`` from the document lengths and gold labels that the
+index gives; each L-BFGS evaluation only multiplies and runs the batch's
+forward-backward. Decoding scores tokens with ``token_scores`` and runs
+``viterbi``, the batched max-product decoder the BiLSTM-CRF shares. The
+transition matrix is shared across positions.
 """
 
 from __future__ import annotations
@@ -94,15 +95,16 @@ class CrfModel:
         return [self.labels[i] for i in path]
 
 
-def _nll_objective(dense: np.ndarray, indicators, y: np.ndarray, mask: np.ndarray,
+def _nll_objective(dense: np.ndarray, indicators, lengths: np.ndarray, y: np.ndarray,
                    K: int):
     """The training objective: the function of the flat weights (W then T)
     that gives the NLL of the gold paths y and its flat gradient. The rows
-    of the two blocks are the True positions of mask, in row-major order.
-    What does not depend on the weights is built once, here."""
+    of the two blocks and the entries of y are the positions of sequences
+    of the given lengths, one sequence after another. What does not depend
+    on the weights is built once, here."""
     dim = dense.shape[1]
     by_column = indicators.T.tocsr()
-    batch = kernels.CrfBatch(y, mask, K)
+    batch = kernels.CrfBatch(lengths, y, K)
     F = dim + indicators.shape[1]
     nW = K * F
 
@@ -124,13 +126,10 @@ def _nll_objective(dense: np.ndarray, indicators, y: np.ndarray, mask: np.ndarra
 def crf_train(train_docs, config: CrfConfig | None = None) -> CrfModel:
     """train_docs: list of (features, gold label strings) pairs."""
     cfg = config or CrfConfig()
-    dense, indicators, lengths, tokens_y, registry = index_training_set(train_docs)
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    y = np.zeros(mask.shape, dtype=np.int64)
-    y[mask] = tokens_y
+    dense, indicators, lengths, y, registry = index_training_set(train_docs)
     K = len(BIO_LABELS)
     # one objective over the whole training set, a row per token
-    objective = _nll_objective(dense, indicators, y, mask, K)
+    objective = _nll_objective(dense, indicators, lengths, y, K)
     F = registry.total_dim
     nW = K * F
     result = lbfgs_minimize(objective, np.zeros(nW + K * K), cfg)

@@ -10,10 +10,11 @@ which reads it reversed within its own length.
 Both passes run over a zero-padded batch, after Lample et al. 2016
 (arXiv:1603.01360): each step advances both directions of all B sequences
 as one (2, B, H) recursion, with the padding after every sequence. One
-masked ``kernels.crf_layer`` call scores the batch, and one ``viterbi``
-call decodes it. BPTT computes every factor that does not depend on the
-recursion up front, so the steps carry only ``dh`` and ``dc``; each weight
-gradient is one batched product.
+``kernels.CrfBatch`` of the sequence lengths and gold labels scores the
+real positions, gathered by a mask, and one ``viterbi`` call decodes the
+batch. BPTT computes every factor that does not depend on the recursion
+up front, so the steps carry only ``dh`` and ``dc``; each weight gradient
+is one batched product.
 Inputs are row ids (``TokenRows``), gathered per minibatch and decode
 batch; training runs ``numeric.optim.adam_train`` with ``nll_and_grad``
 as its batch callback, and a dev split selects the epoch by exact-span F1.
@@ -192,15 +193,16 @@ def nll_and_grad(params: ParamVector, Xs: list[np.ndarray], ys: list[np.ndarray]
     full-model gradient."""
     scores, cache = _forward_scores(params, Xs, hidden)
     lengths, rev, lstm_cache, Hcat = cache
-    B, L, _ = scores.shape
+    B, L, K = scores.shape
     mask = np.arange(L) < lengths[:, None]
-    y = np.zeros((B, L), dtype=np.int64)
-    y[mask] = np.concatenate(ys)
-    value, dscores, dT = kernels.crf_layer(scores, params["T"], y, mask)
+    batch = kernels.CrfBatch(lengths, np.concatenate(ys), K)
+    value, dreal, dT = batch.evaluate(scores[mask], params["T"])
     if grad is None:
         return value
 
     grad["T"] += dT
+    dscores = np.zeros_like(scores)  # padding gets no gradient
+    dscores[mask] = dreal
     flat = dscores.reshape(B * L, -1)
     grad["Wp"] += Hcat.reshape(B * L, -1).T @ flat
     grad["bp"] += flat.sum(axis=0)

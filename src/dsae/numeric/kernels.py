@@ -3,12 +3,11 @@ BiLSTM-CRF: the training objective and its gradients.
 
 ``CrfBatch`` runs the forward-backward recursions of Sutton & McCallum,
 *An Introduction to Conditional Random Fields* (arXiv:1011.4088), section
-4.1, over a padded batch of sequences at once. What depends only on the
-lengths and the gold labels (the longest-first order, where each real
-position sits in the padded grid, the gold counts) is built once; each
-evaluation scatters the scores into the grid, runs the passes and gathers
-the gradient back. ``crf_layer`` builds a batch and evaluates it in one
-call. Each step is one (n, K) @ (K, K) product of shifted exponentials,
+4.1, over a batch of sequences at once, padded into one grid. What
+depends only on the lengths and the gold labels (the longest-first order,
+where each position sits in the padded grid, the gold counts) is built
+once; each evaluation scatters the scores into the grid, runs the passes
+and gathers the gradient back. Each step is one (n, K) @ (K, K) product of shifted exponentials,
 alpha_t = log(exp(alpha_{t-1} - m) @ exp(T - max_i T)) + m + max_i T + s_t
 with m the row max of alpha_{t-1}, and the pairwise marginals are one
 product after the recursions. The label holding the max adds at least
@@ -31,32 +30,31 @@ class CrfBatch:
     lengths and the gold labels, built once and evaluated at many (scores,
     T) pairs.
 
-    y: (N, L) gold label indices below K. mask: (N, L) bool, True on the
-    positions of each sequence; they come first in its row, and every
-    sequence has at least one. Padded entries of y are ignored. The batch
-    holds the longest-first order of the sequences, the place of each real
-    position in the padded (L, N) grid of that order, and the gold labels
-    and transition counts.
+    lengths: the N >= 1 sequence lengths, each at least one. y: the gold
+    label indices below K of all their positions, one sequence after
+    another. The batch holds the longest-first order of the sequences, the
+    place of each position in the padded (L, N) grid of that order, and the
+    gold labels and transition counts.
     """
 
-    def __init__(self, y: np.ndarray, mask: np.ndarray, K: int):
-        N, L = mask.shape
+    def __init__(self, lengths, y: np.ndarray, K: int):
+        lengths = np.asarray(lengths)
+        N, L = lengths.size, int(lengths.max())
         self.shape = (L, N, K)
         # longest sequences first: the ones that have a position t are then
         # the first live[t] of the grid's time step t
-        lengths = mask.sum(axis=1)
         order = np.argsort(-lengths, kind="stable")
         rank = np.empty(N, dtype=np.intp)
         rank[order] = np.arange(N)
         self.live = (lengths[:, None] > np.arange(L)).sum(axis=0)
         self.last = lengths[order] - 1, np.arange(N)
-        rows, t = np.nonzero(mask)
-        # real position k (row-major in mask) sits at grid[t, rank[row]]
-        self.grid_index = t * N + rank[rows]
-        self.sequence = rank[rows]
-        self.gold = np.arange(rows.size), y[mask]
-        pairs = mask[:, 1:]
-        self.transitions = np.bincount(K * y[:, :-1][pairs] + y[:, 1:][pairs],
+        # position k, the t-th of its sequence, sits at grid[t, rank of its sequence]
+        self.sequence = np.repeat(rank, lengths)
+        t = np.arange(y.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.grid_index = t * N + self.sequence
+        self.gold = np.arange(y.size), y
+        pairs = t[1:] > 0  # positions k - 1 and k of one sequence
+        self.transitions = np.bincount(K * y[:-1][pairs] + y[1:][pairs],
                                        minlength=K * K).reshape(K, K).astype(np.float64)
         # the (L, N, K) grids every evaluation reuses: the scores, alpha,
         # beta, and the product passes' p and cq. An evaluation writes only
@@ -67,8 +65,8 @@ class CrfBatch:
                  ) -> tuple[float, np.ndarray, np.ndarray]:
         """Negative log-likelihood of the gold label paths and its gradients.
 
-        scores: (n, K) unary scores of the real positions, row-major in
-        mask. T: (K, K), T[i, j] scores label i followed by label j.
+        scores: (n, K) unary scores of the positions, in the order of y.
+        T: (K, K), T[i, j] scores label i followed by label j.
         Returns the NLL summed over the batch (log Z minus the gold path
         score), d NLL / d scores and d NLL / d T.
         """
@@ -91,20 +89,6 @@ class CrfBatch:
         dT -= self.transitions
         gold = scores[self.gold].sum() + np.sum(T * self.transitions)
         return float(logz.sum() - gold), dscores, dT
-
-
-def crf_layer(scores: np.ndarray, T: np.ndarray, y: np.ndarray,
-              mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """``CrfBatch(y, mask, K).evaluate`` on a padded batch, in one call.
-
-    scores: (N, L, K) unary scores; y and mask as for ``CrfBatch``. Padded
-    entries of scores are ignored. Returns the summed NLL, d NLL / d scores
-    (zero at padding) and d NLL / d T.
-    """
-    value, dreal, dT = CrfBatch(y, mask, scores.shape[2]).evaluate(scores[mask], T)
-    dscores = np.zeros_like(scores)
-    dscores[mask] = dreal
-    return value, dscores, dT
 
 
 # Rows from which a chain of column operations beats numpy's own reduction

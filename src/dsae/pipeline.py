@@ -1,7 +1,9 @@
-"""End-to-end assembly: predicted entities feed the relation classifier.
-``score_relations`` sorts every predicted and gold relation once, into a
-true positive or one FP or FN bucket of the error taxonomy, and reads the
-per-label relation P/R/F1 off those counts.
+"""End-to-end assembly: ``relate`` classifies the relations between given
+entities, the gold ones for relation extraction alone, and ``run_many``
+hands it the entities of one ``decode_many`` call. ``score_relations``
+sorts every predicted and gold relation once, into a true positive or one
+FP or FN bucket of the error taxonomy, and reads the per-label relation
+P/R/F1 off those counts.
 """
 
 from __future__ import annotations
@@ -56,33 +58,27 @@ class ErrorBreakdown:
     fn_missed_entity: Counter = field(default_factory=Counter)
 
 
+def relate(docs: list[NormalizedDoc], entities: list[list[EntitySpan]],
+           re_model: CnnReModel, embeddings: EmbeddingTable) -> list[PipelineOutput]:
+    """The relations between each document's given entities: gold ones for
+    relation extraction alone, predicted ones in ``run_many``."""
+    return [PipelineOutput(doc.doc_id, ents, classify_pairs(doc, ents, re_model, embeddings))
+            for doc, ents in zip(docs, entities)]
+
+
 def run_many(docs: list[NormalizedDoc], ner_model, re_model: CnnReModel,
              embeddings: EmbeddingTable,
              lexicons: list[Lexicon] | None = None) -> list[PipelineOutput]:
     """Entities of every document from one ``decode_many`` call, then their relations."""
-    if isinstance(ner_model, OracleNer):
-        entities = [ner_model.predict(doc) for doc in docs]
-    else:
-        entities = [from_bio(doc, labels) for doc, labels in
-                    zip(docs, decode_many(ner_model, docs, embeddings, lexicons))]
-    return [PipelineOutput(doc.doc_id, ents, classify_pairs(doc, ents, re_model, embeddings))
-            for doc, ents in zip(docs, entities)]
+    entities = [from_bio(doc, labels) for doc, labels in
+                zip(docs, decode_many(ner_model, docs, embeddings, lexicons))]
+    return relate(docs, entities, re_model, embeddings)
 
 
 def run_pipeline(doc: NormalizedDoc, ner_model, re_model: CnnReModel, embeddings: EmbeddingTable,
                  lexicons: list[Lexicon] | None = None) -> PipelineOutput:
     """``run_many`` of one document."""
     return run_many([doc], ner_model, re_model, embeddings, lexicons)[0]
-
-
-class OracleNer:
-    """Replays gold entities; used for error-propagation baselines."""
-
-    def __init__(self, gold_docs: list[AnnotatedDoc]):
-        self._by_id = {d.doc.doc_id: list(d.entities) for d in gold_docs}
-
-    def predict(self, doc: NormalizedDoc) -> list[EntitySpan]:
-        return list(self._by_id.get(doc.doc_id, []))
 
 
 def _relation_key(rel: RelationInstance) -> tuple:
@@ -131,15 +127,6 @@ def score_relations(gold_docs: list[AnnotatedDoc], outputs: list[PipelineOutput]
     return per_label, breakdown
 
 
-def evaluate_pipeline(gold_docs: list[AnnotatedDoc], ner_model, re_model: CnnReModel,
-                      embeddings: EmbeddingTable,
-                      lexicons: list[Lexicon] | None = None
-                      ) -> tuple[dict[str, Metrics], ErrorBreakdown, list[PipelineOutput]]:
-    """``run_many`` over the gold documents, scored by ``score_relations``."""
-    outputs = run_many([d.doc for d in gold_docs], ner_model, re_model, embeddings, lexicons)
-    return (*score_relations(gold_docs, outputs), outputs)
-
-
 @dataclass
 class PropagationReport:
     end_to_end: dict[str, Metrics]
@@ -154,11 +141,11 @@ def error_propagation_check(gold_docs: list[AnnotatedDoc], ner_model,
                             epsilon: float = 0.01) -> PropagationReport:
     """End-to-end relation F1 should not beat relation extraction run on
     gold entities by more than epsilon."""
-    end_to_end, _, _ = evaluate_pipeline(gold_docs, ner_model, re_model,
-                                         embeddings, lexicons)
-    oracle = OracleNer(gold_docs)
-    standalone, _, _ = evaluate_pipeline(gold_docs, oracle, re_model,
-                                         embeddings, lexicons)
+    docs = [d.doc for d in gold_docs]
+    end_to_end, _ = score_relations(
+        gold_docs, run_many(docs, ner_model, re_model, embeddings, lexicons))
+    standalone, _ = score_relations(
+        gold_docs, relate(docs, [list(d.entities) for d in gold_docs], re_model, embeddings))
     holds = {}
     for label, m in end_to_end.items():
         holds[label] = m.f1 <= standalone[label].f1 + epsilon

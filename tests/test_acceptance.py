@@ -23,7 +23,7 @@ from dsae.ner.svm import svm_train
 from dsae.numeric import kernels
 from dsae.numeric.optim import AdamState, LbfgsConfig, adam_step, lbfgs_minimize
 from dsae.numeric.rng import Rng
-from dsae.pipeline import OracleNer, error_propagation_check, evaluate_pipeline
+from dsae.pipeline import error_propagation_check, relate, score_relations
 from dsae.relation import CnnReConfig, CnnReModel, cnn_forward, encode_instance
 from dsae.relation import cnn_train
 from dsae.signals import KnowledgeBase, SignalRecord, aggregate, compare_kb
@@ -181,8 +181,8 @@ def test_criterion_03_log_partition():
         unary = np.ascontiguousarray(rng.normal((L, K), scale=2.0))
         trans = np.ascontiguousarray(rng.normal((K, K), scale=2.0))
         paths = brute_force_paths(unary, trans)
-        zeros = np.zeros((1, L), dtype=np.int64)
-        nll, _, _ = kernels.crf_layer(unary[None], trans, zeros, zeros == 0)
+        zeros = np.zeros(L, dtype=np.int64)
+        nll, _, _ = kernels.CrfBatch([L], zeros, K).evaluate(unary, trans)
         logz = nll + paths[0][1]  # paths[0] is the all-zero path the NLL is of
         scores = [s for _, s in paths]
         m = max(scores)
@@ -316,8 +316,9 @@ def test_criterion_08_error_propagation(corpus, resources, ner_models, re_model)
     ok = all(prop.holds.get(label, False) for label in ("Indication", "AdverseEvent"))
 
     dropped = drop_entities(test, 0.5, seed=0)
-    per_label_drop, _, _ = evaluate_pipeline(test, OracleNer(dropped),
-                                             re_model["model"], emb, lexicons)
+    outputs = relate([d.doc for d in dropped], [list(d.entities) for d in dropped],
+                     re_model["model"], emb)
+    per_label_drop, _ = score_relations(test, outputs)
     drops = {}
     for label in ("Indication", "AdverseEvent"):
         drops[label] = prop.standalone[label].recall - per_label_drop[label].recall

@@ -1,9 +1,11 @@
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsae import corpus
 from dsae.corpus import (Lexicon, LoadReport, filter_candidate, load_lexicon,
                          load_tweets, match_terms, merge_lexicons, Tweet)
 
@@ -198,6 +200,15 @@ def test_match_terms_word_boundaries(ds_lexicon):
     assert match_terms("ironing environment", ds_lexicon) == []
     hits = match_terms("(iron) works, iron!", ds_lexicon)
     assert [(h.char_start, h.char_end) for h in hits] == [(1, 5), (14, 18)]
+
+
+def test_word_pattern_matches_exactly_the_alphanumeric_code_points():
+    """match_terms starts words where _WORD matches and checks their ends
+    with str.isalnum (_is_boundary): the two agree on every code point."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    in_words = set("".join(corpus._WORD.findall(chars)))
+    alphanumeric = set(filter(str.isalnum, chars))
+    assert sorted(map(ord, in_words ^ alphanumeric)) == []
 
 
 def test_match_terms_matches_brute_force(ds_lexicon, event_lexicon):

@@ -122,9 +122,19 @@ def test_viterbi_rejects_lengths_outside_the_batch():
 # ----------------------------------------------------------- forward-backward
 
 def layer_one(unary, trans, y):
-    """crf_layer on a batch holding one unpadded sequence."""
-    y = np.asarray(y, dtype=np.int64)[None]
-    return kernels.crf_layer(unary[None], trans, y, np.ones(y.shape, dtype=bool))
+    """A CrfBatch holding one sequence, evaluated once."""
+    return kernels.CrfBatch([len(y)], np.asarray(y, dtype=np.int64),
+                            trans.shape[0]).evaluate(unary, trans)
+
+
+def layer_padded(scores, trans, y, mask):
+    """A padded batch's real positions through one CrfBatch, gathered by its
+    mask as the BiLSTM-CRF gathers them: the NLL, d NLL / d scores of each
+    row's real positions, and d NLL / d T."""
+    lengths = mask.sum(axis=1)
+    nll, dreal, dT = kernels.CrfBatch(lengths, y[mask], trans.shape[0]).evaluate(
+        scores[mask], trans)
+    return nll, np.split(dreal, np.cumsum(lengths)[:-1]), dT
 
 
 def test_logz_matches_brute_force():
@@ -149,7 +159,7 @@ def test_marginals_sum_to_one():
         L, K = unary.shape
         y = [rng.randint(K) for _ in range(L)]
         _, dscores, _ = layer_one(unary, trans, y)
-        marg = dscores[0] + np.eye(K)[y]
+        marg = dscores + np.eye(K)[y]
         assert np.allclose(marg.sum(axis=1), 1.0, atol=1e-10)
         paths = brute_force_paths(unary, trans)
         weights = np.exp(np.array([s for _, s in paths]) - max(s for _, s in paths))
@@ -164,7 +174,7 @@ def test_marginals_sum_to_one():
        extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_batched_layer_equals_sum_of_sequences(K, lengths, extra, seed, data):
     """Any order of the sequences in the batch and any padding width, filled
-    with garbage, give the per-sequence results; padding gets no gradient."""
+    with garbage, give the per-sequence results."""
     rng = Rng(seed, stream=14)
     trans = rng.normal((K, K), scale=2.0)
     seqs = [(rng.normal((L, K), scale=2.0), [rng.randint(K) for _ in range(L)])
@@ -180,7 +190,7 @@ def test_batched_layer_equals_sum_of_sequences(K, lengths, extra, seed, data):
         y[row, :len(labels)] = labels
         mask[row, :len(labels)] = True
 
-    nll, dscores, dT = kernels.crf_layer(scores, trans, y, mask)
+    nll, dscores, dT = layer_padded(scores, trans, y, mask)
 
     want_nll, want_dT = 0.0, np.zeros((K, K))
     for row, i in enumerate(order):
@@ -188,10 +198,9 @@ def test_batched_layer_equals_sum_of_sequences(K, lengths, extra, seed, data):
         one_nll, one_dscores, one_dT = layer_one(unary, trans, labels)
         want_nll += one_nll
         want_dT += one_dT
-        assert np.allclose(dscores[row, :len(labels)], one_dscores[0], atol=1e-10)
+        assert np.allclose(dscores[row], one_dscores, atol=1e-10)
     assert nll == pytest.approx(want_nll, rel=1e-12, abs=1e-10)
     assert np.allclose(dT, want_dT, atol=1e-10)
-    assert np.all(dscores[~mask] == 0.0)
 
 
 def padded_batch(rng, K, lengths, order, extra):
@@ -237,7 +246,7 @@ def test_wide_transitions_match_brute_force(spread, wide):
         gold = np.zeros((K, K))
         np.add.at(gold, (y[:-1], y[1:]), 1.0)
         assert nll + y_score == pytest.approx(logz, rel=1e-12)
-        assert np.allclose(dscores[0] + np.eye(K)[y], marg, atol=1e-9)
+        assert np.allclose(dscores + np.eye(K)[y], marg, atol=1e-9)
         assert np.allclose(dT + gold, counts, atol=1e-9)
 
 
@@ -253,32 +262,31 @@ def test_batched_layer_at_any_transition_scale(K, lengths, extra, scale, seed, d
     order = data.draw(st.permutations(range(len(lengths))))
     seqs, scores, y, mask = padded_batch(rng, K, lengths, order, extra)
 
-    nll, dscores, dT = kernels.crf_layer(scores, trans, y, mask)
+    nll, dscores, dT = layer_padded(scores, trans, y, mask)
 
     ones = [layer_one(seqs[i][0], trans, seqs[i][1]) for i in order]
     for row, (_, one_dscores, _) in enumerate(ones):
-        assert np.allclose(dscores[row, mask[row]], one_dscores[0], atol=1e-9)
+        assert np.allclose(dscores[row], one_dscores, atol=1e-9)
     assert nll == pytest.approx(sum(one[0] for one in ones), rel=1e-12, abs=1e-9)
     assert np.allclose(dT, sum(one[2] for one in ones), atol=1e-9)
-    assert np.all(dscores[~mask] == 0.0)
 
 
 def test_shifted_scores_in_mixed_lengths_stay_finite(monkeypatch):
-    """Scores near -1000 put log Z near -10^4 while the padding holds zeros:
-    the product recursion raises no overflow there and equals the
-    log-sum-exp recursion."""
+    """Scores near -1000 put log Z near -10^4 while the batch's padded grid
+    holds zeros: the product recursion raises no overflow there and equals
+    the log-sum-exp recursion."""
     rng = Rng(6, stream=12)
     K, lengths = 4, [9, 1, 5, 9, 3, 7]
     trans = rng.normal((K, K), scale=2.0)
     _, scores, y, mask = padded_batch(rng, K, lengths, rng.permutation(len(lengths)), 2)
     scores[mask] -= 1000.0
-    scores[~mask] = 0.0
     assert np.ptp(trans) <= kernels._PRODUCT_PTP
+    batch = kernels.CrfBatch(mask.sum(axis=1), y[mask], K)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nll, dscores, dT = kernels.crf_layer(scores, trans, y, mask)
+        nll, dscores, dT = batch.evaluate(scores[mask], trans)
         monkeypatch.setattr(kernels, "_PRODUCT_PTP", -1.0)  # log-sum-exp route
-        want_nll, want_dscores, want_dT = kernels.crf_layer(scores, trans, y, mask)
+        want_nll, want_dscores, want_dT = batch.evaluate(scores[mask], trans)
     assert np.isfinite(nll) and np.all(np.isfinite(dscores)) and np.all(np.isfinite(dT))
     assert nll == pytest.approx(want_nll, rel=1e-12)
     assert np.allclose(dscores, want_dscores, atol=1e-9)
@@ -291,21 +299,22 @@ def test_shifted_scores_in_mixed_lengths_stay_finite(monkeypatch):
 def test_one_batch_evaluates_as_fresh_layers(K, lengths, extra, seed, data):
     """A batch built once and evaluated at several (scores, T) pairs, on
     both sides of the product recursion's range and back, gives what a
-    fresh crf_layer call gives at each, bit for bit."""
+    fresh batch gives at each, bit for bit."""
     rng = Rng(seed, stream=16)
     lengths = lengths + [1]  # always a sequence of length one
     order = data.draw(st.permutations(range(len(lengths))))
     _, _, y, mask = padded_batch(rng, K, lengths, order, extra)
-    batch = kernels.CrfBatch(y, mask, K)
+    batch = kernels.CrfBatch(mask.sum(axis=1), y[mask], K)
     for spread in (3.0, 1500.0, 40.0):
         scores = rng.normal(mask.shape + (K,), scale=2.0)
         trans = rng.normal((K, K))
         trans *= spread / np.ptp(trans)
         assert (np.ptp(trans) > kernels._PRODUCT_PTP) == (spread > 500.0)
         nll, dreal, dT = batch.evaluate(scores[mask], trans)
-        want_nll, want_dscores, want_dT = kernels.crf_layer(scores, trans, y, mask)
+        want_nll, want_dreal, want_dT = kernels.CrfBatch(
+            mask.sum(axis=1), y[mask], K).evaluate(scores[mask], trans)
         assert nll == want_nll
-        assert np.array_equal(dreal, want_dscores[mask])
+        assert np.array_equal(dreal, want_dreal)
         assert np.array_equal(dT, want_dT)
 
 

@@ -87,9 +87,14 @@ def test_manifest_records_the_environment_without_loading_scipy(tmp_path):
     import dsae
     import numpy
     import scipy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert environment == {"dsae": dsae.__version__,
                            "python": platform.python_version(),
                            "numpy": numpy.__version__, "scipy": scipy.__version__,
+                           "blas": {"name": blas["name"], "version": blas["version"]},
+                           "blas_threads": {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": "1",
+                                            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS")},
                            "cpu_count": os.cpu_count()}
 
 

@@ -3,12 +3,13 @@ from collections import Counter
 
 import pytest
 
-from dsae.annotation import AnnotatedDoc, RelationInstance
+from dsae.annotation import AnnotatedDoc, RelationInstance, to_bio
 from dsae.embeddings import EmbeddingTable
+from dsae.ner.crf import CrfConfig, crf_train
+from dsae.ner.features import featurize
 from dsae.numeric.rng import Rng
-from dsae.pipeline import (ErrorBreakdown, OracleNer, PipelineOutput,
-                           error_propagation_check, evaluate_pipeline,
-                           run_pipeline, score_relations)
+from dsae.pipeline import (ErrorBreakdown, PipelineOutput, error_propagation_check,
+                           relate, score_relations)
 from dsae.relation import CnnReConfig, cnn_train, encode_instance
 
 from util import make_doc, span
@@ -61,35 +62,45 @@ def test_pipeline_output_referential_integrity():
         PipelineOutput("d", [supp], [rel])
 
 
-def test_oracle_ner_replays_gold(corpus):
-    docs, _ = corpus
-    oracle = OracleNer(docs)
-    assert oracle.predict(docs[0].doc) == list(docs[0].entities)
-    assert oracle.predict(make_doc("unknown", ["x"])) == []
+def gold_entities(docs):
+    return [list(d.entities) for d in docs]
 
 
-def test_oracle_ner_replays_kept_entities(corpus):
-    docs, _ = corpus
+def test_oracle_ner_replays_gold(corpus, emb):
+    """relate keeps the gold entities it is given, and a document given
+    none gets none."""
+    docs, model = corpus
+    unknown = make_doc("unknown", ["x"])
+    outputs = relate([docs[0].doc, unknown], [list(docs[0].entities), []], model, emb)
+    assert outputs[0].entities == list(docs[0].entities)
+    assert outputs[1].entities == []
+
+
+def test_oracle_ner_replays_kept_entities(corpus, emb):
+    """relate on degraded gold entities keeps exactly those left."""
+    docs, model = corpus
     supplement_only = AnnotatedDoc(docs[1].doc, docs[1].entities[:1], ())
-    oracle = OracleNer([docs[0], supplement_only])
-    assert oracle.predict(docs[0].doc) == list(docs[0].entities)
-    assert oracle.predict(docs[1].doc) == [docs[1].entities[0]]
-    assert oracle.predict(docs[5].doc) == []
+    kept = [docs[0], supplement_only, AnnotatedDoc(docs[5].doc, (), ())]
+    outputs = relate([d.doc for d in kept], gold_entities(kept), model, emb)
+    assert outputs[0].entities == list(docs[0].entities)
+    assert outputs[1].entities == [docs[1].entities[0]]
+    assert outputs[2].entities == []
 
 
 def test_run_pipeline_with_oracle(corpus, emb):
+    """Relation extraction on one document's gold entities."""
     docs, model = corpus
-    oracle = OracleNer(docs)
-    out = run_pipeline(docs[0].doc, oracle, model, emb)
+    (out,) = relate([docs[0].doc], gold_entities(docs[:1]), model, emb)
     assert out.doc_id == docs[0].doc.doc_id
     assert out.entities == list(docs[0].entities)
     assert [r.label for r in out.relations] == ["AdverseEvent"]
 
 
 def test_evaluate_pipeline_perfect_with_oracle(corpus, emb):
+    """Relations on the gold entities score perfectly against gold."""
     docs, model = corpus
-    per_label, breakdown, outputs = evaluate_pipeline(docs, OracleNer(docs),
-                                                      model, emb)
+    outputs = relate([d.doc for d in docs], gold_entities(docs), model, emb)
+    per_label, breakdown = score_relations(docs, outputs)
     assert len(outputs) == len(docs)
     for label in ("Indication", "AdverseEvent"):
         assert per_label[label].f1 == 1.0
@@ -99,8 +110,9 @@ def test_evaluate_pipeline_perfect_with_oracle(corpus, emb):
 def test_breakdown_buckets_partition_errors(corpus, emb):
     docs, model = corpus
     # drop entities from half the docs: those relations become fn_missed_entity
-    oracle = OracleNer(docs[:10])
-    per_label, breakdown, outputs = evaluate_pipeline(docs, oracle, model, emb)
+    entities = gold_entities(docs[:10]) + [[] for _ in docs[10:]]
+    outputs = relate([d.doc for d in docs], entities, model, emb)
+    per_label, breakdown = score_relations(docs, outputs)
     gold_by_label = {"Indication": 10, "AdverseEvent": 10}
     predicted = {lab: 0 for lab in gold_by_label}
     for out in outputs:
@@ -183,8 +195,9 @@ def test_score_relations_puts_each_error_in_its_bucket():
 
 def test_error_propagation_check(corpus, emb):
     docs, model = corpus
-    oracle = OracleNer(docs)
-    report = error_propagation_check(docs, oracle, model, emb, epsilon=0.01)
+    ner = crf_train([(featurize(d.doc, emb), to_bio(d.doc, d.entities)) for d in docs],
+                    CrfConfig(max_iter=50))
+    report = error_propagation_check(docs, ner, model, emb, epsilon=0.01)
     assert set(report.holds) == {"Indication", "AdverseEvent"}
     assert all(report.holds.values())
     assert report.epsilon == 0.01

@@ -162,30 +162,29 @@ def crf_objective(model, features, gold):
     (features, gold) under the model's registry: the NLL of the gold path
     and its gradient, over the flat weights W then T."""
     dense, indicators = index_features(features, model.registry)
-    y = np.array([label_ids(gold, model.labels)])
-    return crf._nll_objective(dense, indicators, y, np.ones(y.shape, dtype=bool),
-                              len(model.labels))
+    y = np.array(label_ids(gold, model.labels))
+    return crf._nll_objective(dense, indicators, np.array([len(y)]), y, len(model.labels))
 
 
 def crf_neg_log_likelihood(model, features, gold_labels) -> tuple[float, np.ndarray]:
-    """Value and flat gradient (over W then T) of one document's NLL, by one
-    ``kernels.crf_layer`` call: the per-document reference of the batched
-    training objective."""
+    """Value and flat gradient (over W then T) of one document's NLL, from a
+    ``kernels.CrfBatch`` of that document alone: the per-document reference
+    of the batched training objective."""
     if len(features) != len(gold_labels) or not features:
         raise ValueError("need equally many features and labels, at least one")
     dense, indicators = index_features(features, model.registry)
     W, dim = model.W, model.registry.dense_dim
-    y = np.asarray([label_ids(gold_labels, model.labels)], dtype=np.int64)
-    value, (dscores,), dT = kernels.crf_layer(
-        (dense @ W[:, :dim].T + indicators @ W[:, dim:].T)[None], model.T, y,
-        np.ones_like(y, dtype=bool))
+    y = np.asarray(label_ids(gold_labels, model.labels), dtype=np.int64)
+    value, dscores, dT = kernels.CrfBatch([len(y)], y, len(model.labels)).evaluate(
+        dense @ W[:, :dim].T + indicators @ W[:, dim:].T, model.T)
     dW = np.hstack([dscores.T @ dense, (indicators.T @ dscores).T])
     return value, np.concatenate([dW.ravel(), dT.ravel()])
 
 
 def drop_entities(docs: list[AnnotatedDoc], fraction: float, seed: int) -> list[AnnotatedDoc]:
     """The documents with a random fraction of their entities removed, and
-    no relations: degraded concept extraction, for an ``OracleNer``."""
+    no relations: degraded concept extraction, whose entities the tests
+    hand to ``relate``."""
     rng = Rng(seed, stream=61)
     return [AnnotatedDoc(d.doc, tuple(e for e in d.entities if rng.uniform() >= fraction), ())
             for d in docs]

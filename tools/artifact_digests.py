@@ -53,7 +53,8 @@ CLI_KB = "supplement,event,relation\nvitamin c,nausea,AdverseEvent\nmelatonin,in
 # each command, with the CRF but where the BiLSTM-CRF is named
 CLI_COMMANDS = (("train-ner",), ("train-ner", "--model", "lstm_crf"), ("eval-ner",),
                 ("eval-ner", "--model", "lstm_crf"), ("train-re",), ("eval-re",),
-                ("pipeline",), ("aggregate",), ("compare-kb",), ("report",))
+                ("pipeline",), ("replicate", "--runs", "2"), ("aggregate",), ("compare-kb",),
+                ("report",))
 
 
 def import_checkout(checkout: Path):
